@@ -8,13 +8,13 @@ did not converge, 3 configuration error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib
-import json
+import io
 import os
 import re
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -27,7 +27,7 @@ from .diagnostics import (CheckReport, check_envelope, check_hatta_reduction,
 from .errors import CompstatError, ConfigurationError
 from .geometry import build_isovectors, gcd_apply, verify_conformance
 from .report import (RunReport, check_dict, csm_dict, isovector_dict,
-                     matrices_to_csv, sensitivity_dict, solution_dict)
+                     matrices_to_csv, sensitivity_dict, solution_dict, write_json)
 from .sensitivity import (decision_jacobian_analytic, decision_jacobian_fd,
                           decision_jacobian_ift)
 from .solver import SolverConfig, solve_interior
@@ -214,7 +214,8 @@ _RECIPE_BUILDERS = {
     "omega_A1": lambda m, s, se, iso: csm_mod.build_omega_a1(m, s, se),
     "omega_A2": lambda m, s, se, iso: csm_mod.build_omega_a2(m, s, se),
     "omega_B": lambda m, s, se, iso: csm_mod.build_omega_b(m, s, se, iso),
-    "silberberg_S": lambda m, s, se, iso: csm_mod.build_silberberg(m, s, se)[0],
+    # (matrix, tangent verdict); run_point checks the verdict
+    "silberberg_S": lambda m, s, se, iso: csm_mod.build_silberberg(m, s, se),
     "universal_U": lambda m, s, se, iso: csm_mod.build_universal(m, s, se),
 }
 
@@ -257,9 +258,13 @@ def run_point(entry: BenchmarkEntry, a: np.ndarray, cfg: RunConfig) -> RunReport
 
     tick = time.perf_counter()
     results = {}
+    tangent_verdict = None
     for recipe in cfg.recipes:
         try:
-            results[recipe] = _RECIPE_BUILDERS[recipe](model, sol, sens, iso)
+            built = _RECIPE_BUILDERS[recipe](model, sol, sens, iso)
+            if recipe == "silberberg_S":
+                built, tangent_verdict = built
+            results[recipe] = built
         except CompstatError as exc:
             errors.append({"stage": f"csm:{recipe}", "message": str(exc)})
     derived = {}
@@ -285,7 +290,7 @@ def run_point(entry: BenchmarkEntry, a: np.ndarray, cfg: RunConfig) -> RunReport
         if recipe == "silberberg_S":
             # semidefinite only subject to constraints: test on the tangent
             # subspace of the parameter-space constraint gradients
-            _, verdict = csm_mod.build_silberberg(model, sol, sens)
+            verdict = tangent_verdict
             scale = max(1.0, abs(verdict.max_eigenvalue))
             checks.append(CheckReport(
                 name="semidefinite[silberberg_S|tangent]",
@@ -350,12 +355,7 @@ def cmd_analyze(cfg: RunConfig):
     if not cfg.model:
         raise ConfigurationError("no model selected; pass --model")
     entry = _load_entry(cfg.model)
-    points = resolve_points(entry, cfg)
-    if len(points) == 1:
-        reports = [run_point(entry, points[0], cfg)]
-    else:
-        with ThreadPoolExecutor(max_workers=min(8, len(points))) as pool:
-            reports = list(pool.map(lambda a: run_point(entry, a, cfg), points))
+    reports = [run_point(entry, a, cfg) for a in resolve_points(entry, cfg)]
     solver_failed = any(r.errors and r.errors[0].get("stage") == "solve"
                         for r in reports)
     checks_failed = any(not r.all_checks_pass for r in reports)
@@ -403,7 +403,9 @@ def cmd_list_models(fmt: str = "table") -> str:
                 "property_suite": list(entry.suite_names()),
                 "description": entry.description,
             })
-        return json.dumps(payload, indent=2) + "\n"
+        text = io.StringIO()
+        write_json(payload, text)
+        return text.getvalue()
     header = f"{'name':<26}{'M':>3}{'N':>4}{'K':>3}  {'checks':>6}  description"
     lines.append(header)
     lines.append("-" * len(header))
@@ -424,7 +426,7 @@ def _resolve_out_path(out: Optional[str]) -> Optional[str]:
     return out
 
 
-def _emit_analyze(reports, cfg: RunConfig) -> str:
+def _emit_analyze(reports, cfg: RunConfig, stream):
     if cfg.format == "table":
         lines = []
         for rep in reports:
@@ -434,22 +436,22 @@ def _emit_analyze(reports, cfg: RunConfig) -> str:
             for chk in d["checks"]:
                 res = "-" if chk["residual"] is None else f"{chk['residual']:.3e}"
                 lines.append(f"  [{chk['verdict']:<7}] {chk['name']:<32} {res}")
-        return "\n".join(lines) + "\n"
-    if cfg.format == "csv":
-        chunks = []
+        stream.write("\n".join(lines) + "\n")
+    elif cfg.format == "csv":
         for rep in reports:
             for recipe, body in matrices_to_csv(rep.to_dict()).items():
-                chunks.append(f"# {rep.model} {recipe}\n{body}")
-        return "".join(chunks)
-    if len(reports) == 1:
-        return reports[0].to_json() + "\n"
-    return json.dumps({"schema_version": reports[0].schema_version,
-                       "reports": [r.to_dict() for r in reports]}, indent=2) + "\n"
+                stream.write(f"# {rep.model} {recipe}\n{body}")
+    elif len(reports) == 1:
+        reports[0].to_json(stream)
+    else:
+        write_json({"schema_version": reports[0].schema_version,
+                    "reports": [r.to_dict() for r in reports]}, stream)
 
 
-def _emit_verify(rows, fmt: str) -> str:
+def _emit_verify(rows, fmt: str, stream):
     if fmt == "json":
-        return json.dumps(rows, indent=2) + "\n"
+        write_json(rows, stream)
+        return
     lines = []
     summary = {}
     for row in rows:
@@ -459,17 +461,19 @@ def _emit_verify(rows, fmt: str) -> str:
     for (name, pipeline), (passed, total) in summary.items():
         status = "pass" if passed == total else "FAIL"
         lines.append(f"{status}  {name:<26} [{pipeline}] {passed}/{total}")
-    return "\n".join(lines) + "\n"
+    stream.write("\n".join(lines) + "\n")
 
 
-def _write_or_print(text: str, out: Optional[str]):
+@contextlib.contextmanager
+def _output(out: Optional[str]):
+    """The text stream a command writes to: the file `out` or stdout."""
     path = _resolve_out_path(out)
     if path is None:
-        sys.stdout.write(text)
-    else:
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        yield sys.stdout
+        return
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with open(path, "w", encoding="utf-8") as handle:
+        yield handle
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -536,12 +540,14 @@ def main(argv=None) -> int:
         if args.command == "analyze":
             cfg = _analyze_config(args)
             reports, code = cmd_analyze(cfg)
-            _write_or_print(_emit_analyze(reports, cfg), cfg.out)
+            with _output(cfg.out) as stream:
+                _emit_analyze(reports, cfg, stream)
             return code
         if args.command == "verify-all":
             only = tuple(v.strip() for v in (args.only or "").split(",") if v.strip())
             rows, code = cmd_verify_all(only=only, tol_override=args.tol)
-            _write_or_print(_emit_verify(rows, args.format), args.out)
+            with _output(args.out) as stream:
+                _emit_verify(rows, args.format, stream)
             return code
         if args.command == "list-models":
             sys.stdout.write(cmd_list_models(args.format))

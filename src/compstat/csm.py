@@ -77,7 +77,13 @@ def estimate_rank(matrix: np.ndarray, rank_tol: float = RANK_TOL) -> int:
     sym = 0.5 * (matrix + matrix.T)
     if sym.size == 0:
         return 0
-    eig = np.linalg.eigvalsh(sym)
+    return _rank_of_spectrum(np.linalg.eigvalsh(sym), rank_tol)
+
+
+def _rank_of_spectrum(eig: np.ndarray, rank_tol: float) -> int:
+    """Number of eigenvalues above `rank_tol` times the largest magnitude."""
+    if eig.size == 0:
+        return 0
     top = float(np.max(np.abs(eig)))
     if top == 0.0:
         return 0
@@ -96,7 +102,7 @@ def _finalize(matrix: np.ndarray, recipe: str, sign: str, labels=(),
     return CsmResult(
         matrix=matrix, recipe=recipe, sign_convention=sign,
         eigenvalues=eig, symmetry_residual=sym_res,
-        rank_estimate=estimate_rank(matrix, rank_tol),
+        rank_estimate=_rank_of_spectrum(eig, rank_tol),
         rank_tol=rank_tol, symmetry_tol=symmetry_tol,
         labels=tuple(labels), transform_kind=transform_kind, note=note)
 

@@ -121,10 +121,14 @@ def check_semidefinite(matrix: Union[np.ndarray, CsmResult], expected_sign: str,
     expected_sign is "positive" or "negative"; the eigenvalue test is
     relative to the largest eigenvalue magnitude, and a zero matrix passes.
     """
-    mat = matrix.matrix if isinstance(matrix, CsmResult) else np.asarray(matrix, dtype=float)
-    sym_res = float(np.max(np.abs(mat - mat.T))) if mat.size else 0.0
-    sym = 0.5 * (mat + mat.T)
-    eig = np.linalg.eigvalsh(sym) if sym.size else np.zeros(0)
+    if isinstance(matrix, CsmResult):
+        # the same quantities, computed the same way when the result was built
+        sym_res, eig = matrix.symmetry_residual, matrix.eigenvalues
+    else:
+        mat = np.asarray(matrix, dtype=float)
+        sym_res = float(np.max(np.abs(mat - mat.T))) if mat.size else 0.0
+        sym = 0.5 * (mat + mat.T)
+        eig = np.linalg.eigvalsh(sym) if sym.size else np.zeros(0)
     top = float(np.max(np.abs(eig))) if eig.size else 0.0
     if expected_sign == "positive":
         violation = max(0.0, -float(eig[0])) if eig.size else 0.0

@@ -4,12 +4,18 @@ Matrices are emitted row-major as arrays of arrays next to a labels array;
 floats go through Python's shortest round-trip repr, so a serialized report
 reloads bit-identically.  The schema carries an explicit version that must
 be bumped on any field change.
+
+Every JSON document the CLI prints goes through `write_json`, which streams
+to a text stream exactly the characters `json.dumps` produces with an
+indent of two spaces, followed by a newline.  The standard library runs its
+C encoder only when `indent` is None, so the indented form would otherwise
+spend a Python generator frame on every float of every matrix.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -27,7 +33,7 @@ def labeled_matrix(matrix: np.ndarray, row_labels=(), col_labels=()) -> dict:
     return {
         "row_labels": list(row_labels),
         "col_labels": list(col_labels),
-        "rows": [[float(v) for v in row] for row in matrix],
+        "rows": matrix.tolist(),
     }
 
 
@@ -99,8 +105,12 @@ def _jsonable(value):
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
+        if set(map(type, value)) == {float}:
+            return list(value)
         return [_jsonable(v) for v in value]
     if isinstance(value, np.ndarray):
+        if value.dtype.kind == "f":
+            return value.tolist()
         return [_jsonable(v) for v in value.tolist()]
     if isinstance(value, (np.floating, float)):
         return float(value)
@@ -138,16 +148,13 @@ class RunReport:
             "timings": _jsonable(self.timings),
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self, stream) -> None:
+        """Write the report to the text stream `stream` (see `write_json`)."""
+        write_json(self.to_dict(), stream)
 
     @property
     def all_checks_pass(self) -> bool:
         return all(c["verdict"] != "fail" for c in self.checks)
-
-
-def report_from_json(text: str) -> dict:
-    return json.loads(text)
 
 
 def matrices_to_csv(report_dict: dict) -> dict:
@@ -161,3 +168,80 @@ def matrices_to_csv(report_dict: dict) -> dict:
             lines.append(",".join([str(label)] + [repr(v) for v in row]))
         out[item["recipe"]] = "\n".join(lines) + "\n"
     return out
+
+
+def write_json(obj, stream) -> None:
+    """Write `obj` to the text stream `stream` as `json.dumps` with an indent
+    of two spaces would render it, followed by a newline.
+
+    The document is written in chunks and never held as one string.  Lists
+    and tuples, dicts with str keys, str, int, float (NaN and infinities as
+    `NaN`, `Infinity`, `-Infinity`), bool and None are accepted; anything
+    else raises TypeError.
+    """
+    parts = []
+    _encode(obj, parts, "\n")
+    parts.append("\n")
+    stream.writelines(parts)
+
+
+_INF = float("inf")
+
+
+def _float(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == _INF:
+        return "Infinity"
+    if value == -_INF:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _encode(obj, parts: list, newline: str) -> None:
+    """Append the chunks of `obj`, nested at the indentation `newline` ends
+    with, to `parts`."""
+    if isinstance(obj, str):
+        parts.append(encode_basestring_ascii(obj))
+    elif obj is None:
+        parts.append("null")
+    elif obj is True:
+        parts.append("true")
+    elif obj is False:
+        parts.append("false")
+    elif isinstance(obj, int):
+        parts.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        parts.append(_float(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        try:
+            text = ("," + inner).join(map(float.__repr__, obj))
+        except TypeError:                 # an element that is not a float
+            text = None
+        if text is not None and "n" not in text:   # no nan, inf or -inf
+            parts += ("[", inner, text, newline, "]")
+            return
+        separator = "[" + inner
+        for value in obj:
+            parts.append(separator)
+            separator = "," + inner
+            _encode(value, parts, inner)
+        parts += (newline, "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key, value in obj.items():
+            parts += (separator, encode_basestring_ascii(key), ": ")
+            separator = "," + inner
+            _encode(value, parts, inner)
+        parts += (newline, "}")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
