@@ -16,10 +16,10 @@ import numpy as np
 import scipy.linalg
 
 from ..csm import build_omega, estimate_rank
+from ..diagnostics import report
 from ..geometry import gcd_apply, prescribe_isovectors, verify_conformance
 from ..model import InvarianceGenerator, ProblemModel
-from .base import (BenchRun, BenchmarkEntry, matrix_mismatch,
-                   min_eig_violation, report)
+from .base import BenchRun, BenchmarkEntry, matrix_mismatch, min_eig_violation
 
 
 def _slots(m_dim):

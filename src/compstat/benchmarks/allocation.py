@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..diagnostics import report
 from ..geometry import build_isovectors, gcd_apply, prescribe_isovectors, verify_conformance
 from ..model import ProblemModel
-from .base import BenchmarkEntry, report
+from .base import BenchmarkEntry
 
 
 def allocation_model(taste, shift_count, endow_count, name="pareto_allocation") -> ProblemModel:

@@ -3,13 +3,15 @@ helpers shared by the individual property suites."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
-from ..diagnostics import CheckReport
-from ..geometry import IsovectorSet
+from ..diagnostics import spectrum_violation
+from ..errors import NonConvergenceError
+from ..geometry import IsovectorSet, build_isovectors
 from ..model import ProblemModel
 from ..sensitivity import (SensitivityBundle, decision_jacobian_analytic,
                            decision_jacobian_fd, decision_jacobian_ift)
@@ -22,9 +24,10 @@ class BenchRun:
     entry: "BenchmarkEntry"
     model: ProblemModel
     sol: SolutionPoint
-    sens: SensitivityBundle
-    iso: IsovectorSet
+    sens: Optional[SensitivityBundle]   # None when the solve did not converge
+    iso: Optional[IsovectorSet]         # None when the solve did not converge
     pipeline: str                    # "analytic" | "numeric"
+    timings: dict = field(default_factory=dict)   # stage -> wall seconds
 
     @property
     def tol(self) -> float:
@@ -53,28 +56,50 @@ class BenchmarkEntry:
         return tuple(name for name, _ in self.property_suite)
 
     def prepare(self, pipeline: str = "analytic", a=None,
-                config: SolverConfig = SolverConfig()) -> BenchRun:
+                config: SolverConfig = SolverConfig(), method: Optional[str] = None,
+                basis: str = "prescribed", fd_step: Optional[float] = None) -> BenchRun:
         """Solve, differentiate, and build directions for one parameter point.
 
-        "analytic" uses the registered closed forms where they exist;
-        "numeric" forces Newton from the registered start plus the
-        implicit-function sensitivities.
+        "analytic" takes the registered closed-form solution where one exists
+        (Newton cross-checks it) and the registered Jacobians; "numeric"
+        forces Newton from the registered start and the implicit-function
+        route.  `method` ("analytic" | "ift" | "fd", the last with step
+        `fd_step`) and `basis` ("prescribed" | "nullspace") override those
+        choices.  An unconverged solve is returned undifferentiated.
         """
         a = np.asarray(self.default_point if a is None else a, dtype=float)
+        timings = {}
+        tick = time.perf_counter()
         if pipeline == "analytic" and self.has_analytic:
             sol = solve_interior(self.model, a, x0=self.x0, config=config)
-            if self.analytic_x_jac is not None:
-                sens = decision_jacobian_analytic(
-                    self.model, sol, self.analytic_x_jac, self.analytic_lam_jac)
-            else:
-                sens = decision_jacobian_ift(self.model, sol)
         else:
             pipeline = "numeric"
             sol = newton_solve(self.model, a, self.x0, config)
+        timings["solve_s"] = time.perf_counter() - tick
+        if not sol.converged:
+            return BenchRun(entry=self, model=self.model, sol=sol, sens=None, iso=None,
+                            pipeline=pipeline, timings=timings)
+
+        tick = time.perf_counter()
+        if method is None:
+            method = "analytic" if pipeline == "analytic" else "ift"
+        if method == "fd":
+            sens = decision_jacobian_fd(self.model, a, config, h=fd_step, x0=sol.x)
+        elif method == "analytic" and self.analytic_x_jac is not None:
+            sens = decision_jacobian_analytic(
+                self.model, sol, self.analytic_x_jac, self.analytic_lam_jac)
+        else:
             sens = decision_jacobian_ift(self.model, sol)
-        iso = self.isovector_recipe(self.model, sol, sens)
-        return BenchRun(entry=self, model=self.model, sol=sol, sens=sens,
-                        iso=iso, pipeline=pipeline)
+        timings["sensitivity_s"] = time.perf_counter() - tick
+
+        tick = time.perf_counter()
+        if basis == "prescribed":
+            iso = self.isovector_recipe(self.model, sol, sens)
+        else:
+            iso = build_isovectors(self.model.con_grad_a_stack(sol.x, sol.a))
+        timings["isovectors_s"] = time.perf_counter() - tick
+        return BenchRun(entry=self, model=self.model, sol=sol, sens=sens, iso=iso,
+                        pipeline=pipeline, timings=timings)
 
     def fd_bundle(self, a=None, config: SolverConfig = SolverConfig()) -> SensitivityBundle:
         a = np.asarray(self.default_point if a is None else a, dtype=float)
@@ -83,13 +108,10 @@ class BenchmarkEntry:
     def run_suite(self, pipeline: str = "analytic",
                   config: SolverConfig = SolverConfig()) -> list:
         run = self.prepare(pipeline, config=config)
+        if not run.sol.converged:
+            raise NonConvergenceError(
+                f"the {run.pipeline} solve of {self.name!r} did not converge")
         return [fn(run) for _, fn in self.property_suite]
-
-
-def report(name: str, claim: str, residual: float, tol: float, **details) -> CheckReport:
-    verdict = "pass" if residual <= tol else "fail"
-    return CheckReport(name=name, verdict=verdict, residual=float(residual),
-                       tolerance=float(tol), claim=claim, details=details)
 
 
 def matrix_mismatch(actual: np.ndarray, expected: np.ndarray) -> float:
@@ -101,16 +123,8 @@ def matrix_mismatch(actual: np.ndarray, expected: np.ndarray) -> float:
     return diff / scale
 
 
-def min_eig_violation(matrix: np.ndarray, sign: str, floor: float = 1e-9) -> float:
-    """Relative amount by which the spectrum crosses to the wrong side.
-
-    The floor keeps numerically-zero matrices (legitimately rank-0 cases)
-    from reporting rounding noise as an order-one violation.
-    """
+def min_eig_violation(matrix: np.ndarray, sign: str) -> float:
+    """Relative amount by which the spectrum of the symmetrized matrix
+    crosses to the wrong side (see `diagnostics.spectrum_violation`)."""
     sym = 0.5 * (matrix + matrix.T)
-    if sym.size == 0:
-        return 0.0
-    eig = np.linalg.eigvalsh(sym)
-    top = float(np.max(np.abs(eig)))
-    bad = -float(eig[0]) if sign == "positive" else float(eig[-1])
-    return max(0.0, bad) / max(top, floor)
+    return spectrum_violation(np.linalg.eigvalsh(sym) if sym.size else np.zeros(0), sign)

@@ -11,11 +11,10 @@ import numpy as np
 import scipy.linalg
 
 from ..csm import build_omega, build_omega_a2, estimate_rank
-from ..diagnostics import check_invariance
+from ..diagnostics import check_invariance, report
 from ..geometry import prescribe_isovectors
 from ..model import InvarianceGenerator, ProblemModel
-from .base import (BenchRun, BenchmarkEntry, matrix_mismatch,
-                   min_eig_violation, report)
+from .base import BenchRun, BenchmarkEntry, matrix_mismatch, min_eig_violation
 
 NEGATIVE = "negative_semidefinite_expected"
 

@@ -14,13 +14,12 @@ import numpy as np
 import scipy.linalg
 
 from ..csm import build_omega, estimate_rank
-from ..diagnostics import check_invariance
+from ..diagnostics import check_invariance, report
 from ..geometry import prescribe_isovectors
 from ..model import InvarianceGenerator, ProblemModel
 from ..sensitivity import decision_jacobian_ift
 from ..solver import newton_solve
-from .base import (BenchRun, BenchmarkEntry, matrix_mismatch,
-                   min_eig_violation, report)
+from .base import BenchRun, BenchmarkEntry, matrix_mismatch, min_eig_violation
 
 
 def principal_data(sigma: np.ndarray, w: np.ndarray, r: np.ndarray,

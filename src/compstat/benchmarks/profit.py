@@ -12,14 +12,13 @@ import numpy as np
 
 from ..csm import (build_omega, build_omega_a1, build_omega_a2, estimate_rank,
                    from_matrix, transform_csm)
-from ..diagnostics import check_invariance
+from ..diagnostics import check_invariance, report
 from ..errors import ConfigurationError
 from ..geometry import build_isovectors, prescribe_isovectors
 from ..model import InvarianceGenerator, ProblemModel, augment_with_scale
 from ..sensitivity import decision_jacobian_ift
 from ..solver import solve_interior
-from .base import (BenchRun, BenchmarkEntry, matrix_mismatch,
-                   min_eig_violation, report)
+from .base import BenchRun, BenchmarkEntry, matrix_mismatch, min_eig_violation
 
 NEGATIVE = "negative_semidefinite_expected"
 

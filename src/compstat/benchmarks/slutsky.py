@@ -9,10 +9,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..csm import build_omega, estimate_rank
-from ..diagnostics import check_invariance
+from ..diagnostics import check_invariance, report
 from ..geometry import prescribe_isovectors
 from ..model import InvarianceGenerator, ProblemModel
-from .base import BenchRun, BenchmarkEntry, matrix_mismatch, min_eig_violation, report
+from .base import BenchRun, BenchmarkEntry, matrix_mismatch, min_eig_violation
 
 
 def demand_model(gamma, name="slutsky_hicks") -> ProblemModel:

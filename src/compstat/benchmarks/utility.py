@@ -7,10 +7,10 @@ import numpy as np
 import scipy.linalg
 
 from ..csm import build_omega, estimate_rank
+from ..diagnostics import report
 from ..geometry import prescribe_isovectors
 from ..model import ProblemModel
-from .base import (BenchRun, BenchmarkEntry, matrix_mismatch,
-                   min_eig_violation, report)
+from .base import BenchRun, BenchmarkEntry, matrix_mismatch, min_eig_violation
 from .slutsky import demand_model
 
 # ---------------------------------------------------------------------------

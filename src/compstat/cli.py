@@ -1,5 +1,6 @@
-"""Command-line front end: configuration, the solve -> differentiate ->
-compensate -> assemble -> check pipeline, and report emission.
+"""Command-line front end: configuration, recipe assembly and checks on top
+of `BenchmarkEntry.prepare` (solve -> differentiate -> compensate), and
+report emission.
 
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 the solver
 did not converge, 3 configuration error.
@@ -21,23 +22,15 @@ from typing import Optional
 import numpy as np
 
 from . import csm as csm_mod
-from .benchmarks import BenchmarkEntry, BenchRun, benchmark_names, get_benchmark
-from .diagnostics import (CheckReport, check_envelope, check_hatta_reduction,
-                          check_invariance, check_rank_bound, check_semidefinite)
+from .benchmarks import BenchmarkEntry, benchmark_names, get_benchmark
+from .diagnostics import (check_envelope, check_hatta_reduction, check_invariance,
+                          check_rank_bound, check_semidefinite, report)
 from .errors import CompstatError, ConfigurationError
-from .geometry import build_isovectors, gcd_apply, verify_conformance
+from .geometry import conformance_tolerance, gcd_apply, verify_conformance
 from .report import (RunReport, check_dict, csm_dict, isovector_dict,
                      matrices_to_csv, sensitivity_dict, solution_dict, write_json)
-from .sensitivity import (decision_jacobian_analytic, decision_jacobian_fd,
-                          decision_jacobian_ift)
-from .solver import SolverConfig, solve_interior
+from .solver import SolverConfig
 
-_KNOWN_KEYS = {
-    "model", "sweep", "basis", "out", "format", "only",
-    "solver.tol", "solver.max_iter",
-    "sensitivity.method", "sensitivity.step",
-    "csm.recipes", "checks.tol", "checks.envelope_tol",
-}
 _AT_KEY = re.compile(r"^at\.[A-Za-z_][A-Za-z0-9_]*$")
 _FORMATS = ("json", "csv", "table")
 _METHODS = ("ift", "fd", "analytic")
@@ -61,7 +54,6 @@ class RunConfig:
     envelope_tol: float = 1e-5
     out: Optional[str] = None
     format: str = "json"
-    only: tuple = ()
 
     def validate(self):
         for name, value in (("solver.tol", self.solver_tol),
@@ -135,8 +127,6 @@ def config_from_mapping(values: dict) -> RunConfig:
             cfg.out = value
         elif key == "format":
             cfg.format = value
-        elif key == "only":
-            cfg.only = tuple(v.strip() for v in value.split(",") if v.strip())
         else:
             raise ConfigurationError(f"unknown config key {key!r}")
     return cfg.validate()
@@ -222,13 +212,12 @@ _RECIPE_BUILDERS = {
 
 def run_point(entry: BenchmarkEntry, a: np.ndarray, cfg: RunConfig) -> RunReport:
     model = entry.model
-    timings = {}
     errors = []
     solver_cfg = SolverConfig(tol=cfg.solver_tol, max_iter=cfg.solver_max_iter)
-
-    tick = time.perf_counter()
-    sol = solve_interior(model, a, x0=entry.x0, config=solver_cfg)
-    timings["solve_s"] = time.perf_counter() - tick
+    run = entry.prepare("analytic", a, solver_cfg, method=cfg.method,
+                        basis=cfg.basis, fd_step=cfg.fd_step)
+    sol, sens, iso = run.sol, run.sens, run.iso
+    timings = dict(run.timings)
     if not sol.converged:
         return RunReport(
             config=cfg.echo(), model=entry.name,
@@ -236,25 +225,6 @@ def run_point(entry: BenchmarkEntry, a: np.ndarray, cfg: RunConfig) -> RunReport
             csm_results=[], checks=[],
             errors=[{"stage": "solve", "message": "solver did not converge"}],
             timings=timings)
-
-    tick = time.perf_counter()
-    if cfg.method == "fd":
-        sens = decision_jacobian_fd(model, a, solver_cfg, h=cfg.fd_step, x0=sol.x)
-    elif cfg.method == "analytic" and entry.analytic_x_jac is not None:
-        sens = decision_jacobian_analytic(model, sol, entry.analytic_x_jac,
-                                          entry.analytic_lam_jac)
-    else:
-        sens = decision_jacobian_ift(model, sol)
-    timings["sensitivity_s"] = time.perf_counter() - tick
-
-    tick = time.perf_counter()
-    if cfg.basis == "prescribed":
-        iso = entry.isovector_recipe(model, sol, sens)
-    else:
-        stack = model.con_grad_a_stack(sol.x, sol.a)
-        iso = build_isovectors(stack) if model.K else build_isovectors(
-            np.zeros((0, model.N)))
-    timings["isovectors_s"] = time.perf_counter() - tick
 
     tick = time.perf_counter()
     results = {}
@@ -269,9 +239,7 @@ def run_point(entry: BenchmarkEntry, a: np.ndarray, cfg: RunConfig) -> RunReport
             errors.append({"stage": f"csm:{recipe}", "message": str(exc)})
     derived = {}
     if entry.derived_matrices is not None:
-        run_ctx = BenchRun(entry=entry, model=model, sol=sol, sens=sens,
-                           iso=iso, pipeline="cli")
-        for name, (matrix, sign) in entry.derived_matrices(run_ctx).items():
+        for name, (matrix, sign) in entry.derived_matrices(run).items():
             labels = (model.decision_names
                       if matrix.shape[0] == model.M else
                       tuple(f"r{i + 1}" for i in range(matrix.shape[0])))
@@ -290,14 +258,11 @@ def run_point(entry: BenchmarkEntry, a: np.ndarray, cfg: RunConfig) -> RunReport
         if recipe == "silberberg_S":
             # semidefinite only subject to constraints: test on the tangent
             # subspace of the parameter-space constraint gradients
-            verdict = tangent_verdict
-            scale = max(1.0, abs(verdict.max_eigenvalue))
-            checks.append(CheckReport(
-                name="semidefinite[silberberg_S|tangent]",
-                verdict="pass" if verdict.passed else "fail",
-                residual=max(0.0, -verdict.min_eigenvalue) / scale,
-                tolerance=cfg.check_tol, claim="tangent-restricted-semidefinite",
-                details={"subspace_dim": verdict.subspace_dim}))
+            scale = max(1.0, abs(tangent_verdict.max_eigenvalue))
+            checks.append(report(
+                "semidefinite[silberberg_S|tangent]", "tangent-restricted-semidefinite",
+                max(0.0, -tangent_verdict.min_eigenvalue) / scale, cfg.check_tol,
+                subspace_dim=tangent_verdict.subspace_dim))
             continue
         checks.append(check_semidefinite(
             result, "positive", tol=cfg.check_tol,
@@ -311,13 +276,12 @@ def run_point(entry: BenchmarkEntry, a: np.ndarray, cfg: RunConfig) -> RunReport
             name=f"semidefinite[derived:{name}]"))
     if model.K:
         x_semi = gcd_apply(iso, sens.x_jac)
-        table, ok = verify_conformance(
-            x_semi, model.con_grad_x_stack(sol.x, sol.a), tol=1e-6)
-        res = float(np.max(np.abs(table))) if table.size else 0.0
-        checks.append(CheckReport(
-            name="conformance", verdict="pass" if ok else "fail",
-            residual=res, tolerance=1e-6, claim="constraint-conformance",
-            details={}))
+        grads = model.con_grad_x_stack(sol.x, sol.a)
+        table, _ = verify_conformance(x_semi, grads)
+        checks.append(report(
+            "conformance", "constraint-conformance",
+            float(np.max(np.abs(table))) if table.size else 0.0,
+            conformance_tolerance(x_semi, grads)))
     if "omega_eq7" in results:
         ref = results["omega_eq7"].matrix
         scale = max(1.0, float(np.max(np.abs(ref))) if ref.size else 0.0)
@@ -329,11 +293,8 @@ def run_point(entry: BenchmarkEntry, a: np.ndarray, cfg: RunConfig) -> RunReport
             mat = results[other].matrix
             if transform == "sandwich":
                 mat = iso.vectors @ mat @ iso.vectors.T
-            res = float(np.max(np.abs(mat - ref))) / scale
-            verdict = "pass" if res <= 1e-6 else "fail"
-            checks.append(CheckReport(
-                name=f"coherence[{other}]", verdict=verdict, residual=res,
-                tolerance=1e-6, claim="recipe-cross-identity", details={}))
+            checks.append(report(f"coherence[{other}]", "recipe-cross-identity",
+                                 float(np.max(np.abs(mat - ref))) / scale, 1e-6))
     checks.append(check_hatta_reduction(model, sol, sens))
     timings["checks_s"] = time.perf_counter() - tick
 

@@ -13,7 +13,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import fd
-from .csm import CsmResult, build_omega
+from .csm import CsmResult, build_omega, from_matrix
 from .errors import CompstatError
 from .geometry import IsovectorSet, prescribe_isovectors
 from .model import InvarianceGenerator, ProblemModel
@@ -39,7 +39,8 @@ class CheckReport:
         return self.verdict == "pass"
 
 
-def _report(name, claim, residual, tolerance, **details) -> CheckReport:
+def report(name, claim, residual, tolerance, **details) -> CheckReport:
+    """A check whose verdict is pass exactly when residual <= tolerance."""
     verdict = "pass" if residual <= tolerance else "fail"
     return CheckReport(name=name, verdict=verdict, residual=float(residual),
                        tolerance=float(tolerance), claim=claim, details=details)
@@ -58,10 +59,7 @@ def check_envelope(model: ProblemModel, sol: SolutionPoint, iso: IsovectorSet,
     must match the partial effect on the objective with decisions frozen;
     when the rows also annihilate the objective, both must vanish."""
     a = sol.a
-    stencil_config = SolverConfig(tol=min(solver_config.tol, 1e-12),
-                                  max_iter=solver_config.max_iter,
-                                  max_backtracks=solver_config.max_backtracks,
-                                  cross_check_newton=False)
+    stencil_config = solver_config.stencil()
 
     def value_at(b):
         if model.analytic_solution is not None:
@@ -92,11 +90,11 @@ def check_envelope(model: ProblemModel, sol: SolutionPoint, iso: IsovectorSet,
     if iso.annihilates_objective:
         residual = max(residual, float(np.max(np.abs(v_dir))) if iso.count else 0.0)
     min_curv, max_curv = projected_hessian_extremes(model, sol)
-    return _report("envelope", "envelope-identity", residual, tol,
-                   value_directional=v_dir.tolist(),
-                   objective_directional=f_dir.tolist(),
-                   annihilates_objective=iso.annihilates_objective,
-                   tangent_hessian_range=[min_curv, max_curv])
+    return report("envelope", "envelope-identity", residual, tol,
+                  value_directional=v_dir.tolist(),
+                  objective_directional=f_dir.tolist(),
+                  annihilates_objective=iso.annihilates_objective,
+                  tangent_hessian_range=[min_curv, max_curv])
 
 
 def check_invariance(model: ProblemModel, gen: InvarianceGenerator,
@@ -108,8 +106,25 @@ def check_invariance(model: ProblemModel, gen: InvarianceGenerator,
     residual_vec = X - sens.x_jac @ A
     scale = max(1.0, float(np.max(np.abs(sol.x))))
     residual = float(np.max(np.abs(residual_vec))) / scale
-    return _report(f"invariance[{gen.name}]", "decision-invariance", residual, tol,
-                   residual_vector=residual_vec.tolist())
+    return report(f"invariance[{gen.name}]", "decision-invariance", residual, tol,
+                  residual_vector=residual_vec.tolist())
+
+
+def spectrum_violation(eig: np.ndarray, sign: str) -> float:
+    """Relative amount by which the ascending spectrum `eig` crosses to the
+    wrong side of zero for a `sign` ("positive" or "negative") semidefinite
+    matrix.
+
+    The 1e-9 floor on the scale keeps numerically-zero matrices
+    (legitimately rank-0 cases) from reporting rounding noise as an
+    order-one violation.
+    """
+    if sign not in ("positive", "negative"):
+        raise ValueError(f"unknown expected sign {sign!r}")
+    if eig.size == 0:
+        return 0.0
+    bad = -float(eig[0]) if sign == "positive" else float(eig[-1])
+    return max(0.0, bad) / max(float(np.max(np.abs(eig))), 1e-9)
 
 
 def check_semidefinite(matrix: Union[np.ndarray, CsmResult], expected_sign: str,
@@ -121,32 +136,18 @@ def check_semidefinite(matrix: Union[np.ndarray, CsmResult], expected_sign: str,
     expected_sign is "positive" or "negative"; the eigenvalue test is
     relative to the largest eigenvalue magnitude, and a zero matrix passes.
     """
-    if isinstance(matrix, CsmResult):
-        # the same quantities, computed the same way when the result was built
-        sym_res, eig = matrix.symmetry_residual, matrix.eigenvalues
-    else:
-        mat = np.asarray(matrix, dtype=float)
-        sym_res = float(np.max(np.abs(mat - mat.T))) if mat.size else 0.0
-        sym = 0.5 * (mat + mat.T)
-        eig = np.linalg.eigvalsh(sym) if sym.size else np.zeros(0)
+    if not isinstance(matrix, CsmResult):
+        matrix = from_matrix(matrix, name)
+    sym_res, eig = matrix.symmetry_residual, matrix.eigenvalues
     top = float(np.max(np.abs(eig))) if eig.size else 0.0
-    if expected_sign == "positive":
-        violation = max(0.0, -float(eig[0])) if eig.size else 0.0
-    elif expected_sign == "negative":
-        violation = max(0.0, float(eig[-1])) if eig.size else 0.0
-    else:
-        raise ValueError(f"unknown expected sign {expected_sign!r}")
-    residual = violation / max(top, 1e-9)
-    sym_ok = sym_res <= symmetry_tol * max(1.0, top)
-    report = _report(name, f"{expected_sign}-semidefinite", residual, tol,
-                     eigenvalues=eig.tolist(), symmetry_residual=sym_res)
-    if report.verdict == "pass" and not sym_ok:
-        return CheckReport(name=name, verdict="fail", residual=sym_res,
-                           tolerance=symmetry_tol * max(1.0, top),
-                           claim="symmetry-prerequisite",
-                           details={"eigenvalues": eig.tolist(),
-                                    "symmetry_residual": sym_res})
-    return report
+    sym_tol = symmetry_tol * max(1.0, top)
+    rep = report(name, f"{expected_sign}-semidefinite",
+                 spectrum_violation(eig, expected_sign), tol,
+                 eigenvalues=eig.tolist(), symmetry_residual=sym_res)
+    if rep.passed and sym_res > sym_tol:
+        return report(name, "symmetry-prerequisite", sym_res, sym_tol,
+                      eigenvalues=eig.tolist(), symmetry_residual=sym_res)
+    return rep
 
 
 def check_rank_bound(csm: CsmResult, M: int, K: int, A: Optional[int] = None,
@@ -155,11 +156,8 @@ def check_rank_bound(csm: CsmResult, M: int, K: int, A: Optional[int] = None,
     to the matrix size."""
     bound = min(M - K, A if A is not None else csm.order)
     rank = csm.rank_estimate
-    verdict = "pass" if rank <= bound else "fail"
-    return CheckReport(name=name, verdict=verdict, residual=float(rank),
-                       tolerance=float(bound), claim="rank-bound",
-                       details={"rank": rank, "bound": bound,
-                                "eigenvalues": csm.eigenvalues.tolist()})
+    return report(name, "rank-bound", rank, bound, rank=rank, bound=bound,
+                  eigenvalues=csm.eigenvalues.tolist())
 
 
 def check_hatta_reduction(model: ProblemModel, sol: SolutionPoint,
@@ -196,5 +194,5 @@ def check_hatta_reduction(model: ProblemModel, sol: SolutionPoint,
     display = lxa[:, p_slots].T @ x_comp
     scale = max(1.0, float(np.max(np.abs(omega_ref))))
     residual = float(np.max(np.abs(display - omega_ref))) / scale
-    return _report("hatta_reduction", "separable-constraint-reduction", residual, tol,
-                   rows=rows.tolist())
+    return report("hatta_reduction", "separable-constraint-reduction", residual, tol,
+                  rows=rows.tolist())

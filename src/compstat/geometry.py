@@ -183,7 +183,14 @@ def verify_conformance(x_semicolon: np.ndarray, decision_grads: np.ndarray,
             f"decision gradients have {decision_grads.shape[1]} components, "
             f"jacobian has {x_semicolon.shape[0]} rows")
     table = decision_grads @ x_semicolon
-    scale = max(1.0, float(np.max(np.abs(decision_grads))) *
-                max(1.0, float(np.max(np.abs(x_semicolon)))))
-    passed = bool(np.max(np.abs(table)) <= tol * scale) if table.size else True
+    bound = conformance_tolerance(x_semicolon, decision_grads, tol)
+    passed = bool(np.max(np.abs(table)) <= bound) if table.size else True
     return table, passed
+
+
+def conformance_tolerance(x_semicolon: np.ndarray, decision_grads: np.ndarray,
+                          tol: float = 1e-6) -> float:
+    """The bound `verify_conformance` holds its residual table to: `tol`
+    scaled by the size of the gradients and the compensated responses."""
+    return tol * max(1.0, float(np.max(np.abs(decision_grads))) *
+                     max(1.0, float(np.max(np.abs(x_semicolon)))))

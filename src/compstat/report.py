@@ -25,7 +25,7 @@ from .geometry import IsovectorSet
 from .sensitivity import SensitivityBundle
 from .solver import SolutionPoint
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 
 def labeled_matrix(matrix: np.ndarray, row_labels=(), col_labels=()) -> dict:
@@ -112,12 +112,12 @@ def _jsonable(value):
         if value.dtype.kind == "f":
             return value.tolist()
         return [_jsonable(v) for v in value.tolist()]
+    if isinstance(value, (np.bool_, bool)):     # before int: bool is an int
+        return bool(value)
     if isinstance(value, (np.floating, float)):
         return float(value)
     if isinstance(value, (np.integer, int)):
         return int(value)
-    if isinstance(value, (np.bool_, bool)):
-        return bool(value)
     return value
 
 

@@ -17,7 +17,7 @@ import scipy.linalg
 from . import fd
 from .errors import DegeneracyError, SensitivityError
 from .model import ProblemModel
-from .solver import SolutionPoint, SolverConfig, newton_solve
+from .solver import SolutionPoint, SolverConfig, bordered_matrix, newton_solve
 
 
 @dataclass(frozen=True)
@@ -43,10 +43,7 @@ def decision_jacobian_fd(model: ProblemModel, a, config: SolverConfig = SolverCo
                          h: Optional[float] = None, x0=None) -> SensitivityBundle:
     """Central differences of re-solved solutions, warm-started from x(a)."""
     a = np.asarray(a, dtype=float)
-    stencil_config = SolverConfig(
-        tol=min(config.tol, 1e-12), max_iter=config.max_iter,
-        max_backtracks=config.max_backtracks, rank_rtol=config.rank_rtol,
-        cross_check_newton=False)
+    stencil_config = config.stencil()
     if model.analytic_solution is not None and x0 is None:
         x_center, _ = model.analytic_solution(a)
     else:
@@ -96,20 +93,11 @@ def decision_jacobian_ift(model: ProblemModel, sol: SolutionPoint) -> Sensitivit
         L_xx dx + G_x^T dlam = -L_xa[:, mu],   G_x dx = -G_a[:, mu].
     """
     x, a, lam = sol.x, sol.a, sol.lam
-    M, K = model.M, model.K
+    M = model.M
     Lxx = model.lagrangian_hess_xx(x, a, lam)
     Lxa = model.lagrangian_hess_xa(x, a, lam)
-    if K:
-        Gx = model.con_grad_x_stack(x, a)
-        Ga = model.con_grad_a_stack(x, a)
-        bordered = np.zeros((M + K, M + K))
-        bordered[:M, :M] = Lxx
-        bordered[:M, M:] = Gx.T
-        bordered[M:, :M] = Gx
-        rhs = -np.vstack([Lxa, Ga])
-    else:
-        bordered = Lxx
-        rhs = -Lxa
+    bordered = bordered_matrix(Lxx, model.con_grad_x_stack(x, a))
+    rhs = -np.vstack([Lxa, model.con_grad_a_stack(x, a)])
     try:
         lu, piv = scipy.linalg.lu_factor(bordered)
     except scipy.linalg.LinAlgError as exc:

@@ -6,7 +6,7 @@ root gives the decision functions x(a) and multipliers lam(a).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -23,6 +23,12 @@ class SolverConfig:
     max_backtracks: int = 30
     rank_rtol: float = 1e-10
     cross_check_newton: bool = True
+
+    def stencil(self) -> "SolverConfig":
+        """The configuration of the re-solves inside a finite-difference
+        stencil: tightened to at most 1e-12 and without the Newton
+        cross-check of a closed form; every other field is kept."""
+        return replace(self, tol=min(self.tol, 1e-12), cross_check_newton=False)
 
 
 @dataclass(frozen=True)
@@ -67,16 +73,16 @@ def _kkt_residual(model: ProblemModel, x, a, lam) -> np.ndarray:
     return np.concatenate([top, model.g_all(x, a)])
 
 
-def _kkt_matrix(model: ProblemModel, x, a, lam) -> np.ndarray:
-    Lxx = model.lagrangian_hess_xx(x, a, lam)
-    if model.K == 0:
+def bordered_matrix(Lxx: np.ndarray, Gx: np.ndarray) -> np.ndarray:
+    """The bordered matrix [L_xx, G_x^T; G_x, 0]; L_xx itself when G_x has
+    no rows (no constraints)."""
+    M, K = Lxx.shape[0], Gx.shape[0]
+    if K == 0:
         return Lxx
-    Gx = model.con_grad_x_stack(x, a)
-    K = model.K
-    mat = np.zeros((model.M + K, model.M + K))
-    mat[:model.M, :model.M] = Lxx
-    mat[:model.M, model.M:] = Gx.T
-    mat[model.M:, :model.M] = Gx
+    mat = np.zeros((M + K, M + K))
+    mat[:M, :M] = Lxx
+    mat[:M, M:] = Gx.T
+    mat[M:, :M] = Gx
     return mat
 
 
@@ -91,7 +97,8 @@ def newton_solve(model: ProblemModel, a, x0, config: SolverConfig = SolverConfig
     res_norm = float(np.max(np.abs(res)))
     iterations = 0
     while res_norm > config.tol and iterations < config.max_iter:
-        mat = _kkt_matrix(model, x, a, lam)
+        mat = bordered_matrix(model.lagrangian_hess_xx(x, a, lam),
+                              model.con_grad_x_stack(x, a))
         try:
             step = scipy.linalg.solve(mat, -res)
         except scipy.linalg.LinAlgError as exc:

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from compstat.benchmarks import benchmark_names
 from compstat.cli import (cmd_list_models, cmd_verify_all,
                           config_from_mapping, main, parse_config_file)
 from compstat.errors import ConfigurationError
@@ -21,7 +22,7 @@ def test_analyze_demand_report_and_exit_code(tmp_path, capsys):
         "--out", str(out_file)], capsys)
     assert code == 0
     payload = json.loads(out_file.read_text())
-    assert payload["schema_version"] == "1"
+    assert payload["schema_version"] == "2"
     assert payload["solution"]["x"] == pytest.approx([0.5, 0.5])
     omega = next(item for item in payload["csm_results"]
                  if item["recipe"] == "omega_eq7")
@@ -190,7 +191,7 @@ def test_report_schema_fields_are_pinned_to_version(capsys):
     code, out, _ = run_main(["analyze", "--model", "slutsky_hicks"], capsys)
     assert code == 0
     payload = json.loads(out)
-    assert payload["schema_version"] == "1"
+    assert payload["schema_version"] == "2"
     assert set(payload) == {
         "schema_version", "config", "model", "solution", "sensitivity",
         "isovectors", "csm_results", "checks", "errors", "timings"}
@@ -221,3 +222,38 @@ def test_fd_method_pipeline(capsys):
                              "--method", "fd"], capsys)
     assert code == 0
     assert json.loads(out)["sensitivity"]["method"] == "fd"
+
+
+def test_removed_only_config_key_is_rejected():
+    with pytest.raises(ConfigurationError, match="unknown config key"):
+        config_from_mapping({"model": "slutsky_hicks", "only": "slutsky_hicks"})
+
+
+def test_check_detail_bools_serialize_as_json_bools(capsys):
+    # the envelope check and the isovectors block report the same flag
+    code, out, _ = run_main(["analyze", "--model", "slutsky_hicks"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    envelope = next(c for c in payload["checks"] if c["name"] == "envelope")
+    assert envelope["details"]["annihilates_objective"] is False
+    assert payload["isovectors"]["annihilates_objective"] is False
+
+
+def test_conformance_reports_the_tolerance_its_verdict_used(capsys):
+    # 1e-6 scaled by max|G_x| * max(1, max|compensated dx/da|), about 10.7 here
+    code, out, _ = run_main(["analyze", "--model", "efficient_portfolio"], capsys)
+    assert code == 0
+    conformance = next(c for c in json.loads(out)["checks"]
+                       if c["name"] == "conformance")
+    assert conformance["tolerance"] == pytest.approx(1.07017e-5, rel=1e-5)
+
+
+def test_every_analyze_verdict_matches_its_residual_and_tolerance(capsys):
+    for name in benchmark_names():
+        code, out, _ = run_main(["analyze", "--model", name], capsys)
+        assert code == 0, name
+        for chk in json.loads(out)["checks"]:
+            if chk["residual"] is None:          # skipped
+                continue
+            assert (chk["verdict"] == "pass") == (chk["residual"] <= chk["tolerance"]), \
+                (name, chk["name"])

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from compstat.diagnostics import (check_envelope, check_hatta_reduction,
                                   check_semidefinite)
 from compstat.geometry import build_isovectors
 from compstat.sensitivity import decision_jacobian_ift
-from compstat.solver import SolverConfig, solve_interior
+from compstat.solver import SolverConfig, newton_solve, solve_interior
 
 from conftest import generic_quadratic_instance, separable_model
 
@@ -155,3 +157,23 @@ def test_checks_are_deterministic():
     second = check_envelope(entry.model, run.sol, run.iso)
     assert first.verdict == second.verdict
     assert first.residual == second.residual
+
+
+def test_envelope_resolves_with_the_callers_solver_settings(monkeypatch):
+    model, a = generic_quadratic_instance()
+    model = dataclasses.replace(model, analytic_solution=None)  # re-solve by Newton
+    config = SolverConfig(tol=1e-9, max_iter=57, max_backtracks=11, rank_rtol=1e-9)
+    sol = solve_interior(model, a, x0=np.zeros(model.M), config=config)
+    seen = []
+
+    def spy(model, a, x0, cfg):
+        seen.append(cfg)
+        return newton_solve(model, a, x0, cfg)
+
+    monkeypatch.setattr("compstat.diagnostics.newton_solve", spy)
+    iso = build_isovectors(model.con_grad_a_stack(sol.x, sol.a))
+    rep = check_envelope(model, sol, iso, solver_config=config)
+    assert rep.passed
+    assert seen and all(cfg == SolverConfig(
+        tol=1e-12, max_iter=57, max_backtracks=11, rank_rtol=1e-9,
+        cross_check_newton=False) for cfg in seen)

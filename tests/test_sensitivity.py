@@ -8,9 +8,9 @@ from compstat.errors import SensitivityError
 from compstat.model import augment_with_scale
 from compstat.sensitivity import (constraint_identity_residual,
                                   decision_jacobian_fd, decision_jacobian_ift)
-from compstat.solver import solve_interior
+from compstat.solver import SolverConfig, newton_solve, solve_interior
 
-from conftest import separable_model
+from conftest import separable_model, sqrt_profit_model
 
 
 def test_fd_demand_derivatives_match_hand_formulas():
@@ -114,3 +114,21 @@ def test_cross_check_residual_recorded():
     assert bundle.method == "ift"
     assert bundle.cross_check_residual is not None
     assert bundle.cross_check_residual < 1e-6
+
+
+def test_fd_resolves_with_the_callers_solver_settings(monkeypatch):
+    model = sqrt_profit_model()
+    config = SolverConfig(tol=1e-9, max_iter=57, max_backtracks=11, rank_rtol=1e-9)
+    seen = []
+
+    def spy(model, a, x0, cfg):
+        seen.append(cfg)
+        return newton_solve(model, a, x0, cfg)
+
+    monkeypatch.setattr("compstat.sensitivity.newton_solve", spy)
+    bundle = decision_jacobian_fd(model, np.array([1.0, 2.0]), config, x0=np.array([0.5]))
+    # x = (p / 2w)^2: dx/dw = -2 and dx/dp = 1 at (w, p) = (1, 2)
+    assert bundle.x_jac == pytest.approx(np.array([[-2.0, 1.0]]), abs=1e-5)
+    assert len(seen) == 1 + 2 * model.N and all(cfg == SolverConfig(
+        tol=1e-12, max_iter=57, max_backtracks=11, rank_rtol=1e-9,
+        cross_check_newton=False) for cfg in seen)

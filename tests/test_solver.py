@@ -120,3 +120,11 @@ def test_second_order_necessary_condition_on_benchmarks():
         _, max_eig = projected_hessian_extremes(entry.model, run.sol)
         scale = max(1.0, abs(max_eig))
         assert max_eig <= 1e-8 * scale, entry.name
+
+
+def test_stencil_config_tightens_tol_and_keeps_every_other_field():
+    config = SolverConfig(tol=1e-8, max_iter=7, max_backtracks=3, rank_rtol=1e-6)
+    assert config.stencil() == SolverConfig(
+        tol=1e-12, max_iter=7, max_backtracks=3, rank_rtol=1e-6,
+        cross_check_newton=False)
+    assert SolverConfig(tol=1e-14).stencil().tol == 1e-14
