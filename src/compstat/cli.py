@@ -2,6 +2,11 @@
 of `BenchmarkEntry.prepare` (solve -> differentiate -> compensate), and
 report emission.
 
+A sweep's points are analyzed in contiguous chunks, one per CPU this process
+may run on: the first chunk in this process, each other one in a forked
+worker that renders its reports and sends the text back.  The output, exit
+code and stderr are byte-identical to a serial run.
+
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 the solver
 did not converge, 3 configuration error.
 """
@@ -10,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import importlib
 import io
 import os
@@ -27,8 +33,9 @@ from .diagnostics import (check_envelope, check_hatta_reduction, check_invarianc
                           check_rank_bound, check_semidefinite, report)
 from .errors import CompstatError, ConfigurationError
 from .geometry import conformance_tolerance, gcd_apply, verify_conformance
-from .report import (RunReport, check_dict, csm_dict, isovector_dict,
-                     matrices_to_csv, sensitivity_dict, solution_dict, write_json)
+from .report import (SCHEMA_VERSION, JsonText, RunReport, check_dict, csm_dict,
+                     encode_json, isovector_dict, matrices_to_csv, sensitivity_dict,
+                     solution_dict, write_json)
 from .solver import SolverConfig
 
 _AT_KEY = re.compile(r"^at\.[A-Za-z_][A-Za-z0-9_]*$")
@@ -258,10 +265,9 @@ def run_point(entry: BenchmarkEntry, a: np.ndarray, cfg: RunConfig) -> RunReport
         if recipe == "silberberg_S":
             # semidefinite only subject to constraints: test on the tangent
             # subspace of the parameter-space constraint gradients
-            scale = max(1.0, abs(tangent_verdict.max_eigenvalue))
             checks.append(report(
                 "semidefinite[silberberg_S|tangent]", "tangent-restricted-semidefinite",
-                max(0.0, -tangent_verdict.min_eigenvalue) / scale, cfg.check_tol,
+                tangent_verdict.residual, cfg.check_tol,
                 subspace_dim=tangent_verdict.subspace_dim))
             continue
         checks.append(check_semidefinite(
@@ -312,16 +318,158 @@ def run_point(entry: BenchmarkEntry, a: np.ndarray, cfg: RunConfig) -> RunReport
 
 
 def cmd_analyze(cfg: RunConfig):
-    """Full pipeline at one or many parameter points."""
+    """Full pipeline at one or many parameter points: the text of each
+    point's report in `cfg.format` (joined by `_emit_analyze`) and the exit
+    code."""
     if not cfg.model:
         raise ConfigurationError("no model selected; pass --model")
     entry = _load_entry(cfg.model)
-    reports = [run_point(entry, a, cfg) for a in resolve_points(entry, cfg)]
-    solver_failed = any(r.errors and r.errors[0].get("stage") == "solve"
-                        for r in reports)
-    checks_failed = any(not r.all_checks_pass for r in reports)
+    points = resolve_points(entry, cfg)
+    # a sweep's reports sit two levels deep in its JSON document
+    analyzed = _map_chunks(
+        functools.partial(_analyze_points, entry, cfg, 0 if len(points) == 1 else 2),
+        points)
+    solver_failed = any(solve for _, solve, _ in analyzed)
+    checks_failed = any(check for _, _, check in analyzed)
     code = 2 if solver_failed else (1 if checks_failed else 0)
-    return reports, code
+    return [text for text, _, _ in analyzed], code
+
+
+def _analyze_points(entry: BenchmarkEntry, cfg: RunConfig, depth: int,
+                    points: list) -> list:
+    """Per point: the text of its report in `cfg.format`, JSON nested
+    `depth` levels deep; whether its solve failed; whether a check failed."""
+    analyzed = []
+    for a in points:
+        rep = run_point(entry, a, cfg)
+        if cfg.format == "table":
+            lines = [f"model={rep.model} a={rep.solution['a']} "
+                     f"converged={rep.solution['converged']}"]
+            for chk in rep.checks:
+                res = "-" if chk["residual"] is None else f"{chk['residual']:.3e}"
+                lines.append(f"  [{chk['verdict']:<7}] {chk['name']:<32} {res}")
+            text = "\n".join(lines)
+        elif cfg.format == "csv":
+            text = "".join(f"# {rep.model} {recipe}\n{body}"
+                           for recipe, body in matrices_to_csv(rep.to_dict()).items())
+        else:
+            text = encode_json(rep.to_dict(), depth)
+        analyzed.append((text, bool(rep.errors) and rep.errors[0].get("stage") == "solve",
+                         not rep.all_checks_pass))
+    return analyzed
+
+
+def _chunks(items: list) -> list:
+    """`items` in contiguous chunks of near-equal length, one per CPU this
+    process may run on and at most one per item.  One chunk where the
+    platform has no `os.fork` or CPU affinity, and where other threads run,
+    since a forked child inherits the locks they may hold."""
+    import threading
+    workers = 1
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") \
+            and threading.active_count() == 1:
+        workers = max(1, min(len(os.sched_getaffinity(0)), len(items)))
+    bounds = [len(items) * i // workers for i in range(workers + 1)]
+    return [items[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _map_chunks(work, items: list) -> list:
+    """`work(items)` for a `work` that maps a list to a list item by item,
+    computed chunk by chunk (see `_chunks`).  The first chunk runs in this
+    process and each other one in a forked child, which sends back its
+    results, the warnings it recorded and the exception it stopped at as
+    one pickle on a pipe.  Those warnings are issued again here in chunk
+    order, and the exception of the first chunk that raised is raised
+    again, so the caller sees what a serial run shows.  A chunk whose child
+    cannot be started, or exits without a result, runs here.  Every child
+    is reaped before this returns or raises."""
+    chunks = _chunks(items)
+    if len(chunks) == 1:
+        return work(items)
+    import pickle
+    import signal
+    children = []                         # (pid, read end of its pipe), not yet reaped
+    try:
+        for chunk in chunks[1:]:
+            try:
+                children.append(_fork_chunk(work, chunk))
+            except OSError:               # out of processes or descriptors
+                break
+        results = work(chunks[0])
+        for chunk in chunks[1:]:
+            if not children:
+                results += work(chunk)
+                continue
+            pid, pipe = children[0]
+            with pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[0]
+            if os.waitstatus_to_exitcode(status) != 0:
+                results += work(chunk)
+                continue
+            rendered, caught, error = pickle.loads(data)
+            if caught:
+                _warn_again(caught)
+            if error is not None:
+                raise error
+            results += rendered
+        return results
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _fork_chunk(work, chunk: list) -> tuple:
+    """Fork a child that sends `work(chunk)` back on a pipe (see
+    `_map_chunks`); return its pid and the read end of the pipe."""
+    import pickle
+    import warnings
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            result = error = None
+            with warnings.catch_warnings(record=True) as caught:
+                try:
+                    result = work(chunk)
+                except Exception as exc:   # raised again by the parent
+                    error = exc
+            data = pickle.dumps(
+                (result, [(w.message, w.category, w.filename, w.lineno) for w in caught],
+                 error))
+            with open(write_fd, "wb") as pipe:
+                pipe.write(data)
+            code = 0
+        finally:
+            os._exit(code)                # never return into the caller's stack
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def _warn_again(caught: list) -> None:
+    """Issue warnings a child recorded through the filters and the
+    once-per-location registries of this process, as a serial run would
+    have issued them."""
+    import warnings
+    modules = {getattr(m, "__file__", None): m for m in list(sys.modules.values())}
+    for message, category, filename, lineno in caught:
+        module = modules.get(filename)
+        warnings.warn_explicit(
+            message, category, filename, lineno,
+            module=None if module is None else module.__name__,
+            registry=(None if module is None
+                      else module.__dict__.setdefault("__warningregistry__", {})))
 
 
 def cmd_verify_all(only=(), tol_override: Optional[float] = None):
@@ -387,26 +535,17 @@ def _resolve_out_path(out: Optional[str]) -> Optional[str]:
     return out
 
 
-def _emit_analyze(reports, cfg: RunConfig, stream):
+def _emit_analyze(texts, cfg: RunConfig, stream):
+    """Write the per-point report texts of `cmd_analyze` as one document."""
     if cfg.format == "table":
-        lines = []
-        for rep in reports:
-            d = rep.to_dict()
-            lines.append(f"model={d['model']} a={d['solution']['a']} "
-                         f"converged={d['solution']['converged']}")
-            for chk in d["checks"]:
-                res = "-" if chk["residual"] is None else f"{chk['residual']:.3e}"
-                lines.append(f"  [{chk['verdict']:<7}] {chk['name']:<32} {res}")
-        stream.write("\n".join(lines) + "\n")
+        stream.write("\n".join(texts) + "\n")
     elif cfg.format == "csv":
-        for rep in reports:
-            for recipe, body in matrices_to_csv(rep.to_dict()).items():
-                stream.write(f"# {rep.model} {recipe}\n{body}")
-    elif len(reports) == 1:
-        reports[0].to_json(stream)
+        stream.writelines(texts)
+    elif len(texts) == 1:
+        write_json(JsonText(texts[0]), stream)
     else:
-        write_json({"schema_version": reports[0].schema_version,
-                    "reports": [r.to_dict() for r in reports]}, stream)
+        write_json({"schema_version": SCHEMA_VERSION,
+                    "reports": [JsonText(text) for text in texts]}, stream)
 
 
 def _emit_verify(rows, fmt: str, stream):
@@ -437,7 +576,9 @@ def _output(out: Optional[str]):
         yield handle
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="compstat",
         description="compensated-derivative comparative statics engine")
@@ -500,9 +641,9 @@ def main(argv=None) -> int:
     try:
         if args.command == "analyze":
             cfg = _analyze_config(args)
-            reports, code = cmd_analyze(cfg)
+            texts, code = cmd_analyze(cfg)
             with _output(cfg.out) as stream:
-                _emit_analyze(reports, cfg, stream)
+                _emit_analyze(texts, cfg, stream)
             return code
         if args.command == "verify-all":
             only = tuple(v.strip() for v in (args.only or "").split(",") if v.strip())

@@ -56,10 +56,13 @@ class CsmResult:
 @dataclass(frozen=True)
 class TangentVerdict:
     """Semidefiniteness of a matrix restricted to the parameter-space
-    tangent hyperplane of the constraints."""
+    tangent hyperplane of the constraints.  `residual` is the most negative
+    restricted eigenvalue, as a positive number, over max(1, |largest|);
+    `passed` is `residual <= tol`."""
     min_eigenvalue: float
     max_eigenvalue: float
     subspace_dim: int
+    residual: float
     passed: bool
 
 
@@ -237,13 +240,12 @@ def build_silberberg(model: ProblemModel, sol: SolutionPoint,
                        note="semidefinite subject to constraints; see tangent verdict")
     restricted = basis.T @ result.symmetrized() @ basis
     eig = np.linalg.eigvalsh(0.5 * (restricted + restricted.T)) if restricted.size else np.zeros(0)
-    scale = float(np.max(np.abs(eig))) if eig.size else 0.0
     min_eig = float(eig[0]) if eig.size else 0.0
     max_eig = float(eig[-1]) if eig.size else 0.0
+    residual = max(0.0, -min_eig) / max(1.0, abs(max_eig))
     verdict = TangentVerdict(
         min_eigenvalue=min_eig, max_eigenvalue=max_eig,
-        subspace_dim=basis.shape[1],
-        passed=bool(min_eig >= -tol * max(1.0, scale)))
+        subspace_dim=basis.shape[1], residual=residual, passed=residual <= tol)
     return result, verdict
 
 

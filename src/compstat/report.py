@@ -9,7 +9,9 @@ Every JSON document the CLI prints goes through `write_json`, which streams
 to a text stream exactly the characters `json.dumps` produces with an
 indent of two spaces, followed by a newline.  The standard library runs its
 C encoder only when `indent` is None, so the indented form would otherwise
-spend a Python generator frame on every float of every matrix.
+spend a Python generator frame on every float of every matrix.  A part of a
+document can be rendered ahead of the rest, where it is computed, with
+`encode_json` and placed in the document as `JsonText`.
 """
 
 from __future__ import annotations
@@ -148,10 +150,6 @@ class RunReport:
             "timings": _jsonable(self.timings),
         }
 
-    def to_json(self, stream) -> None:
-        """Write the report to the text stream `stream` (see `write_json`)."""
-        write_json(self.to_dict(), stream)
-
     @property
     def all_checks_pass(self) -> bool:
         return all(c["verdict"] != "fail" for c in self.checks)
@@ -176,13 +174,31 @@ def write_json(obj, stream) -> None:
 
     The document is written in chunks and never held as one string.  Lists
     and tuples, dicts with str keys, str, int, float (NaN and infinities as
-    `NaN`, `Infinity`, `-Infinity`), bool and None are accepted; anything
-    else raises TypeError.
+    `NaN`, `Infinity`, `-Infinity`), bool, None and `JsonText` are accepted;
+    anything else raises TypeError.
     """
     parts = []
     _encode(obj, parts, "\n")
     parts.append("\n")
     stream.writelines(parts)
+
+
+def encode_json(obj, depth: int = 0) -> str:
+    """`obj` as `write_json` renders it nested `depth` levels deep in a
+    document, without the final newline."""
+    parts = []
+    _encode(obj, parts, "\n" + "  " * depth)
+    return "".join(parts)
+
+
+class JsonText:
+    """JSON text that `write_json` copies as it is: `encode_json` output for
+    the depth at which it is placed."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
 
 
 _INF = float("inf")
@@ -242,6 +258,8 @@ def _encode(obj, parts: list, newline: str) -> None:
             separator = "," + inner
             _encode(value, parts, inner)
         parts += (newline, "}")
+    elif isinstance(obj, JsonText):
+        parts.append(obj.text)
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
