@@ -17,6 +17,7 @@ import scipy.linalg
 
 from ..csm import build_omega, estimate_rank
 from ..diagnostics import report
+from ..errors import DomainError
 from ..geometry import gcd_apply, prescribe_isovectors, verify_conformance
 from ..model import InvarianceGenerator, ProblemModel
 from .base import BenchRun, BenchmarkEntry, matrix_mismatch, min_eig_violation
@@ -133,6 +134,9 @@ def contract_oracle(a, m_dim: int):
     iB1, iB2, _, _ = _slots(m_dim)
     probs = np.vstack([a[:m_dim], a[m_dim:2 * m_dim]])   # 2 x M
     levels = np.array([a[iB1], a[iB2]])
+    if np.any(probs[0] <= 0):
+        raise DomainError("the oracle needs positive outcome probabilities "
+                          f"P1_1..P1_{m_dim}; got {probs[0].tolist()}")
     d_inv = 1.0 / probs[0]
     gram = probs @ (d_inv[:, None] * probs.T)
     if np.linalg.cond(gram) > 1e12:

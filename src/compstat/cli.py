@@ -151,8 +151,10 @@ def _parse_sweep(text: str) -> tuple:
     if not match:
         raise ConfigurationError(
             f"bad sweep {text!r}; expected name=start:stop:count")
-    return (match.group(1), float(match.group(2)), float(match.group(3)),
-            int(match.group(4)))
+    count = int(match.group(4))
+    if count < 1:
+        raise ConfigurationError(f"bad sweep {text!r}; count must be at least 1")
+    return (match.group(1), float(match.group(2)), float(match.group(3)), count)
 
 
 def _load_entry(spec: str) -> BenchmarkEntry:

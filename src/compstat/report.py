@@ -5,21 +5,29 @@ floats go through Python's shortest round-trip repr, so a serialized report
 reloads bit-identically.  The schema carries an explicit version that must
 be bumped on any field change.
 
-Every JSON document the CLI prints goes through `write_json`, which streams
-to a text stream exactly the characters `json.dumps` produces with an
-indent of two spaces, followed by a newline.  The standard library runs its
-C encoder only when `indent` is None, so the indented form would otherwise
-spend a Python generator frame on every float of every matrix.  A part of a
-document can be rendered ahead of the rest, where it is computed, with
-`encode_json` and placed in the document as `JsonText`.
+Every JSON document the CLI prints goes through `write_json`, which writes
+exactly the characters `json.dumps` produces with an indent of two spaces,
+followed by a newline.  orjson renders a document in one piece, with the
+same shortest round-trip float digits as `float.__repr__`; a few
+line-anchored substitutions then respell its exponents as `float.__repr__`
+does (`1e-07`, `1e+16`, `1e-05` for orjson's `1e-7`, `1e16`, `0.00001`).
+A document goes through a Python walker instead when orjson rejects it
+(NumPy scalars, ints beyond 64 bits, non-str keys, `JsonText`), when its
+text holds a non-ASCII or DEL character (orjson leaves them unescaped), or
+when it holds a NaN or an infinity (orjson writes `null`).
+A part of a document can be rendered ahead of the rest, where it is
+computed, with `encode_json` and placed in the document as `JsonText`.
 """
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
+import orjson
 
 from .csm import CsmResult
 from .diagnostics import CheckReport
@@ -172,23 +180,22 @@ def write_json(obj, stream) -> None:
     """Write `obj` to the text stream `stream` as `json.dumps` with an indent
     of two spaces would render it, followed by a newline.
 
-    The document is written in chunks and never held as one string.  Lists
-    and tuples, dicts with str keys, str, int, float (NaN and infinities as
-    `NaN`, `Infinity`, `-Infinity`), bool, None and `JsonText` are accepted;
-    anything else raises TypeError.
+    Lists and tuples, dicts with str keys, str, int, float (NaN and
+    infinities as `NaN`, `Infinity`, `-Infinity`), bool, None and `JsonText`
+    are accepted.  orjson renders the document in one piece; the Python
+    walker renders it when orjson rejects it or its text would differ (see
+    the module docstring), and raises TypeError on any other type.  orjson
+    also renders some types `json.dumps` rejects (dataclasses, datetimes,
+    UUIDs, enums); the program passes none of them.
     """
-    parts = []
-    _encode(obj, parts, "\n")
-    parts.append("\n")
-    stream.writelines(parts)
+    stream.write(_dumps(obj, 0))
+    stream.write("\n")
 
 
 def encode_json(obj, depth: int = 0) -> str:
     """`obj` as `write_json` renders it nested `depth` levels deep in a
     document, without the final newline."""
-    parts = []
-    _encode(obj, parts, "\n" + "  " * depth)
-    return "".join(parts)
+    return _dumps(obj, depth)
 
 
 class JsonText:
@@ -199,6 +206,58 @@ class JsonText:
 
     def __init__(self, text: str):
         self.text = text
+
+
+# orjson writes `1e-7`, `1e16` and `0.00001` where float.__repr__ writes
+# `1e-07`, `1e+16` and `1e-05`.  These patterns respell a number token that
+# ends a line, before an optional comma; a string token cannot end there,
+# since it ends with its quote.
+_EXPONENT = re.compile(r"e(\d+|-\d)(?=,?$)", re.M)
+_FIFTH = re.compile(r"0\.0000(\d)(\d*)(?=,?$)", re.M)
+
+
+def _respell_exponent(match) -> str:
+    digits = match[1]
+    return "e-0" + digits[1] if digits[0] == "-" else "e+" + digits
+
+
+def _respell_fifth(match) -> str:
+    start = match.start()
+    if start and match.string[start - 1].isdigit():    # 10.00001 stays
+        return match[0]
+    lead, rest = match.group(1, 2)
+    return f"{lead}.{rest}e-05" if rest else f"{lead}e-05"
+
+
+def _dumps(obj, depth: int) -> str:
+    """`obj` as `json.dumps(obj, indent=2)` renders it, every line after the
+    first indented `depth` levels further."""
+    try:
+        text = orjson.dumps(obj, option=orjson.OPT_INDENT_2).decode()
+    except TypeError:
+        text = None
+    if text is None or not text.isascii() or "\x7f" in text or not _finite(obj):
+        parts = []
+        _encode(obj, parts, "\n" + "  " * depth)
+        return "".join(parts)
+    text = _EXPONENT.sub(_respell_exponent, text)
+    text = _FIFTH.sub(_respell_fifth, text)
+    return text.replace("\n", "\n" + "  " * depth) if depth else text
+
+
+def _finite(obj) -> bool:
+    """False if `obj` holds a NaN or an infinity, or finite floats in one
+    list whose sum overflows."""
+    if isinstance(obj, float):
+        return math.isfinite(obj)
+    if isinstance(obj, dict):
+        return all(map(_finite, obj.values()))
+    if isinstance(obj, (list, tuple)):
+        try:
+            return math.isfinite(sum(obj))
+        except TypeError:                 # an element that is not a number
+            return all(map(_finite, obj))
+    return True
 
 
 _INF = float("inf")

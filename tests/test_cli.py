@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -121,6 +122,25 @@ def test_bad_at_group_exits_3(capsys):
     code, _, err = run_main(["analyze", "--model", "slutsky_hicks",
                              "--at", "zz=1"], capsys)
     assert code == 3 and "matches nothing" in err
+
+
+def test_zero_point_sweep_exits_3(capsys):
+    code, out, err = run_main(["analyze", "--model", "profit_cd",
+                               "--sweep", "p=1:3:0"], capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("configuration error: ") and "at least 1" in err
+
+
+@pytest.mark.parametrize("sweep", ["P1_1=-2:0:3", "P1_1=0:0:2"])
+def test_principal_agent_nonpositive_probability_exits_2(sweep, capsys):
+    # rejected before the oracle divides by the probabilities, so no
+    # RuntimeWarning and no numpy LinAlgError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_main(["analyze", "--model", "principal_agent",
+                                   "--sweep", sweep], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "positive outcome probabilities" in err
 
 
 def test_verify_all_clean_checkout(capsys):
