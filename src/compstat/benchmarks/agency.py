@@ -16,11 +16,11 @@ import numpy as np
 import scipy.linalg
 
 from ..csm import build_omega, estimate_rank
-from ..diagnostics import report
+from ..diagnostics import matrix_mismatch, min_eig_violation, report
 from ..errors import DomainError
 from ..geometry import gcd_apply, prescribe_isovectors, verify_conformance
 from ..model import InvarianceGenerator, ProblemModel
-from .base import BenchRun, BenchmarkEntry, matrix_mismatch, min_eig_violation
+from .base import BenchRun, BenchmarkEntry
 
 
 def _slots(m_dim):
@@ -85,7 +85,10 @@ def contract_model(m_dim: int, name="principal_agent") -> ProblemModel:
         return out
 
     def solution(a):
-        x, nu = contract_oracle(a, m_dim)
+        try:
+            x, nu = contract_oracle(a, m_dim)
+        except ValueError as exc:         # no interior optimum at this point
+            raise DomainError(str(exc)) from exc
         return x, -nu
 
     def scale_generator(which):

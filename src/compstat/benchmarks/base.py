@@ -1,5 +1,4 @@
-"""Catalog plumbing: benchmark entries, pipeline preparation, and the
-helpers shared by the individual property suites."""
+"""Catalog plumbing: benchmark entries and pipeline preparation."""
 
 from __future__ import annotations
 
@@ -9,7 +8,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ..diagnostics import spectrum_violation
 from ..errors import NonConvergenceError
 from ..geometry import IsovectorSet, build_isovectors
 from ..model import ProblemModel
@@ -113,18 +111,3 @@ class BenchmarkEntry:
                 f"the {run.pipeline} solve of {self.name!r} did not converge")
         return [fn(run) for _, fn in self.property_suite]
 
-
-def matrix_mismatch(actual: np.ndarray, expected: np.ndarray) -> float:
-    """Max-norm difference scaled by the size of the expected matrix."""
-    actual = np.asarray(actual, dtype=float)
-    expected = np.asarray(expected, dtype=float)
-    scale = max(1.0, float(np.max(np.abs(expected))) if expected.size else 0.0)
-    diff = float(np.max(np.abs(actual - expected))) if expected.size else 0.0
-    return diff / scale
-
-
-def min_eig_violation(matrix: np.ndarray, sign: str) -> float:
-    """Relative amount by which the spectrum of the symmetrized matrix
-    crosses to the wrong side (see `diagnostics.spectrum_violation`)."""
-    sym = 0.5 * (matrix + matrix.T)
-    return spectrum_violation(np.linalg.eigvalsh(sym) if sym.size else np.zeros(0), sign)

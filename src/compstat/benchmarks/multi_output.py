@@ -11,10 +11,11 @@ import numpy as np
 import scipy.linalg
 
 from ..csm import build_omega, build_omega_a2, estimate_rank
-from ..diagnostics import check_invariance, report
+from ..diagnostics import check_invariance, matrix_mismatch, min_eig_violation, report
+from ..errors import DomainError
 from ..geometry import prescribe_isovectors
 from ..model import InvarianceGenerator, ProblemModel
-from .base import BenchRun, BenchmarkEntry, matrix_mismatch, min_eig_violation
+from .base import BenchRun, BenchmarkEntry
 
 NEGATIVE = "negative_semidefinite_expected"
 
@@ -52,7 +53,11 @@ def multi_output_model(c_list=None, a_list=None, name="multi_output_profit") -> 
     def solution(a):
         w, p = a[:m_dim], a[m_dim:]
         rhs = sum(p[r] * c_list[r] for r in range(g_dim)) - w
-        return scipy.linalg.solve(curvature(p), rhs, assume_a="pos"), np.zeros(0)
+        try:
+            return scipy.linalg.solve(curvature(p), rhs, assume_a="pos"), np.zeros(0)
+        except np.linalg.LinAlgError as exc:
+            raise DomainError("the technology curvature sum_r p_r A_r is not positive "
+                              f"definite at p = {p.tolist()}") from exc
 
     def x_jac(a):
         w, p = a[:m_dim], a[m_dim:]
@@ -115,10 +120,8 @@ def _make_suite(output_grads):
 
     def check_block_symmetry(run):
         _, m_block, q_block, _ = io_blocks(run, output_grads)
-        scale = max(1.0, float(np.max(np.abs(m_block))))
         return report("block_symmetry", "cross-block-transpose",
-                      float(np.max(np.abs(m_block + q_block.T))) / scale,
-                      max(run.tol, 1e-6))
+                      matrix_mismatch(-q_block.T, m_block), max(run.tol, 1e-6))
 
     def check_sharpened_pair(run):
         w_block, m_block, _, p_block = io_blocks(run, output_grads)
@@ -375,9 +378,8 @@ def _make_cost_suite(output_grads):
         _, m_block, q_block, _, xC, fC = _cost_blocks(run, output_grads)
         lhs = lam * m_block
         rhs = -(q_block + np.outer(fC, run.sol.x)).T
-        scale = max(1.0, float(np.max(np.abs(rhs))))
         return report("cross_equality", "input-output-reciprocity",
-                      float(np.max(np.abs(lhs - rhs))) / scale, max(run.tol, 1e-6))
+                      matrix_mismatch(lhs, rhs), max(run.tol, 1e-6))
 
     def check_rank(run):
         blocks = eq_blocks(run)

@@ -9,10 +9,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..csm import build_omega, estimate_rank
-from ..diagnostics import check_invariance, report
+from ..diagnostics import check_invariance, matrix_mismatch, min_eig_violation, report
 from ..geometry import prescribe_isovectors
 from ..model import InvarianceGenerator, ProblemModel
-from .base import BenchRun, BenchmarkEntry, matrix_mismatch, min_eig_violation
+from .base import BenchRun, BenchmarkEntry
 
 
 def demand_model(gamma, name="slutsky_hicks") -> ProblemModel:
@@ -111,9 +111,7 @@ def _check_sigma_semidefinite(run: BenchRun):
 
 def _check_sigma_symmetry(run: BenchRun):
     sigma = substitution_matrix(run)
-    scale = max(1.0, float(np.max(np.abs(sigma))))
-    return report("sigma_symmetric", "symmetry",
-                  float(np.max(np.abs(sigma - sigma.T))) / scale, run.tol)
+    return report("sigma_symmetric", "symmetry", matrix_mismatch(sigma.T, sigma), run.tol)
 
 
 def _check_price_null_vector(run: BenchRun):

@@ -4,8 +4,10 @@ report emission.
 
 A sweep's points are analyzed in contiguous chunks, one per CPU this process
 may run on: the first chunk in this process, each other one in a forked
-worker that renders its reports and sends the text back.  The output, exit
-code and stderr are byte-identical to a serial run.
+worker that renders its reports and sends the text back.  A sweep's JSON
+reports are rendered indented for their place in the `reports` list of the
+sweep document, which `_emit_analyze` writes around them as text.  The
+output, exit code and stderr are byte-identical to a serial run.
 
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 the solver
 did not converge, 3 configuration error.
@@ -17,7 +19,6 @@ import argparse
 import contextlib
 import functools
 import importlib
-import io
 import os
 import re
 import sys
@@ -30,12 +31,11 @@ import numpy as np
 from . import csm as csm_mod
 from .benchmarks import BenchmarkEntry, benchmark_names, get_benchmark
 from .diagnostics import (check_envelope, check_hatta_reduction, check_invariance,
-                          check_rank_bound, check_semidefinite, report)
+                          check_rank_bound, check_semidefinite, matrix_mismatch, report)
 from .errors import CompstatError, ConfigurationError
 from .geometry import conformance_tolerance, gcd_apply, verify_conformance
-from .report import (SCHEMA_VERSION, JsonText, RunReport, check_dict, csm_dict,
-                     encode_json, isovector_dict, matrices_to_csv, sensitivity_dict,
-                     solution_dict, write_json)
+from .report import (SCHEMA_VERSION, RunReport, check_dict, csm_dict, encode_json,
+                     isovector_dict, matrices_to_csv, sensitivity_dict, solution_dict)
 from .solver import SolverConfig
 
 _AT_KEY = re.compile(r"^at\.[A-Za-z_][A-Za-z0-9_]*$")
@@ -292,7 +292,6 @@ def run_point(entry: BenchmarkEntry, a: np.ndarray, cfg: RunConfig) -> RunReport
             conformance_tolerance(x_semi, grads)))
     if "omega_eq7" in results:
         ref = results["omega_eq7"].matrix
-        scale = max(1.0, float(np.max(np.abs(ref))) if ref.size else 0.0)
         for other, transform in (("omega_quadratic", None),
                                  ("silberberg_S", "sandwich"),
                                  ("universal_U", "sandwich")):
@@ -302,7 +301,7 @@ def run_point(entry: BenchmarkEntry, a: np.ndarray, cfg: RunConfig) -> RunReport
             if transform == "sandwich":
                 mat = iso.vectors @ mat @ iso.vectors.T
             checks.append(report(f"coherence[{other}]", "recipe-cross-identity",
-                                 float(np.max(np.abs(mat - ref))) / scale, 1e-6))
+                                 matrix_mismatch(mat, ref), 1e-6))
     checks.append(check_hatta_reduction(model, sol, sens))
     timings["checks_s"] = time.perf_counter() - tick
 
@@ -514,9 +513,7 @@ def cmd_list_models(fmt: str = "table") -> str:
                 "property_suite": list(entry.suite_names()),
                 "description": entry.description,
             })
-        text = io.StringIO()
-        write_json(payload, text)
-        return text.getvalue()
+        return encode_json(payload) + "\n"
     header = f"{'name':<26}{'M':>3}{'N':>4}{'K':>3}  {'checks':>6}  description"
     lines.append(header)
     lines.append("-" * len(header))
@@ -538,21 +535,24 @@ def _resolve_out_path(out: Optional[str]) -> Optional[str]:
 
 
 def _emit_analyze(texts, cfg: RunConfig, stream):
-    """Write the per-point report texts of `cmd_analyze` as one document."""
+    """Write the per-point report texts of `cmd_analyze` as one document.
+    A sweep's JSON texts are already indented for their place in the
+    envelope; a single report, which can be megabytes, is not copied."""
     if cfg.format == "table":
         stream.write("\n".join(texts) + "\n")
     elif cfg.format == "csv":
         stream.writelines(texts)
     elif len(texts) == 1:
-        write_json(JsonText(texts[0]), stream)
+        stream.write(texts[0])
+        stream.write("\n")
     else:
-        write_json({"schema_version": SCHEMA_VERSION,
-                    "reports": [JsonText(text) for text in texts]}, stream)
+        head = f'{{\n  "schema_version": "{SCHEMA_VERSION}",\n  "reports": [\n    '
+        stream.writelines((head, ",\n    ".join(texts), "\n  ]\n}\n"))
 
 
 def _emit_verify(rows, fmt: str, stream):
     if fmt == "json":
-        write_json(rows, stream)
+        stream.write(encode_json(rows) + "\n")
         return
     lines = []
     summary = {}

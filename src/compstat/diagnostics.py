@@ -127,6 +127,22 @@ def spectrum_violation(eig: np.ndarray, sign: str) -> float:
     return max(0.0, bad) / max(float(np.max(np.abs(eig))), 1e-9)
 
 
+def min_eig_violation(matrix: np.ndarray, sign: str) -> float:
+    """Relative amount by which the spectrum of the symmetrized matrix
+    crosses to the wrong side (see `spectrum_violation`)."""
+    sym = 0.5 * (matrix + matrix.T)
+    return spectrum_violation(np.linalg.eigvalsh(sym) if sym.size else np.zeros(0), sign)
+
+
+def matrix_mismatch(actual: np.ndarray, expected: np.ndarray) -> float:
+    """Max-norm difference scaled by the size of the expected matrix."""
+    actual = np.asarray(actual, dtype=float)
+    expected = np.asarray(expected, dtype=float)
+    scale = max(1.0, float(np.max(np.abs(expected))) if expected.size else 0.0)
+    diff = float(np.max(np.abs(actual - expected))) if expected.size else 0.0
+    return diff / scale
+
+
 def check_semidefinite(matrix: Union[np.ndarray, CsmResult], expected_sign: str,
                        tol: float = TOL_ANALYTIC,
                        symmetry_tol: float = TOL_ANALYTIC,
@@ -192,7 +208,5 @@ def check_hatta_reduction(model: ProblemModel, sol: SolutionPoint,
     x_comp = sens.x_jac[:, p_slots] + sens.x_jac[:, list(kappa)] @ k_grads
     lxa = model.lagrangian_hess_xa(sol.x, sol.a, sol.lam)
     display = lxa[:, p_slots].T @ x_comp
-    scale = max(1.0, float(np.max(np.abs(omega_ref))))
-    residual = float(np.max(np.abs(display - omega_ref))) / scale
-    return report("hatta_reduction", "separable-constraint-reduction", residual, tol,
-                  rows=rows.tolist())
+    return report("hatta_reduction", "separable-constraint-reduction",
+                  matrix_mismatch(display, omega_ref), tol, rows=rows.tolist())

@@ -5,26 +5,25 @@ floats go through Python's shortest round-trip repr, so a serialized report
 reloads bit-identically.  The schema carries an explicit version that must
 be bumped on any field change.
 
-Every JSON document the CLI prints goes through `write_json`, which writes
-exactly the characters `json.dumps` produces with an indent of two spaces,
-followed by a newline.  orjson renders a document in one piece, with the
-same shortest round-trip float digits as `float.__repr__`; a few
-line-anchored substitutions then respell its exponents as `float.__repr__`
-does (`1e-07`, `1e+16`, `1e-05` for orjson's `1e-7`, `1e16`, `0.00001`).
-A document goes through a Python walker instead when orjson rejects it
-(NumPy scalars, ints beyond 64 bits, non-str keys, `JsonText`), when its
-text holds a non-ASCII or DEL character (orjson leaves them unescaped), or
-when it holds a NaN or an infinity (orjson writes `null`).
-A part of a document can be rendered ahead of the rest, where it is
-computed, with `encode_json` and placed in the document as `JsonText`.
+Every JSON document the CLI prints is rendered by `encode_json` as exactly
+the characters `json.dumps` produces with an indent of two spaces.  orjson
+renders a document in one piece, with the same shortest round-trip float
+digits as `float.__repr__`; a few line-anchored substitutions then respell
+its exponents as `float.__repr__` does (`1e-07`, `1e+16`, `1e-05` for
+orjson's `1e-7`, `1e16`, `0.00001`).  `json.dumps` itself renders a
+document instead when orjson rejects it (NumPy scalars, ints beyond 64
+bits), when its text holds a non-ASCII or DEL character (orjson leaves them
+unescaped), or when it holds a NaN or an infinity (orjson writes `null`).
+A document can be rendered nested at a depth, so that a part of a larger
+document is rendered where it is computed and the parts are joined as text.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import re
 from dataclasses import dataclass, field
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 import orjson
@@ -176,36 +175,29 @@ def matrices_to_csv(report_dict: dict) -> dict:
     return out
 
 
-def write_json(obj, stream) -> None:
-    """Write `obj` to the text stream `stream` as `json.dumps` with an indent
-    of two spaces would render it, followed by a newline.
-
-    Lists and tuples, dicts with str keys, str, int, float (NaN and
-    infinities as `NaN`, `Infinity`, `-Infinity`), bool, None and `JsonText`
-    are accepted.  orjson renders the document in one piece; the Python
-    walker renders it when orjson rejects it or its text would differ (see
-    the module docstring), and raises TypeError on any other type.  orjson
-    also renders some types `json.dumps` rejects (dataclasses, datetimes,
-    UUIDs, enums); the program passes none of them.
-    """
-    stream.write(_dumps(obj, 0))
-    stream.write("\n")
-
-
 def encode_json(obj, depth: int = 0) -> str:
-    """`obj` as `write_json` renders it nested `depth` levels deep in a
-    document, without the final newline."""
-    return _dumps(obj, depth)
+    """`obj` as `json.dumps(obj, indent=2)` renders it, every line after the
+    first indented `depth` levels further, without a final newline.
 
-
-class JsonText:
-    """JSON text that `write_json` copies as it is: `encode_json` output for
-    the depth at which it is placed."""
-
-    __slots__ = ("text",)
-
-    def __init__(self, text: str):
-        self.text = text
+    Lists and tuples, dicts with str keys, str, int, float, bool and None
+    are accepted; anything else raises TypeError.  orjson renders the
+    document; it goes to `json.dumps` instead when orjson rejects it or its
+    text would differ (see the module docstring).  orjson also renders some
+    types `json.dumps` rejects (dataclasses, datetimes, UUIDs, enums); the
+    program passes none of them.
+    """
+    try:
+        text = orjson.dumps(obj, option=orjson.OPT_INDENT_2).decode()
+    except TypeError:
+        if not _str_keys(obj):            # json.dumps would turn them into str
+            raise TypeError("dict keys must be str") from None
+        text = None
+    if text is None or not text.isascii() or "\x7f" in text or not _finite(obj):
+        text = json.dumps(obj, indent=2)
+    else:
+        text = _EXPONENT.sub(_respell_exponent, text)
+        text = _FIFTH.sub(_respell_fifth, text)
+    return text.replace("\n", "\n" + "  " * depth) if depth else text
 
 
 # orjson writes `1e-7`, `1e16` and `0.00001` where float.__repr__ writes
@@ -229,22 +221,6 @@ def _respell_fifth(match) -> str:
     return f"{lead}.{rest}e-05" if rest else f"{lead}e-05"
 
 
-def _dumps(obj, depth: int) -> str:
-    """`obj` as `json.dumps(obj, indent=2)` renders it, every line after the
-    first indented `depth` levels further."""
-    try:
-        text = orjson.dumps(obj, option=orjson.OPT_INDENT_2).decode()
-    except TypeError:
-        text = None
-    if text is None or not text.isascii() or "\x7f" in text or not _finite(obj):
-        parts = []
-        _encode(obj, parts, "\n" + "  " * depth)
-        return "".join(parts)
-    text = _EXPONENT.sub(_respell_exponent, text)
-    text = _FIFTH.sub(_respell_fifth, text)
-    return text.replace("\n", "\n" + "  " * depth) if depth else text
-
-
 def _finite(obj) -> bool:
     """False if `obj` holds a NaN or an infinity, or finite floats in one
     list whose sum overflows."""
@@ -260,65 +236,10 @@ def _finite(obj) -> bool:
     return True
 
 
-_INF = float("inf")
-
-
-def _float(value: float) -> str:
-    if value != value:
-        return "NaN"
-    if value == _INF:
-        return "Infinity"
-    if value == -_INF:
-        return "-Infinity"
-    return float.__repr__(value)
-
-
-def _encode(obj, parts: list, newline: str) -> None:
-    """Append the chunks of `obj`, nested at the indentation `newline` ends
-    with, to `parts`."""
-    if isinstance(obj, str):
-        parts.append(encode_basestring_ascii(obj))
-    elif obj is None:
-        parts.append("null")
-    elif obj is True:
-        parts.append("true")
-    elif obj is False:
-        parts.append("false")
-    elif isinstance(obj, int):
-        parts.append(int.__repr__(obj))
-    elif isinstance(obj, float):
-        parts.append(_float(obj))
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            parts.append("[]")
-            return
-        inner = newline + "  "
-        try:
-            text = ("," + inner).join(map(float.__repr__, obj))
-        except TypeError:                 # an element that is not a float
-            text = None
-        if text is not None and "n" not in text:   # no nan, inf or -inf
-            parts += ("[", inner, text, newline, "]")
-            return
-        separator = "[" + inner
-        for value in obj:
-            parts.append(separator)
-            separator = "," + inner
-            _encode(value, parts, inner)
-        parts += (newline, "]")
-    elif isinstance(obj, dict):
-        if not obj:
-            parts.append("{}")
-            return
-        inner = newline + "  "
-        separator = "{" + inner
-        for key, value in obj.items():
-            parts += (separator, encode_basestring_ascii(key), ": ")
-            separator = "," + inner
-            _encode(value, parts, inner)
-        parts += (newline, "}")
-    elif isinstance(obj, JsonText):
-        parts.append(obj.text)
-    else:
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
+def _str_keys(obj) -> bool:
+    """False if a dict in `obj` has a key that is not a str."""
+    if isinstance(obj, dict):
+        return all(isinstance(k, str) for k in obj) and all(map(_str_keys, obj.values()))
+    if isinstance(obj, (list, tuple)):
+        return all(map(_str_keys, obj))
+    return True

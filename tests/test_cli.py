@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from compstat.benchmarks import benchmark_names
+from compstat.benchmarks import benchmark_names, get_benchmark
 from compstat.cli import (cmd_list_models, cmd_verify_all,
                           config_from_mapping, main, parse_config_file)
 from compstat.errors import ConfigurationError
@@ -141,6 +141,40 @@ def test_principal_agent_nonpositive_probability_exits_2(sweep, capsys):
                                    "--sweep", sweep], capsys)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "positive outcome probabilities" in err
+
+
+@pytest.mark.parametrize("model, at, message", [
+    ("principal_agent", "B1=0", "no interior payment schedule"),
+    ("multi_output_profit", "p2=-1", "not positive definite"),
+])
+def test_catalog_point_without_interior_optimum_exits_2(model, at, message, capsys):
+    code, out, err = run_main(["analyze", "--model", model, "--at", at], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+
+
+def test_scaled_catalog_points_never_crash_untyped(capsys):
+    # every parameter of every catalog model, one at a time, scaled from
+    # its default value: a point may fail, but only with an exit code
+    crashes = []
+    for name in benchmark_names():
+        entry = get_benchmark(name)
+        for index, parameter in enumerate(entry.model.parameter_names):
+            for factor in (-1.0, 0.0, 1e-3, 0.5, 2.0, 1e3):
+                value = float(entry.default_point[index]) * factor
+                argv = ["analyze", "--model", name, "--at", f"{parameter}={value!r}",
+                        "--format", "table"]
+                try:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore", RuntimeWarning)
+                        code = main(argv)
+                except Exception as exc:
+                    crashes.append((name, parameter, factor, repr(exc)))
+                    continue
+                if code not in (0, 1, 2, 3):
+                    crashes.append((name, parameter, factor, code))
+    capsys.readouterr()
+    assert crashes == []
 
 
 def test_verify_all_clean_checkout(capsys):

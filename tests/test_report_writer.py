@@ -1,7 +1,7 @@
-"""The streaming report writer emits exactly the text of json.dumps(indent=2)."""
+"""The report renderer emits exactly the text of json.dumps(indent=2)."""
 
-import io
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ import pytest
 from compstat import report
 from compstat.benchmarks import benchmark_names, get_benchmark
 from compstat.cli import RunConfig, main, run_point
-from compstat.report import JsonText, encode_json, write_json
+from compstat.report import encode_json
 
 EDGE = {
     "nan": float("nan"),
@@ -37,9 +37,7 @@ EDGE = {
 
 
 def written(obj) -> str:
-    stream = io.StringIO()
-    write_json(obj, stream)
-    return stream.getvalue()
+    return encode_json(obj) + "\n"
 
 
 @pytest.mark.parametrize("obj", [EDGE, [EDGE, [EDGE]], 1.0, float("nan"), "x", 7,
@@ -97,7 +95,8 @@ def test_sweep_reports_equal_single_point_runs_in_order(capsys):
 
 
 # orjson renders finite, all-ASCII documents; these pin its respelled float
-# text to json.dumps and check each case that must take the Python walker.
+# text to json.dumps and check each case that must fall back to json.dumps
+# itself (the "walker" of the test names).
 
 BOUNDARIES = [0.0, -0.0, 5e-324, 1e-5, 9.99e-5, 1e-4, 1e15, 9999999999999998.0,
               1e16, 1e17, float(2 ** 53), 1.7976931348623157e308,
@@ -140,15 +139,14 @@ def test_random_floats_match_indented_dumps():
 
 @pytest.fixture
 def walker_calls(monkeypatch):
-    """The types of the objects the Python walker was called on."""
+    """The types of the objects the renderer passed to json.dumps."""
     calls = []
-    walker = report._encode
 
-    def spy(obj, parts, newline):
+    def spy(obj, **kwargs):
         calls.append(type(obj))
-        walker(obj, parts, newline)
+        return json.dumps(obj, **kwargs)
 
-    monkeypatch.setattr(report, "_encode", spy)
+    monkeypatch.setattr(report, "json", SimpleNamespace(dumps=spy))
     return calls
 
 
@@ -175,21 +173,12 @@ def test_fallback_documents_take_walker(obj, walker_calls):
     assert walker_calls
 
 
-def test_json_text_takes_walker(walker_calls):
-    doc = {"rows": _matrix(4), "tiny": 1e-5}
-    envelope = {"schema_version": "2", "reports": [JsonText(encode_json(doc, 2))]}
-    assert not walker_calls                      # doc itself took orjson
-    assert written(envelope) == json.dumps(
-        {"schema_version": "2", "reports": [doc]}, indent=2) + "\n"
-    assert walker_calls
-
-
 @pytest.fixture
 def no_walker(monkeypatch):
-    def walker(*args):
-        raise AssertionError("a finite, all-ASCII document took the walker")
+    def dumps(*args, **kwargs):
+        raise AssertionError("a finite, all-ASCII document fell back to json.dumps")
 
-    monkeypatch.setattr(report, "_encode", walker)
+    monkeypatch.setattr(report, "json", SimpleNamespace(dumps=dumps))
 
 
 def test_finite_ascii_report_skips_walker(no_walker):

@@ -1,0 +1,137 @@
+"""Digests of the command-line output over a fixed set of invocations, for
+checking that a change leaves the bytes of every report as they were.
+
+    python3 tools/report_digests.py [CHECKOUT] > digests.jsonl
+
+runs each invocation through `compstat.cli.main` in one process, with one
+BLAS thread, on the `compstat` and `perfbench` packages of CHECKOUT (by
+default the checkout this script is in).  It prints one JSON line per
+invocation: the arguments, the exit code or the exception raised, and the
+sha256 digests of stdout, of the `--out` file and of stderr.  Before they
+are digested, `"timings"` blocks (wall times) are emptied, the checkout
+path is replaced by `<checkout>`, and the line numbers in warning headers
+are replaced by `N`.  Run it on two checkouts and diff the two outputs.
+
+The invocations cover every catalog model with each sensitivity method in
+each format, on stdout and with `--out`; all seven recipes; the null-space
+basis; `--tol`; 3-point sweeps, sweeps into failing parameter ranges and
+points without an interior optimum; a 64-point sweep; generated demand
+models with analytic derivatives (n = 40, 80) and finite differences only
+(n = 4, 8); `verify-all`; `list-models`; and configuration errors.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import re
+import sys
+import tempfile
+import warnings
+from pathlib import Path
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+_TIMINGS = re.compile(r'"timings": \{[^{}]*\}')
+_WARNING_LINE = re.compile(r"^(.*?\.py):\d+:", re.M)
+
+
+def invocations(benchmark_names, get_benchmark) -> list:
+    """The argument lists, each without `--out`, and whether to add one."""
+    runs = []
+    for name in benchmark_names():
+        entry = get_benchmark(name)
+        model = ["analyze", "--model", name]
+        for method in ("ift", "fd", "analytic"):
+            for fmt in ("json", "csv", "table"):
+                runs.append((model + ["--method", method, "--format", fmt], False))
+        for fmt in ("json", "csv", "table"):
+            runs.append((model + ["--format", fmt], True))
+        for fmt in ("json", "csv"):
+            runs.append((model + ["--recipes", "omega_eq7,omega_quadratic,omega_A1,"
+                                  "omega_A2,omega_B,silberberg_S,universal_U",
+                                  "--format", fmt], False))
+            runs.append((model + ["--basis", "nullspace", "--format", fmt], False))
+        runs.append((model + ["--tol", "1e-10"], False))
+        names = entry.model.parameter_names
+        first = float(entry.default_point[0])
+        runs.append((model + ["--sweep", f"{names[0]}={0.9 * first!r}:{1.1 * first!r}:3"],
+                     False))
+        runs.append((model + ["--sweep", f"{names[0]}={0.9 * first!r}:{1.1 * first!r}:3",
+                              "--format", "table"], True))
+        for parameter in (names[0], names[-1]):
+            for span in ("-1:0:3", "1000:1e6:3"):
+                runs.append((model + ["--sweep", f"{parameter}={span}"], False))
+    for at in (["principal_agent", "--at", "B1=0"],
+               ["principal_agent", "--at", "P1_1=100000"],
+               ["multi_output_profit", "--at", "p2=-1"]):
+        runs.append((["analyze", "--model"] + at, False))
+    for fmt in ("json", "csv", "table"):
+        runs.append((["analyze", "--model", "profit_cd", "--sweep", "p=1.5:3:64",
+                      "--format", fmt], fmt == "json"))
+    for seed in (201, 7777):
+        for factory in ("demand_40", "demand_80", "demandfd_4", "demandfd_8"):
+            runs.append((["analyze", "--model", f"perfbench.inputs:{factory}_{seed}_0"],
+                         factory == "demand_40"))
+    runs += [(["verify-all", "--format", "json"], True),
+             (["verify-all", "--format", "table"], False),
+             (["verify-all", "--format", "json", "--tol", "1e-12"], False),
+             (["list-models", "--format", "table"], False),
+             (["list-models", "--format", "json"], False),
+             (["list-models", "--format", "names"], False),
+             (["analyze", "--model", "no_such_model"], False),
+             (["analyze", "--model", "slutsky_hicks", "--at", "zz=1"], False),
+             (["analyze", "--model", "profit_cd", "--sweep", "p=1:3:0"], False)]
+    return runs
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    checkout = Path(args[0] if args else Path(__file__).resolve().parents[1]).resolve()
+    sys.path[:0] = [str(checkout / "src"), str(checkout)]
+    import compstat
+    from compstat import cli
+    from compstat.benchmarks import benchmark_names, get_benchmark
+    if Path(compstat.__file__).resolve().parent != checkout / "src" / "compstat":
+        raise SystemExit(f"compstat imported from {compstat.__file__}, not {checkout}")
+
+    def digest(text):
+        if text is None:
+            return None
+        text = _TIMINGS.sub('"timings": {}', text).replace(str(checkout), "<checkout>")
+        text = _WARNING_LINE.sub(r"\1:N:", text)
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    with tempfile.TemporaryDirectory() as scratch:
+        for run, with_out in invocations(benchmark_names, get_benchmark):
+            out_path = os.path.join(scratch, "out")
+            run = run + (["--out", out_path] if with_out else [])
+            stdout, stderr = io.StringIO(), io.StringIO()
+            result = {"argv": run[:-2] + ["--out", "PATH"] if with_out else run}
+            # a fresh catch_warnings resets the once-per-location registries,
+            # as a new process would start with them empty
+            with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \
+                    contextlib.redirect_stderr(stderr):
+                try:
+                    result["exit"] = cli.main(run)
+                except SystemExit as exc:
+                    result["exit"] = exc.code
+                except Exception as exc:
+                    result["exception"] = f"{type(exc).__name__}: {exc}".replace(
+                        str(checkout), "<checkout>")
+            out_text = None
+            if with_out and os.path.exists(out_path):
+                out_text = Path(out_path).read_text(encoding="utf-8")
+                os.remove(out_path)
+            result.update(stdout=digest(stdout.getvalue()), out=digest(out_text),
+                          stderr=digest(stderr.getvalue()))
+            print(json.dumps(result), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
