@@ -20,13 +20,20 @@ from ..diagnostics import matrix_mismatch, min_eig_violation, report
 from ..errors import DomainError
 from ..geometry import gcd_apply, prescribe_isovectors, verify_conformance
 from ..model import InvarianceGenerator, ProblemModel
-from .base import BenchRun, BenchmarkEntry
+from .base import BenchRun, BenchmarkEntry, constraint_fields
 
 
 def _slots(m_dim):
     iB1, iB2 = 2 * m_dim, 2 * m_dim + 1
     iS1, iS2 = 2 * m_dim + 2, 2 * m_dim + 3
     return iB1, iB2, iS1, iS2
+
+
+def _on_payments(derivative, shape):
+    """`derivative` on the payment domain x > 0, NaN off it (as g is)."""
+    def guarded(x, a):
+        return np.full(shape, np.nan) if x.min() <= 0 else derivative(x, a)
+    return guarded
 
 
 def contract_model(m_dim: int, name="principal_agent") -> ProblemModel:
@@ -69,10 +76,8 @@ def contract_model(m_dim: int, name="principal_agent") -> ProblemModel:
             out[:, which * m_dim:(which + 1) * m_dim] = np.diag(-1.0 / (2.0 * np.sqrt(x)))
             return out
 
-        return g, g_x, g_a, g_xx, g_xa
-
-    g1 = make_constraint(0)
-    g2 = make_constraint(1)
+        return (g, _on_payments(g_x, m_dim), _on_payments(g_a, n_dim),
+                _on_payments(g_xx, (m_dim, m_dim)), _on_payments(g_xa, (m_dim, n_dim)))
 
     def grad_a_objective(x, a):
         out = np.zeros(n_dim)
@@ -116,15 +121,11 @@ def contract_model(m_dim: int, name="principal_agent") -> ProblemModel:
     return ProblemModel(
         name=name, M=m_dim, N=n_dim,
         objective=objective,
-        constraints=(g1[0], g2[0]),
+        **constraint_fields([make_constraint(0), make_constraint(1)]),
         grad_x_objective=lambda x, a: -p1(a),
         grad_a_objective=grad_a_objective,
-        grad_x_constraints=(g1[1], g2[1]),
-        grad_a_constraints=(g1[2], g2[2]),
         hess_xx_objective=lambda x, a: np.zeros((m_dim, m_dim)),
         hess_xa_objective=hess_xa_objective,
-        hess_xx_constraints=(g1[3], g2[3]),
-        hess_xa_constraints=(g1[4], g2[4]),
         analytic_solution=solution,
         parameter_names=names,
         invariance_generators=(scale_generator(0), scale_generator(1)),

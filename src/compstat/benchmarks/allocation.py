@@ -16,7 +16,7 @@ import numpy as np
 from ..diagnostics import report
 from ..geometry import build_isovectors, gcd_apply, prescribe_isovectors, verify_conformance
 from ..model import ProblemModel
-from .base import BenchmarkEntry
+from .base import BenchmarkEntry, constraint_fields
 
 
 def allocation_model(taste, shift_count, endow_count, name="pareto_allocation") -> ProblemModel:
@@ -123,15 +123,11 @@ def allocation_model(taste, shift_count, endow_count, name="pareto_allocation") 
     return ProblemModel(
         name=name, M=m_dim, N=n_dim,
         objective=objective,
-        constraints=tuple(c[0] for c in cons),
+        **constraint_fields(cons),
         grad_x_objective=grad_x_objective,
         grad_a_objective=grad_a_objective,
-        grad_x_constraints=tuple(c[1] for c in cons),
-        grad_a_constraints=tuple(c[2] for c in cons),
         hess_xx_objective=hess_xx_objective,
         hess_xa_objective=hess_xa_objective,
-        hess_xx_constraints=tuple(c[3] for c in cons),
-        hess_xa_constraints=tuple(c[4] for c in cons),
         parameter_names=names,
         decision_names=decision_names,
     )

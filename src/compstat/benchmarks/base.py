@@ -17,6 +17,59 @@ from ..solver import SolutionPoint, SolverConfig, newton_solve, solve_interior
 
 
 @dataclass(frozen=True)
+class LinearBudget:
+    """The budget constraint a[level] - a[prices] . x = 0 of an n_dim
+    parameter space: its callables, its Slutsky compensation rows and the
+    compensated block of a decision Jacobian."""
+    n_dim: int
+    prices: slice
+    level: int
+
+    def value(self, x, a):
+        return float(a[self.level] - a[self.prices] @ x)
+
+    def grad_x(self, x, a):
+        return -a[self.prices]
+
+    def grad_a(self, x, a):
+        out = np.zeros(self.n_dim)
+        out[self.prices] = -x
+        out[self.level] = 1.0
+        return out
+
+    def hess_xx(self, x, a):
+        return np.zeros((x.size, x.size))
+
+    def hess_xa(self, x, a):
+        out = np.zeros((x.size, self.n_dim))
+        out[:, self.prices] = -np.eye(x.size)
+        return out
+
+    def rows(self, x) -> np.ndarray:
+        """Slutsky rows: each unit price direction compensated by x in level."""
+        out = np.zeros((x.size, self.n_dim))
+        out[:, self.prices] = np.eye(x.size)
+        out[:, self.level] = x
+        return out
+
+    def substitution(self, x_jac: np.ndarray, x) -> np.ndarray:
+        """Compensated price responses dx/dp + dx/dlevel x^T = x_jac @ rows(x).T."""
+        return x_jac[:, self.prices] + np.outer(x_jac[:, self.level], x)
+
+
+_CONSTRAINT_FIELDS = ("constraints", "grad_x_constraints", "grad_a_constraints",
+                      "hess_xx_constraints", "hess_xa_constraints")
+
+
+def constraint_fields(constraints) -> dict:
+    """The five constraint keyword arguments of ProblemModel, in the order
+    given, from LinearBudgets and (g, g_x, g_a, g_xx, g_xa) tuples."""
+    parts = [(c.value, c.grad_x, c.grad_a, c.hess_xx, c.hess_xa)
+             if isinstance(c, LinearBudget) else tuple(c) for c in constraints]
+    return {name: tuple(p[i] for p in parts) for i, name in enumerate(_CONSTRAINT_FIELDS)}
+
+
+@dataclass(frozen=True)
 class BenchRun:
     """One prepared pipeline pass: solution, sensitivities, and directions."""
     entry: "BenchmarkEntry"

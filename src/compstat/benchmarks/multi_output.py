@@ -15,7 +15,7 @@ from ..diagnostics import check_invariance, matrix_mismatch, min_eig_violation, 
 from ..errors import DomainError
 from ..geometry import prescribe_isovectors
 from ..model import InvarianceGenerator, ProblemModel
-from .base import BenchRun, BenchmarkEntry
+from .base import BenchRun, BenchmarkEntry, LinearBudget, constraint_fields
 
 NEGATIVE = "negative_semidefinite_expected"
 
@@ -227,6 +227,11 @@ def singular_output_instance():
 # ---------------------------------------------------------------------------
 
 
+def _expenditure_cap(m_dim: int, g_dim: int) -> LinearBudget:
+    """The cap C - w.x = 0 over the parameters (w, p, C, s)."""
+    return LinearBudget(m_dim + g_dim + 2, slice(0, m_dim), m_dim + g_dim)
+
+
 def cost_constrained_model(c_list=None, a_list=None,
                            name="cost_constrained_profit"):
     """max s * p.F(x) subject to the expenditure cap w.x = C.
@@ -274,21 +279,15 @@ def cost_constrained_model(c_list=None, a_list=None,
     model = ProblemModel(
         name=name, M=m_dim, N=n_dim,
         objective=lambda x, a: float(a[iS] * (a[m_dim:iC] @ outputs(x))),
-        constraints=(lambda x, a: float(a[iC] - a[:m_dim] @ x),),
+        **constraint_fields([_expenditure_cap(m_dim, g_dim)]),
         grad_x_objective=lambda x, a: a[iS] * (output_grads(x) @ a[m_dim:iC]),
         grad_a_objective=lambda x, a: np.concatenate(
             [np.zeros(m_dim), a[iS] * outputs(x), [0.0, a[m_dim:iC] @ outputs(x)]]),
-        grad_x_constraints=(lambda x, a: -a[:m_dim],),
-        grad_a_constraints=(lambda x, a: np.concatenate(
-            [-x, np.zeros(g_dim), [1.0, 0.0]]),),
         hess_xx_objective=lambda x, a: -a[iS] * curvature(a[m_dim:iC]),
         hess_xa_objective=lambda x, a: np.hstack([
             np.zeros((m_dim, m_dim)), a[iS] * output_grads(x),
             np.zeros((m_dim, 1)),
             (output_grads(x) @ a[m_dim:iC]).reshape(-1, 1)]),
-        hess_xx_constraints=(lambda x, a: np.zeros((m_dim, m_dim)),),
-        hess_xa_constraints=(lambda x, a: np.hstack(
-            [-np.eye(m_dim), np.zeros((m_dim, g_dim + 2))]),),
         analytic_solution=solution,
         parameter_names=(tuple(f"w{i + 1}" for i in range(m_dim))
                          + tuple(f"p{r + 1}" for r in range(g_dim)) + ("C", "s")),
@@ -307,41 +306,34 @@ def cost_rows(model: ProblemModel, sol, _sens=None):
     iC, iS = m_dim + g_dim, m_dim + g_dim + 1
     grads = model.obj_grad_a(sol.x, sol.a)
     revenue = grads[iS]                      # p.F at the solution
-    rows = np.zeros((m_dim + g_dim, model.N))
-    for alpha in range(m_dim):
-        rows[alpha, alpha] = 1.0
-        rows[alpha, iC] = sol.x[alpha]
-    for r in range(g_dim):
-        rows[m_dim + r, m_dim + r] = 1.0
-        rows[m_dim + r, iS] = -grads[m_dim + r] / (sol.a[iS] * revenue)
+    output_rows = np.eye(g_dim, model.N, k=m_dim)
+    output_rows[:, iS] = -grads[m_dim:iC] / (sol.a[iS] * revenue)
+    rows = np.vstack([_expenditure_cap(m_dim, g_dim).rows(sol.x), output_rows])
     stack = np.vstack([model.con_grad_a_stack(sol.x, sol.a), grads])
     return prescribe_isovectors(rows, stack, annihilates_objective=True)
 
 
 def _cost_blocks(run: BenchRun, output_grads):
+    """The io_blocks (W, M, Q, P) with both input-price blocks compensated
+    through the cap C: (W + xC x^T, M, Q + fC x^T, P), fC = dF/dC."""
     m_dim = run.model.M
     g_dim = run.model.N - m_dim - 2
     iC = m_dim + g_dim
     grads = output_grads(run.sol.x)
     jac = run.sens.x_jac
-    w_block = jac[:, :m_dim]
     m_block = jac[:, m_dim:iC]
-    xC = jac[:, iC]
-    q_block = grads.T @ w_block
+    q_block = grads.T @ jac[:, :m_dim]
     p_block = grads.T @ m_block
-    fC = grads.T @ xC
-    return w_block, m_block, q_block, p_block, xC, fC
+    fC = grads.T @ jac[:, iC]
+    compensated = _expenditure_cap(m_dim, g_dim).substitution(jac, run.sol.x)
+    return compensated, m_block, q_block + np.outer(fC, run.sol.x), p_block
 
 
 def _make_cost_suite(output_grads):
     def eq_blocks(run):
         lam = run.sol.lam[0]
-        w_block, m_block, q_block, p_block, xC, fC = _cost_blocks(run, output_grads)
-        x = run.sol.x
-        b11 = -lam * (w_block + np.outer(xC, x))
-        b12 = -lam * m_block
-        b21 = q_block + np.outer(fC, x)
-        return np.block([[b11, b12], [b21, p_block]])
+        w_comp, m_block, q_comp, p_block = _cost_blocks(run, output_grads)
+        return np.block([[-lam * w_comp, -lam * m_block], [q_comp, p_block]])
 
     def check_block_csm(run):
         omega = build_omega(run.model, run.sol, run.sens, run.iso)
@@ -366,18 +358,17 @@ def _make_cost_suite(output_grads):
                       max(0.0, -lam), run.tol, lam=lam)
 
     def check_slutsky_analog(run):
-        w_block, m_block, _, p_block, xC, _ = _cost_blocks(run, output_grads)
-        analog = -(w_block + np.outer(xC, run.sol.x))
-        res = max(min_eig_violation(analog, "positive"),
+        w_comp, _, _, p_block = _cost_blocks(run, output_grads)
+        res = max(min_eig_violation(-w_comp, "positive"),
                   min_eig_violation(p_block, "positive"))
         return report("slutsky_analog_psd", "expenditure-substitution-sign", res,
                       max(run.tol, 1e-6))
 
     def check_cross_equality(run):
         lam = run.sol.lam[0]
-        _, m_block, q_block, _, xC, fC = _cost_blocks(run, output_grads)
+        _, m_block, q_comp, _ = _cost_blocks(run, output_grads)
         lhs = lam * m_block
-        rhs = -(q_block + np.outer(fC, run.sol.x)).T
+        rhs = -q_comp.T
         return report("cross_equality", "input-output-reciprocity",
                       matrix_mismatch(lhs, rhs), max(run.tol, 1e-6))
 
@@ -423,9 +414,8 @@ def register_cost_constrained_profit() -> BenchmarkEntry:
     x_start, lam_start = model.analytic_solution(default_point)
 
     def derived(run: BenchRun) -> dict:
-        w_block, m_block, q_block, p_block, xC, fC = _cost_blocks(run, output_grads)
-        analog = -(w_block + np.outer(xC, run.sol.x))
-        return {"expenditure_substitution": (analog, "positive"),
+        w_comp, _, _, p_block = _cost_blocks(run, output_grads)
+        return {"expenditure_substitution": (-w_comp, "positive"),
                 "output_price_block": (p_block, "positive")}
 
     return BenchmarkEntry(

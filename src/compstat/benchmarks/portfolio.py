@@ -15,11 +15,12 @@ import scipy.linalg
 
 from ..csm import build_omega, estimate_rank
 from ..diagnostics import check_invariance, matrix_mismatch, min_eig_violation, report
+from ..errors import DomainError
 from ..geometry import prescribe_isovectors
 from ..model import InvarianceGenerator, ProblemModel
 from ..sensitivity import decision_jacobian_ift
 from ..solver import newton_solve
-from .base import BenchRun, BenchmarkEntry
+from .base import BenchRun, BenchmarkEntry, LinearBudget, constraint_fields
 
 
 def principal_data(sigma: np.ndarray, w: np.ndarray, r: np.ndarray,
@@ -43,6 +44,9 @@ def principal_data(sigma: np.ndarray, w: np.ndarray, r: np.ndarray,
 def portfolio_solution(sigma2, weights, returns, total, target):
     """Closed-form allocation and multipliers of the uncorrelated problem."""
     sigma2 = np.asarray(sigma2, dtype=float)
+    if sigma2.min() <= 0:
+        raise DomainError("the closed form needs positive mix variances; "
+                          f"got {sigma2.tolist()}")
     sig = np.sqrt(sigma2)
     w_bar = np.asarray(weights, dtype=float) / sig
     r_bar = np.asarray(returns, dtype=float) / sig
@@ -74,6 +78,20 @@ def variance_minimum(sigma2, weights, returns, total):
     return best_target, float(total**2 / (w_bar @ w_bar))
 
 
+def _principal_budgets(m_dim: int):
+    """Budget Wt - W.x = 0 and return target Rt - R.x = 0 of principal_model."""
+    n_dim = 3 * m_dim + 2
+    return (LinearBudget(n_dim, slice(m_dim, 2 * m_dim), 3 * m_dim),
+            LinearBudget(n_dim, slice(2 * m_dim, 3 * m_dim), 3 * m_dim + 1))
+
+
+def _original_budgets(m_dim: int):
+    """The same two constraints of original_model, over (w, Wt, r, Rt)."""
+    n_dim = 2 * m_dim + 2
+    return (LinearBudget(n_dim, slice(0, m_dim), m_dim),
+            LinearBudget(n_dim, slice(m_dim + 1, 2 * m_dim + 1), 2 * m_dim + 1))
+
+
 def principal_model(m_dim: int, name="efficient_portfolio") -> ProblemModel:
     """Variance minimization over uncorrelated mixes; all data are
     parameters: (variances, weights, returns, total, target)."""
@@ -102,26 +120,6 @@ def principal_model(m_dim: int, name="efficient_portfolio") -> ProblemModel:
         out = np.zeros((m_dim, n_dim))
         out[:, :m_dim] = np.diag(-2.0 * x)
         return out
-
-    def g_a(which):
-        blk = slice(m_dim * (1 + which), m_dim * (2 + which))
-        lvl = iT if which == 0 else iR
-
-        def grad(x, a):
-            out = np.zeros(n_dim)
-            out[blk] = -x
-            out[lvl] = 1.0
-            return out
-        return grad
-
-    def g_xa(which):
-        blk = slice(m_dim * (1 + which), m_dim * (2 + which))
-
-        def hess(x, a):
-            out = np.zeros((m_dim, n_dim))
-            out[:, blk] = -np.eye(m_dim)
-            return out
-        return hess
 
     def scale_gen(name_suffix, slots):
         def a_map(a):
@@ -153,18 +151,11 @@ def principal_model(m_dim: int, name="efficient_portfolio") -> ProblemModel:
     return ProblemModel(
         name=name, M=m_dim, N=n_dim,
         objective=lambda x, a: float(-(sig2(a) @ x**2)),
-        constraints=(
-            lambda x, a: float(a[iT] - wvec(a) @ x),
-            lambda x, a: float(a[iR] - rvec(a) @ x),
-        ),
+        **constraint_fields(_principal_budgets(m_dim)),
         grad_x_objective=lambda x, a: -2.0 * sig2(a) * x,
         grad_a_objective=grad_a_objective,
-        grad_x_constraints=(lambda x, a: -wvec(a), lambda x, a: -rvec(a)),
-        grad_a_constraints=(g_a(0), g_a(1)),
         hess_xx_objective=lambda x, a: np.diag(-2.0 * sig2(a)),
         hess_xa_objective=hess_xa_objective,
-        hess_xx_constraints=(lambda x, a: np.zeros((m_dim, m_dim)),) * 2,
-        hess_xa_constraints=(g_xa(0), g_xa(1)),
         analytic_solution=solution,
         parameter_names=names,
         invariance_generators=gens,
@@ -196,71 +187,33 @@ def original_model(sigma: np.ndarray, name="portfolio_original") -> ProblemModel
         nu = 2.0 * scipy.linalg.solve(gram, np.array([a[iT], a[iR]]))
         return 0.5 * (nu[0] * s_inv_w + nu[1] * s_inv_r), -nu
 
-    def g_a(which):
-        blk = slice(0, m_dim) if which == 0 else slice(m_dim + 1, 2 * m_dim + 1)
-        lvl = iT if which == 0 else iR
-
-        def grad(x, a):
-            out = np.zeros(n_dim)
-            out[blk] = -x
-            out[lvl] = 1.0
-            return out
-        return grad
-
-    def g_xa(which):
-        blk = slice(0, m_dim) if which == 0 else slice(m_dim + 1, 2 * m_dim + 1)
-
-        def hess(x, a):
-            out = np.zeros((m_dim, n_dim))
-            out[:, blk] = -np.eye(m_dim)
-            return out
-        return hess
-
     names = (tuple(f"w{i + 1}" for i in range(m_dim)) + ("Wt",)
              + tuple(f"r{i + 1}" for i in range(m_dim)) + ("Rt",))
     return ProblemModel(
         name=name, M=m_dim, N=n_dim,
         objective=lambda x, a: float(-(x @ sigma @ x)),
-        constraints=(
-            lambda x, a: float(a[iT] - wvec(a) @ x),
-            lambda x, a: float(a[iR] - rvec(a) @ x),
-        ),
+        **constraint_fields(_original_budgets(m_dim)),
         grad_x_objective=lambda x, a: -2.0 * sigma @ x,
         grad_a_objective=lambda x, a: np.zeros(n_dim),
-        grad_x_constraints=(lambda x, a: -wvec(a), lambda x, a: -rvec(a)),
-        grad_a_constraints=(g_a(0), g_a(1)),
         hess_xx_objective=lambda x, a: -2.0 * sigma,
         hess_xa_objective=lambda x, a: np.zeros((m_dim, n_dim)),
-        hess_xx_constraints=(lambda x, a: np.zeros((m_dim, m_dim)),) * 2,
-        hess_xa_constraints=(g_xa(0), g_xa(1)),
         analytic_solution=solution,
         parameter_names=names,
     )
 
 
 def portfolio_rows(model: ProblemModel, sol, _sens=None):
+    """Unit variance directions, then Slutsky rows of both constraints."""
     m_dim = model.M
-    n_dim = model.N
-    iT, iR = 3 * m_dim, 3 * m_dim + 1
-    rows = np.zeros((3 * m_dim, n_dim))
-    rows[:m_dim, :m_dim] = np.eye(m_dim)
-    for alpha in range(m_dim):
-        rows[m_dim + alpha, m_dim + alpha] = 1.0
-        rows[m_dim + alpha, iT] = sol.x[alpha]
-        rows[2 * m_dim + alpha, 2 * m_dim + alpha] = 1.0
-        rows[2 * m_dim + alpha, iR] = sol.x[alpha]
+    variance_rows = np.eye(m_dim, model.N)
+    rows = np.vstack([variance_rows] + [b.rows(sol.x) for b in _principal_budgets(m_dim)])
     return prescribe_isovectors(rows, model.con_grad_a_stack(sol.x, sol.a))
 
 
 def _blocks(run: BenchRun):
-    m_dim = run.model.M
-    iT, iR = 3 * m_dim, 3 * m_dim + 1
-    jac = run.sens.x_jac
-    x = run.sol.x
-    var_resp = jac[:, :m_dim]
-    sub_w = jac[:, m_dim:2 * m_dim] + np.outer(jac[:, iT], x)
-    sub_r = jac[:, 2 * m_dim:3 * m_dim] + np.outer(jac[:, iR], x)
-    return var_resp, sub_w, sub_r
+    budget, ret = _principal_budgets(run.model.M)
+    jac, x = run.sens.x_jac, run.sol.x
+    return jac[:, :run.model.M], budget.substitution(jac, x), ret.substitution(jac, x)
 
 
 def _pf_check_closed_form(run):
@@ -363,10 +316,7 @@ def _make_original_checks(sigma, w, r):
         sens = decision_jacobian_ift(companion, sol)
         back = vectors @ run.sol.x
         res = float(np.max(np.abs(back - sol.x)))
-        jac = sens.x_jac
-        iT, iR = m_dim, 2 * m_dim + 1
-        sub_w = jac[:, :m_dim] + np.outer(jac[:, iT], sol.x)
-        sub_r = jac[:, m_dim + 1:2 * m_dim + 1] + np.outer(jac[:, iR], sol.x)
+        sub_w, sub_r = (b.substitution(sens.x_jac, sol.x) for b in _original_budgets(m_dim))
         nu = -sol.lam
         res = max(res, min_eig_violation(nu[0] * sub_w, "positive"))
         res = max(res, min_eig_violation(nu[1] * sub_r, "positive"))

@@ -8,12 +8,14 @@ singular-transformation study (Cobb-Douglas profit never vanishes).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..csm import (build_omega, build_omega_a1, build_omega_a2, estimate_rank,
                    from_matrix, transform_csm)
 from ..diagnostics import check_invariance, matrix_mismatch, min_eig_violation, report
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, DomainError
 from ..geometry import build_isovectors, prescribe_isovectors
 from ..model import InvarianceGenerator, ProblemModel, augment_with_scale
 from ..sensitivity import decision_jacobian_ift
@@ -34,7 +36,10 @@ def cd_production(gamma, F0):
         return float(F0 * np.prod(x ** gamma))
 
     def grad(x):
-        return gamma * value(x) / x
+        level = value(x)
+        if math.isnan(level):                  # outside the domain, as value
+            return np.full(x.shape, np.nan)
+        return gamma * level / x
 
     def hess(x):
         g_over_x = gamma / x
@@ -56,6 +61,9 @@ def cd_profit_model(gamma=(1.0 / 3.0, 1.0 / 3.0), F0=1.0,
 
     def solution(a):
         w, p = a[:m_dim], a[m_dim]
+        if w.min() <= 0 or p <= 0:
+            raise DomainError("the closed form needs positive prices; got "
+                              f"w = {w.tolist()}, p = {float(p)!r}")
         level = (F0 * p**total * np.prod((gamma / w) ** gamma)) ** (1.0 / (1.0 - total))
         return p * gamma * level / w, np.zeros(0)
 

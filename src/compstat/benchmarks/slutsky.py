@@ -10,9 +10,15 @@ import numpy as np
 
 from ..csm import build_omega, estimate_rank
 from ..diagnostics import check_invariance, matrix_mismatch, min_eig_violation, report
+from ..errors import DomainError
 from ..geometry import prescribe_isovectors
 from ..model import InvarianceGenerator, ProblemModel
-from .base import BenchRun, BenchmarkEntry
+from .base import BenchRun, BenchmarkEntry, LinearBudget, constraint_fields
+
+
+def _budget(m_dim: int) -> LinearBudget:
+    """The budget m - p.x = 0 over the parameters (p, m)."""
+    return LinearBudget(m_dim + 1, slice(0, m_dim), m_dim)
 
 
 def demand_model(gamma, name="slutsky_hicks") -> ProblemModel:
@@ -25,11 +31,11 @@ def demand_model(gamma, name="slutsky_hicks") -> ProblemModel:
             return float("nan")
         return float(gamma @ np.log(x))
 
-    def budget(x, a):
-        return float(a[m_dim] - a[:m_dim] @ x)
-
     def solution(a):
         p, m = a[:m_dim], a[m_dim]
+        if np.count_nonzero(p) < m_dim or m == 0:
+            raise DomainError("demand needs nonzero prices and income; got "
+                              f"p = {p.tolist()}, m = {float(m)!r}")
         return shares * m / p, np.array([gamma.sum() / m])
 
     homogeneity = InvarianceGenerator(
@@ -41,16 +47,11 @@ def demand_model(gamma, name="slutsky_hicks") -> ProblemModel:
     )
     return ProblemModel(
         name=name, M=m_dim, N=m_dim + 1,
-        objective=utility, constraints=(budget,),
+        objective=utility, **constraint_fields([_budget(m_dim)]),
         grad_x_objective=lambda x, a: gamma / x,
         grad_a_objective=lambda x, a: np.zeros(m_dim + 1),
-        grad_x_constraints=(lambda x, a: -a[:m_dim],),
-        grad_a_constraints=(lambda x, a: np.append(-x, 1.0),),
         hess_xx_objective=lambda x, a: np.diag(-gamma / x**2),
         hess_xa_objective=lambda x, a: np.zeros((m_dim, m_dim + 1)),
-        hess_xx_constraints=(lambda x, a: np.zeros((m_dim, m_dim)),),
-        hess_xa_constraints=(lambda x, a: np.hstack(
-            [-np.eye(m_dim), np.zeros((m_dim, 1))]),),
         analytic_solution=solution,
         parameter_names=tuple(f"p{i + 1}" for i in range(m_dim)) + ("m",),
         invariance_generators=(homogeneity,),
@@ -80,16 +81,13 @@ def demand_jacobian(gamma):
 
 
 def compensation_rows(model: ProblemModel, sol, sens):
-    m_dim = model.M
-    rows = np.hstack([np.eye(m_dim), sol.x.reshape(-1, 1)])
-    return prescribe_isovectors(rows, model.con_grad_a_stack(sol.x, sol.a))
+    return prescribe_isovectors(_budget(model.M).rows(sol.x),
+                                model.con_grad_a_stack(sol.x, sol.a))
 
 
 def substitution_matrix(run: BenchRun) -> np.ndarray:
     """Compensated price responses dx_mu/dp_nu + x_nu dx_mu/dm."""
-    m_dim = run.model.M
-    jac = run.sens.x_jac
-    return jac[:, :m_dim] + np.outer(jac[:, m_dim], run.sol.x)
+    return _budget(run.model.M).substitution(run.sens.x_jac, run.sol.x)
 
 
 def _check_sigma_closed_form(run: BenchRun):

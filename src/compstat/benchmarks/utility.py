@@ -10,63 +10,37 @@ from ..csm import build_omega, estimate_rank
 from ..diagnostics import matrix_mismatch, min_eig_violation, report
 from ..geometry import prescribe_isovectors
 from ..model import ProblemModel
-from .base import BenchRun, BenchmarkEntry
-from .slutsky import demand_model
+from .base import BenchRun, BenchmarkEntry, LinearBudget, constraint_fields
+from .slutsky import compensation_rows, demand_model, substitution_matrix
 
 # ---------------------------------------------------------------------------
 # several linear budget constraints
 # ---------------------------------------------------------------------------
 
 
+def _budgets(m_dim: int, n_constraints: int) -> list:
+    """Budget k: m_k - p_k.x = 0 over its block (p_k, m_k) of the parameters."""
+    block = m_dim + 1                       # prices plus the budget level per block
+    return [LinearBudget(n_constraints * block, slice(k * block, k * block + m_dim),
+                         k * block + m_dim) for k in range(n_constraints)]
+
+
 def multi_budget_model(gamma, n_constraints, name="multi_constraint_utility") -> ProblemModel:
     gamma = np.asarray(gamma, dtype=float)
     m_dim = gamma.size
-    block = m_dim + 1                       # prices plus the budget level per block
-
-    def prices(a, k):
-        return a[k * block:k * block + m_dim]
-
-    def level(a, k):
-        return a[k * block + m_dim]
-
-    def make_constraint(k):
-        return lambda x, a: float(level(a, k) - prices(a, k) @ x)
-
-    def con_grad_x(k):
-        return lambda x, a: -prices(a, k)
-
-    def con_grad_a(k):
-        def grad(x, a):
-            out = np.zeros(n_constraints * block)
-            out[k * block:k * block + m_dim] = -x
-            out[k * block + m_dim] = 1.0
-            return out
-        return grad
-
-    def con_hess_xa(k):
-        def hess(x, a):
-            out = np.zeros((m_dim, n_constraints * block))
-            out[:, k * block:k * block + m_dim] = -np.eye(m_dim)
-            return out
-        return hess
-
+    n_dim = n_constraints * (m_dim + 1)
     names = []
     for k in range(n_constraints):
         names += [f"p{k + 1}_{i + 1}" for i in range(m_dim)] + [f"m{k + 1}"]
     return ProblemModel(
-        name=name, M=m_dim, N=n_constraints * block,
+        name=name, M=m_dim, N=n_dim,
         objective=lambda x, a: (float("nan") if np.any(x <= 0)
                                 else float(gamma @ np.log(x))),
-        constraints=tuple(make_constraint(k) for k in range(n_constraints)),
+        **constraint_fields(_budgets(m_dim, n_constraints)),
         grad_x_objective=lambda x, a: gamma / x,
-        grad_a_objective=lambda x, a: np.zeros(n_constraints * block),
-        grad_x_constraints=tuple(con_grad_x(k) for k in range(n_constraints)),
-        grad_a_constraints=tuple(con_grad_a(k) for k in range(n_constraints)),
+        grad_a_objective=lambda x, a: np.zeros(n_dim),
         hess_xx_objective=lambda x, a: np.diag(-gamma / x**2),
-        hess_xa_objective=lambda x, a: np.zeros((m_dim, n_constraints * block)),
-        hess_xx_constraints=tuple(
-            (lambda x, a: np.zeros((m_dim, m_dim)),) * n_constraints),
-        hess_xa_constraints=tuple(con_hess_xa(k) for k in range(n_constraints)),
+        hess_xa_objective=lambda x, a: np.zeros((m_dim, n_dim)),
         parameter_names=tuple(names),
     )
 
@@ -74,23 +48,13 @@ def multi_budget_model(gamma, n_constraints, name="multi_constraint_utility") ->
 def budget_rows(model: ProblemModel, sol, _sens=None):
     """One compensated block per constraint: unit price direction paired
     with the consumption level in the matching budget slot."""
-    n_con = model.K
-    m_dim = model.M
-    block = m_dim + 1
-    rows = np.zeros((n_con * m_dim, model.N))
-    for k in range(n_con):
-        for alpha in range(m_dim):
-            rows[k * m_dim + alpha, k * block + alpha] = 1.0
-            rows[k * m_dim + alpha, k * block + m_dim] = sol.x[alpha]
+    rows = np.vstack([b.rows(sol.x) for b in _budgets(model.M, model.K)])
     return prescribe_isovectors(rows, model.con_grad_a_stack(sol.x, sol.a))
 
 
 def substitution_block(run: BenchRun, k: int) -> np.ndarray:
     """Compensated responses against the k-th budget block."""
-    m_dim = run.model.M
-    block = m_dim + 1
-    jac = run.sens.x_jac[:, k * block:(k + 1) * block]
-    return jac[:, :m_dim] + np.outer(jac[:, m_dim], run.sol.x)
+    return _budgets(run.model.M, run.model.K)[k].substitution(run.sens.x_jac, run.sol.x)
 
 
 def _mc_check_full_nsd(run):
@@ -151,7 +115,7 @@ def _mc_check_offdiag_transpose(run):
 
 def _mc_check_k1_reduction(run):
     gamma = np.array([0.3, 0.2, 0.3, 0.2])
-    single = register_multi_constraint_utility(n_constraints=1, gamma=gamma)
+    single = register_multi_constraint_utility(1, gamma=gamma)
     sub = single.prepare(run.pipeline)
     sigma = substitution_block(sub, 0)
     reference = demand_model(gamma, name="_k1_reference")
@@ -243,16 +207,16 @@ def market_power_model(gamma, intercepts, slopes, name="market_power") -> Proble
         name=name, M=m_dim, N=m_dim + 1,
         objective=lambda x, a: (float("nan") if np.any(x <= 0)
                                 else float(gamma @ np.log(x))),
-        constraints=(lambda x, a: float(a[m_dim] - expenditure(x, a)),),
+        **constraint_fields([(
+            lambda x, a: float(a[m_dim] - expenditure(x, a)),
+            lambda x, a: -(c + b * (x + a[:m_dim]) + b * x),
+            lambda x, a: np.append(-b * x, 1.0),
+            lambda x, a: np.diag(-2.0 * b),
+            lambda x, a: np.hstack([np.diag(-b), np.zeros((m_dim, 1))]))]),
         grad_x_objective=lambda x, a: gamma / x,
         grad_a_objective=lambda x, a: np.zeros(m_dim + 1),
-        grad_x_constraints=(lambda x, a: -(c + b * (x + a[:m_dim]) + b * x),),
-        grad_a_constraints=(lambda x, a: np.append(-b * x, 1.0),),
         hess_xx_objective=lambda x, a: np.diag(-gamma / x**2),
         hess_xa_objective=lambda x, a: np.zeros((m_dim, m_dim + 1)),
-        hess_xx_constraints=(lambda x, a: np.diag(-2.0 * b),),
-        hess_xa_constraints=(lambda x, a: np.hstack(
-            [np.diag(-b), np.zeros((m_dim, 1))]),),
         parameter_names=tuple(f"q{i + 1}" for i in range(m_dim)) + ("m",),
         separable_kappa=(m_dim,),
     )
@@ -362,13 +326,9 @@ def _mp_make_suite(gamma, intercepts, slopes):
         ref_entry = BenchmarkEntry(
             name="_limit", model=reference, default_point=a_ref,
             x0=reference.analytic_solution(a_ref)[0],
-            isovector_recipe=lambda m, s, se: prescribe_isovectors(
-                np.hstack([np.eye(m.M), s.x.reshape(-1, 1)]),
-                m.con_grad_a_stack(s.x, s.a)))
-        ref_run = ref_entry.prepare("analytic")
+            isovector_recipe=compensation_rows)
+        sigma_limit = substitution_matrix(ref_entry.prepare("analytic"))
         m_dim = run.model.M
-        jac = ref_run.sens.x_jac
-        sigma_limit = jac[:, :m_dim] + np.outer(jac[:, m_dim], ref_run.sol.x)
         errors = []
         for t in (0.5, 0.1, 0.02):
             scaled = register_market_power(gamma, intercepts, b * t,

@@ -41,17 +41,16 @@ def constraint_identity_residual(model: ProblemModel, sol: SolutionPoint,
 
 def decision_jacobian_fd(model: ProblemModel, a, config: SolverConfig = SolverConfig(),
                          h: Optional[float] = None, x0=None) -> SensitivityBundle:
-    """Central differences of re-solved solutions, warm-started from x(a)."""
+    """Central differences of re-solved solutions.  A closed form serves
+    every stencil point; otherwise each is Newton warm-started from x(a),
+    solved here from x0."""
     a = np.asarray(a, dtype=float)
     stencil_config = config.stencil()
-    if model.analytic_solution is not None and x0 is None:
-        x_center, _ = model.analytic_solution(a)
-    else:
+    if model.analytic_solution is None:
         base = newton_solve(model, a, np.asarray(x0, dtype=float), stencil_config)
         if not base.converged:
             raise SensitivityError(f"no converged solution at the base point of {model.name!r}")
         x_center = base.x
-    x_center = np.asarray(x_center, dtype=float)
 
     def solve_at(b, mu):
         if model.analytic_solution is not None:

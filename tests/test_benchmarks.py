@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from compstat.benchmarks import all_benchmarks, benchmark_names, get_benchmark
+from compstat.benchmarks.base import LinearBudget, constraint_fields
 from compstat.benchmarks.multi_output import (io_blocks, sharpened_pair,
                                               singular_output_instance)
 from compstat.benchmarks.portfolio import (portfolio_solution,
@@ -167,3 +168,47 @@ def test_pareto_rows_have_empty_endowment_slots():
     run = entry.prepare("numeric")
     assert np.max(np.abs(run.iso.vectors[:, -2:])) == 0.0
     assert run.iso.count == 2               # one direction per taste shift
+
+
+# one budget alone, and the second budget block of a two-budget layout
+BUDGET_LAYOUTS = [LinearBudget(4, slice(0, 3), 3), LinearBudget(9, slice(4, 7), 7)]
+
+
+@pytest.mark.parametrize("budget", BUDGET_LAYOUTS)
+def test_linear_budget_rows_annihilate_its_parameter_gradient(budget):
+    rng = np.random.default_rng(3)
+    x, a = rng.uniform(0.1, 2.0, 3), rng.uniform(0.5, 2.0, budget.n_dim)
+    assert np.all(budget.rows(x) @ budget.grad_a(x, a) == 0.0)
+
+
+@pytest.mark.parametrize("budget", BUDGET_LAYOUTS)
+def test_linear_budget_substitution_is_the_jacobian_times_its_rows(budget):
+    rng = np.random.default_rng(4)
+    x, x_jac = rng.uniform(0.1, 2.0, 3), rng.normal(size=(3, budget.n_dim))
+    expected = x_jac @ budget.rows(x).T
+    got = budget.substitution(x_jac, x)
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_linear_budget_keeps_the_demand_formulas():
+    m_dim = 3
+    budget = LinearBudget(m_dim + 1, slice(0, m_dim), m_dim)
+    x, a = np.array([0.3, 1.7, 0.9]), np.array([1.1, 0.4, 2.3, 1.9])
+    assert budget.value(x, a) == float(a[m_dim] - a[:m_dim] @ x)
+    assert np.array_equal(budget.grad_x(x, a), -a[:m_dim])
+    assert np.array_equal(budget.grad_a(x, a), np.append(-x, 1.0))
+    assert np.array_equal(budget.hess_xx(x, a), np.zeros((m_dim, m_dim)))
+    assert np.array_equal(budget.hess_xa(x, a),
+                          np.hstack([-np.eye(m_dim), np.zeros((m_dim, 1))]))
+    assert np.array_equal(budget.rows(x), np.hstack([np.eye(m_dim), x.reshape(-1, 1)]))
+
+
+def test_constraint_fields_keep_the_constraint_order():
+    first, second = BUDGET_LAYOUTS[1], LinearBudget(9, slice(0, 3), 3)
+    custom = tuple(lambda x, a, i=i: i for i in range(5))
+    fields = constraint_fields([first, custom, second])
+    assert fields["constraints"] == (first.value, custom[0], second.value)
+    assert fields["grad_x_constraints"] == (first.grad_x, custom[1], second.grad_x)
+    assert fields["grad_a_constraints"] == (first.grad_a, custom[2], second.grad_a)
+    assert fields["hess_xx_constraints"] == (first.hess_xx, custom[3], second.hess_xx)
+    assert fields["hess_xa_constraints"] == (first.hess_xa, custom[4], second.hess_xa)

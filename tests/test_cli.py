@@ -153,10 +153,24 @@ def test_catalog_point_without_interior_optimum_exits_2(model, at, message, caps
     assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+def test_fd_method_needs_no_base_solve_under_a_closed_form(capsys):
+    # the closed form serves every stencil point, so no Newton solve runs at
+    # the base point, where the constraint gradients are nearly dependent
+    code, out, err = run_main(["analyze", "--model", "principal_agent",
+                               "--at", "P1_1=100000", "--method", "fd"], capsys)
+    assert code == 1 and "linearly dependent" not in err
+    payload = json.loads(out)
+    assert payload["sensitivity"]["method"] == "fd"
+    assert any(check["verdict"] == "fail" for check in payload["checks"])
+
+
 def test_scaled_catalog_points_never_crash_untyped(capsys):
     # every parameter of every catalog model, one at a time, scaled from
-    # its default value: a point may fail, but only with an exit code
-    crashes = []
+    # its default value: a point may fail, but only with an exit code, and
+    # no formula is evaluated outside its domain (no numpy RuntimeWarning;
+    # scipy's LinAlgWarning subclass reports ill-conditioning and may occur)
+    crashes, warned = [], []
     for name in benchmark_names():
         entry = get_benchmark(name)
         for index, parameter in enumerate(entry.model.parameter_names):
@@ -165,16 +179,19 @@ def test_scaled_catalog_points_never_crash_untyped(capsys):
                 argv = ["analyze", "--model", name, "--at", f"{parameter}={value!r}",
                         "--format", "table"]
                 try:
-                    with warnings.catch_warnings():
-                        warnings.simplefilter("ignore", RuntimeWarning)
+                    with warnings.catch_warnings(record=True) as caught:
+                        warnings.simplefilter("always")
                         code = main(argv)
                 except Exception as exc:
                     crashes.append((name, parameter, factor, repr(exc)))
                     continue
                 if code not in (0, 1, 2, 3):
                     crashes.append((name, parameter, factor, code))
+                warned += [(name, parameter, factor, f"{w.filename}:{w.lineno}: {w.message}")
+                           for w in caught if w.category is RuntimeWarning]
     capsys.readouterr()
     assert crashes == []
+    assert warned == []
 
 
 def test_verify_all_clean_checkout(capsys):

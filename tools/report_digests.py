@@ -14,10 +14,11 @@ are replaced by `N`.  Run it on two checkouts and diff the two outputs.
 
 The invocations cover every catalog model with each sensitivity method in
 each format, on stdout and with `--out`; all seven recipes; the null-space
-basis; `--tol`; 3-point sweeps, sweeps into failing parameter ranges and
-points without an interior optimum; a 64-point sweep; generated demand
-models with analytic derivatives (n = 40, 80) and finite differences only
-(n = 4, 8); `verify-all`; `list-models`; and configuration errors.
+basis; `--tol`; 3-point sweeps, sweeps into failing parameter ranges,
+points without an interior optimum and points outside a closed form's or
+a derivative's domain; a 64-point sweep; generated demand models with
+analytic derivatives (n = 40, 80) and finite differences only (n = 4, 8);
+`verify-all`; `list-models`; and configuration errors.
 """
 
 from __future__ import annotations
@@ -68,7 +69,12 @@ def invocations(benchmark_names, get_benchmark) -> list:
                 runs.append((model + ["--sweep", f"{parameter}={span}"], False))
     for at in (["principal_agent", "--at", "B1=0"],
                ["principal_agent", "--at", "P1_1=100000"],
-               ["multi_output_profit", "--at", "p2=-1"]):
+               ["principal_agent", "--at", "P1_1=100000", "--method", "fd"],
+               ["principal_agent", "--at", "P1_2=0.15"],
+               ["multi_output_profit", "--at", "p2=-1"],
+               ["slutsky_hicks", "--at", "m=0"],
+               ["profit_cd", "--at", "w1=0"],
+               ["efficient_portfolio", "--at", "s2_1=0"]):
         runs.append((["analyze", "--model"] + at, False))
     for fmt in ("json", "csv", "table"):
         runs.append((["analyze", "--model", "profit_cd", "--sweep", "p=1.5:3:64",
