@@ -18,9 +18,9 @@ import scipy.linalg
 from ..csm import build_omega, estimate_rank
 from ..diagnostics import matrix_mismatch, min_eig_violation, report
 from ..errors import DomainError
-from ..geometry import gcd_apply, prescribe_isovectors, verify_conformance
+from ..geometry import prescribe_isovectors
 from ..model import InvarianceGenerator, ProblemModel
-from .base import BenchRun, BenchmarkEntry, constraint_fields
+from .base import BenchRun, BenchmarkEntry, check_conformance, constraint_fields
 
 
 def _slots(m_dim):
@@ -168,7 +168,7 @@ def contract_rows(model: ProblemModel, sol, _sens=None):
         rows[m_dim + j, iB2] = v_vals[j]
         rows[m_dim + j, iS2] = 1.0
     stack = np.vstack([
-        model.con_grad_a_stack(sol.x, sol.a),
+        sol.blocks.Ga,
         _normalization_gradients(model),
     ])
     return prescribe_isovectors(rows, stack)
@@ -298,13 +298,6 @@ def _pa_check_diagonal_inequalities(run):
                   high_effort_diag=d1.tolist(), low_effort_diag=d2.tolist())
 
 
-def _pa_check_conformance(run):
-    x_semi = gcd_apply(run.iso, run.sens.x_jac)
-    table, ok = verify_conformance(x_semi, run.model.con_grad_x_stack(run.sol.x, run.sol.a))
-    res = float(np.max(np.abs(table))) if table.size else 0.0
-    return report("conformance", "constraint-conformance", res, 1e-6)
-
-
 def _pa_check_homogeneity(run):
     m_dim = run.model.M
     iB1, iB2, _, _ = _slots(m_dim)
@@ -339,7 +332,7 @@ def register_principal_agent(m_dim: int = 3,
         ("low_effort_matrix", _pa_check_h_matrix),
         ("multiplier_signs", _pa_check_multiplier_signs),
         ("diagonal_inequalities", _pa_check_diagonal_inequalities),
-        ("conformance", _pa_check_conformance),
+        ("conformance", check_conformance),
         ("block_scale_invariance", _pa_check_homogeneity),
     )
     return BenchmarkEntry(

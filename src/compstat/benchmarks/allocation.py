@@ -14,9 +14,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..diagnostics import report
-from ..geometry import build_isovectors, gcd_apply, prescribe_isovectors, verify_conformance
+from ..geometry import build_isovectors, prescribe_isovectors
 from ..model import ProblemModel
-from .base import BenchmarkEntry, constraint_fields
+from .base import BenchmarkEntry, check_conformance, constraint_fields
 
 
 def allocation_model(taste, shift_count, endow_count, name="pareto_allocation") -> ProblemModel:
@@ -136,7 +136,7 @@ def allocation_model(taste, shift_count, endow_count, name="pareto_allocation") 
 def allocation_rows(model: ProblemModel, sol, _sens=None):
     """Taste-shift directions compensated through the held-utility levels;
     endowment slots stay untouched."""
-    hess = model.con_grad_a_stack(sol.x, sol.a)
+    hess = sol.blocks.Ga
     n_goods = _goods_count(model)
     n_agents = model.M // n_goods
     rows = np.zeros((n_goods, model.N))
@@ -166,13 +166,6 @@ def _ac_check_endowment_free(run):
                   float(np.max(np.abs(endow_cols))), 1e-14)
 
 
-def _ac_check_conformance(run):
-    x_semi = gcd_apply(run.iso, run.sens.x_jac)
-    table, _ = verify_conformance(x_semi, run.model.con_grad_x_stack(run.sol.x, run.sol.a))
-    res = float(np.max(np.abs(table))) if table.size else 0.0
-    return report("conformance", "constraint-conformance", res, 1e-6)
-
-
 def _ac_check_single_agent(run):
     """One agent leaves only the resource equations (decisions fully pinned,
     so no optimization model is posed); the parameter-space tangent basis
@@ -200,7 +193,7 @@ def register_pareto_allocation(taste=None, shifts=(0.2, 0.3),
     suite = (
         ("null_property", _ac_check_null_property),
         ("endowment_free_rows", _ac_check_endowment_free),
-        ("conformance", _ac_check_conformance),
+        ("conformance", check_conformance),
         ("single_agent_degenerate", _ac_check_single_agent),
     )
     x0 = np.tile(np.asarray(endowments, dtype=float) / n_agents, n_agents)

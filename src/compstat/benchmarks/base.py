@@ -8,8 +8,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ..diagnostics import CheckReport, report
 from ..errors import NonConvergenceError
-from ..geometry import IsovectorSet, build_isovectors
+from ..geometry import IsovectorSet, build_isovectors, gcd_apply, verify_conformance
 from ..model import ProblemModel
 from ..sensitivity import (SensitivityBundle, decision_jacobian_analytic,
                            decision_jacobian_fd, decision_jacobian_ift)
@@ -86,6 +87,14 @@ class BenchRun:
         return 1e-8 if self.pipeline == "analytic" else 1e-6
 
 
+def check_conformance(run: BenchRun) -> CheckReport:
+    """Suite check: the compensated decision columns are orthogonal to the
+    decision-space constraint gradients, to 1e-6."""
+    table, _ = verify_conformance(gcd_apply(run.iso, run.sens.x_jac), run.sol.blocks.Gx)
+    return report("conformance", "constraint-conformance",
+                  float(np.max(np.abs(table))) if table.size else 0.0, 1e-6)
+
+
 @dataclass(frozen=True)
 class BenchmarkEntry:
     name: str
@@ -147,7 +156,7 @@ class BenchmarkEntry:
         if basis == "prescribed":
             iso = self.isovector_recipe(self.model, sol, sens)
         else:
-            iso = build_isovectors(self.model.con_grad_a_stack(sol.x, sol.a))
+            iso = build_isovectors(sol.blocks.Ga)
         timings["isovectors_s"] = time.perf_counter() - tick
         return BenchRun(entry=self, model=self.model, sol=sol, sens=sens, iso=iso,
                         pipeline=pipeline, timings=timings)

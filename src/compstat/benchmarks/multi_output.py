@@ -304,12 +304,12 @@ def cost_rows(model: ProblemModel, sol, _sens=None):
     m_dim = model.M
     g_dim = model.N - m_dim - 2
     iC, iS = m_dim + g_dim, m_dim + g_dim + 1
-    grads = model.obj_grad_a(sol.x, sol.a)
+    grads = sol.blocks.fa
     revenue = grads[iS]                      # p.F at the solution
     output_rows = np.eye(g_dim, model.N, k=m_dim)
     output_rows[:, iS] = -grads[m_dim:iC] / (sol.a[iS] * revenue)
     rows = np.vstack([_expenditure_cap(m_dim, g_dim).rows(sol.x), output_rows])
-    stack = np.vstack([model.con_grad_a_stack(sol.x, sol.a), grads])
+    stack = np.vstack([sol.blocks.Ga, grads])
     return prescribe_isovectors(rows, stack, annihilates_objective=True)
 
 

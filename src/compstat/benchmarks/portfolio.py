@@ -207,7 +207,7 @@ def portfolio_rows(model: ProblemModel, sol, _sens=None):
     m_dim = model.M
     variance_rows = np.eye(m_dim, model.N)
     rows = np.vstack([variance_rows] + [b.rows(sol.x) for b in _principal_budgets(m_dim)])
-    return prescribe_isovectors(rows, model.con_grad_a_stack(sol.x, sol.a))
+    return prescribe_isovectors(rows, sol.blocks.Ga)
 
 
 def _blocks(run: BenchRun):

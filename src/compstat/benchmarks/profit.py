@@ -111,14 +111,13 @@ def cd_demand_jacobian(gamma, F0=1.0):
 
 def production_level(run: BenchRun) -> float:
     """Output at the solution; the output-price slot of grad_a f."""
-    return float(run.model.obj_grad_a(run.sol.x, run.sol.a)[run.model.M])
+    return float(run.sol.blocks.fa[run.model.M])
 
 
 def production_gradient(run: BenchRun) -> np.ndarray:
     """grad_x of the output level, recovered as (grad_x f + w) / p."""
     m_dim = run.model.M
-    fx = run.model.obj_grad_x(run.sol.x, run.sol.a)
-    return (fx + run.sol.a[:m_dim]) / run.sol.a[m_dim]
+    return (run.sol.blocks.fx + run.sol.a[:m_dim]) / run.sol.a[m_dim]
 
 
 def supply_derivative(run: BenchRun) -> float:
@@ -172,7 +171,7 @@ def family_member(run: BenchRun, l_vec: np.ndarray):
 def scale_rows(aug_model: ProblemModel, sol, _sens=None):
     """Tangent rows of the scale-augmented objective."""
     m_dim = aug_model.M
-    grad = aug_model.obj_grad_a(sol.x, sol.a)      # (-s x, s F, profit)
+    grad = sol.blocks.fa      # (-s x, s F, profit)
     phi = grad[m_dim + 1]
     s_val = sol.a[m_dim + 1]
     rows = np.zeros((m_dim + 1, m_dim + 2))
@@ -389,7 +388,7 @@ def ratio_transform_rank(model: ProblemModel, x_jac_fn, a) -> int:
     sol = solve_interior(model, a)
     m_dim = model.M
     jac = x_jac_fn(a)
-    F_val = float(model.obj_grad_a(sol.x, a)[m_dim])
+    F_val = float(sol.blocks.fa[m_dim])
     w_block = from_matrix(jac[:, :m_dim], "input_price_block", NEGATIVE)
     member = transform_csm(
         w_block, np.eye(m_dim) - np.outer(sol.x / F_val, a[:m_dim]) / a[m_dim])

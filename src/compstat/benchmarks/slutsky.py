@@ -81,8 +81,7 @@ def demand_jacobian(gamma):
 
 
 def compensation_rows(model: ProblemModel, sol, sens):
-    return prescribe_isovectors(_budget(model.M).rows(sol.x),
-                                model.con_grad_a_stack(sol.x, sol.a))
+    return prescribe_isovectors(_budget(model.M).rows(sol.x), sol.blocks.Ga)
 
 
 def substitution_matrix(run: BenchRun) -> np.ndarray:

@@ -49,7 +49,7 @@ def budget_rows(model: ProblemModel, sol, _sens=None):
     """One compensated block per constraint: unit price direction paired
     with the consumption level in the matching budget slot."""
     rows = np.vstack([b.rows(sol.x) for b in _budgets(model.M, model.K)])
-    return prescribe_isovectors(rows, model.con_grad_a_stack(sol.x, sol.a))
+    return prescribe_isovectors(rows, sol.blocks.Ga)
 
 
 def substitution_block(run: BenchRun, k: int) -> np.ndarray:
@@ -223,7 +223,7 @@ def market_power_model(gamma, intercepts, slopes, name="market_power") -> Proble
 
 
 def market_rows(model: ProblemModel, sol, _sens=None):
-    ga = model.con_grad_a_stack(sol.x, sol.a)
+    ga = sol.blocks.Ga
     m_dim = model.M
     rows = np.hstack([np.eye(m_dim), (-ga[0, :m_dim]).reshape(-1, 1)])
     return prescribe_isovectors(rows, ga)
@@ -235,7 +235,7 @@ def _market_pieces(run: BenchRun, slopes):
     m_dim = run.model.M
     x = run.sol.x
     q = run.sol.a[:m_dim]
-    prices = run.model.con_grad_x_stack(x, run.sol.a)[0] * -1.0 - b * x  # P_i at the point
+    prices = run.sol.blocks.Gx[0] * -1.0 - b * x  # P_i at the point
     x_q = run.sens.x_jac[:, :m_dim]
     x_m = run.sens.x_jac[:, m_dim]
     dp_dq = np.diag(b) @ (x_q + np.eye(m_dim))

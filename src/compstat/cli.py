@@ -19,6 +19,7 @@ import argparse
 import contextlib
 import functools
 import importlib
+import math
 import os
 import re
 import sys
@@ -34,8 +35,8 @@ from .diagnostics import (check_envelope, check_hatta_reduction, check_invarianc
                           check_rank_bound, check_semidefinite, matrix_mismatch, report)
 from .errors import CompstatError, ConfigurationError
 from .geometry import conformance_tolerance, gcd_apply, verify_conformance
-from .report import (SCHEMA_VERSION, RunReport, check_dict, csm_dict, encode_json,
-                     isovector_dict, matrices_to_csv, sensitivity_dict, solution_dict)
+from .report import (SCHEMA_VERSION, check_dict, csm_dict, encode_json, isovector_dict,
+                     matrices_to_csv, run_report, sensitivity_dict, solution_dict)
 from .solver import SolverConfig
 
 _AT_KEY = re.compile(r"^at\.[A-Za-z_][A-Za-z0-9_]*$")
@@ -65,9 +66,10 @@ class RunConfig:
     def validate(self):
         for name, value in (("solver.tol", self.solver_tol),
                             ("checks.tol", self.check_tol),
-                            ("checks.envelope_tol", self.envelope_tol)):
-            if value <= 0:
-                raise ConfigurationError(f"tolerance {name} must be positive")
+                            ("checks.envelope_tol", self.envelope_tol),
+                            ("sensitivity.step", self.fd_step)):
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ConfigurationError(f"{name} must be finite and positive, got {value!r}")
         if self.format not in _FORMATS:
             raise ConfigurationError(f"unknown format {self.format!r}")
         if self.method not in _METHODS:
@@ -105,40 +107,6 @@ def parse_config_file(path: str) -> dict:
     return values
 
 
-def config_from_mapping(values: dict) -> RunConfig:
-    cfg = RunConfig()
-    for key, value in values.items():
-        if key == "model":
-            cfg.model = value
-        elif _AT_KEY.match(key):
-            cfg.at[key.split(".", 1)[1]] = _parse_floats(value)
-        elif key == "sweep":
-            cfg.sweep = _parse_sweep(value)
-        elif key == "basis":
-            cfg.basis = value
-        elif key == "sensitivity.method":
-            cfg.method = value
-        elif key == "sensitivity.step":
-            cfg.fd_step = float(value)
-        elif key == "csm.recipes":
-            cfg.recipes = tuple(v.strip() for v in value.split(",") if v.strip())
-        elif key == "solver.tol":
-            cfg.solver_tol = float(value)
-        elif key == "solver.max_iter":
-            cfg.solver_max_iter = int(value)
-        elif key == "checks.tol":
-            cfg.check_tol = float(value)
-        elif key == "checks.envelope_tol":
-            cfg.envelope_tol = float(value)
-        elif key == "out":
-            cfg.out = value
-        elif key == "format":
-            cfg.format = value
-        else:
-            raise ConfigurationError(f"unknown config key {key!r}")
-    return cfg.validate()
-
-
 def _parse_floats(text: str) -> list:
     try:
         return [float(v) for v in text.split(",") if v.strip() != ""]
@@ -155,6 +123,44 @@ def _parse_sweep(text: str) -> tuple:
     if count < 1:
         raise ConfigurationError(f"bad sweep {text!r}; count must be at least 1")
     return (match.group(1), float(match.group(2)), float(match.group(3)), count)
+
+
+def _parse_names(text: str) -> tuple:
+    return tuple(v.strip() for v in text.split(",") if v.strip())
+
+
+# config key -> (RunConfig field, parser, `analyze` flag that sets the key);
+# the `at.<group>` keys of --at are parsed by _parse_floats
+_KEYS = {
+    "model": ("model", str, "model"),
+    "sweep": ("sweep", _parse_sweep, "sweep"),
+    "csm.recipes": ("recipes", _parse_names, "recipes"),
+    "basis": ("basis", str, "basis"),
+    "sensitivity.method": ("method", str, "method"),
+    "sensitivity.step": ("fd_step", float, None),
+    "solver.tol": ("solver_tol", float, "tol"),
+    "solver.max_iter": ("solver_max_iter", int, None),
+    "checks.tol": ("check_tol", float, None),
+    "checks.envelope_tol": ("envelope_tol", float, None),
+    "out": ("out", str, "out"),
+    "format": ("format", str, "format"),
+}
+
+
+def config_from_mapping(values: dict) -> RunConfig:
+    cfg = RunConfig()
+    for key, value in values.items():
+        if _AT_KEY.match(key):
+            cfg.at[key.split(".", 1)[1]] = _parse_floats(value)
+            continue
+        if key not in _KEYS:
+            raise ConfigurationError(f"unknown config key {key!r}")
+        name, parse, _ = _KEYS[key]
+        try:
+            setattr(cfg, name, parse(value))
+        except ValueError as exc:
+            raise ConfigurationError(f"bad value {value!r} for {key}") from exc
+    return cfg.validate()
 
 
 def _load_entry(spec: str) -> BenchmarkEntry:
@@ -219,7 +225,7 @@ _RECIPE_BUILDERS = {
 }
 
 
-def run_point(entry: BenchmarkEntry, a: np.ndarray, cfg: RunConfig) -> RunReport:
+def run_point(entry: BenchmarkEntry, a: np.ndarray, cfg: RunConfig) -> dict:
     model = entry.model
     errors = []
     solver_cfg = SolverConfig(tol=cfg.solver_tol, max_iter=cfg.solver_max_iter)
@@ -228,7 +234,7 @@ def run_point(entry: BenchmarkEntry, a: np.ndarray, cfg: RunConfig) -> RunReport
     sol, sens, iso = run.sol, run.sens, run.iso
     timings = dict(run.timings)
     if not sol.converged:
-        return RunReport(
+        return run_report(
             config=cfg.echo(), model=entry.name,
             solution=solution_dict(sol), sensitivity={}, isovectors={},
             csm_results=[], checks=[],
@@ -284,7 +290,7 @@ def run_point(entry: BenchmarkEntry, a: np.ndarray, cfg: RunConfig) -> RunReport
             name=f"semidefinite[derived:{name}]"))
     if model.K:
         x_semi = gcd_apply(iso, sens.x_jac)
-        grads = model.con_grad_x_stack(sol.x, sol.a)
+        grads = sol.blocks.Gx
         table, _ = verify_conformance(x_semi, grads)
         checks.append(report(
             "conformance", "constraint-conformance",
@@ -305,7 +311,7 @@ def run_point(entry: BenchmarkEntry, a: np.ndarray, cfg: RunConfig) -> RunReport
     checks.append(check_hatta_reduction(model, sol, sens))
     timings["checks_s"] = time.perf_counter() - tick
 
-    return RunReport(
+    return run_report(
         config=cfg.echo(), model=entry.name,
         solution=solution_dict(sol),
         sensitivity=sensitivity_dict(sens, model.parameter_names, model.decision_names),
@@ -344,19 +350,19 @@ def _analyze_points(entry: BenchmarkEntry, cfg: RunConfig, depth: int,
     for a in points:
         rep = run_point(entry, a, cfg)
         if cfg.format == "table":
-            lines = [f"model={rep.model} a={rep.solution['a']} "
-                     f"converged={rep.solution['converged']}"]
-            for chk in rep.checks:
+            lines = [f"model={rep['model']} a={rep['solution']['a']} "
+                     f"converged={rep['solution']['converged']}"]
+            for chk in rep["checks"]:
                 res = "-" if chk["residual"] is None else f"{chk['residual']:.3e}"
                 lines.append(f"  [{chk['verdict']:<7}] {chk['name']:<32} {res}")
             text = "\n".join(lines)
         elif cfg.format == "csv":
-            text = "".join(f"# {rep.model} {recipe}\n{body}"
-                           for recipe, body in matrices_to_csv(rep.to_dict()).items())
+            text = "".join(f"# {rep['model']} {recipe}\n{body}"
+                           for recipe, body in matrices_to_csv(rep).items())
         else:
-            text = encode_json(rep.to_dict(), depth)
-        analyzed.append((text, bool(rep.errors) and rep.errors[0].get("stage") == "solve",
-                         not rep.all_checks_pass))
+            text = encode_json(rep, depth)
+        analyzed.append((text, bool(rep["errors"]) and rep["errors"][0]["stage"] == "solve",
+                         any(c["verdict"] == "fail" for c in rep["checks"])))
     return analyzed
 
 
@@ -613,27 +619,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _analyze_config(args) -> RunConfig:
     values = parse_config_file(args.config) if args.config else {}
-    if args.model:
-        values["model"] = args.model
     for item in args.at:
         if "=" not in item:
             raise ConfigurationError(f"bad --at {item!r}; expected GROUP=V1,V2")
         group, text = item.split("=", 1)
         values[f"at.{group.strip()}"] = text
-    if args.sweep:
-        values["sweep"] = args.sweep
-    if args.recipes:
-        values["csm.recipes"] = args.recipes
-    if args.basis:
-        values["basis"] = args.basis
-    if args.method:
-        values["sensitivity.method"] = args.method
-    if args.tol is not None:
-        values["solver.tol"] = str(args.tol)
-    if args.out:
-        values["out"] = args.out
-    if args.format:
-        values["format"] = args.format
+    for key, (_, _, flag) in _KEYS.items():
+        value = getattr(args, flag) if flag else None
+        if value not in (None, ""):
+            values[key] = str(value)
     return config_from_mapping(values)
 
 

@@ -22,7 +22,7 @@ from .errors import (AssemblyError, ConfigurationError,
 from .geometry import IsovectorSet
 from .model import ProblemModel
 from .sensitivity import SensitivityBundle
-from .solver import SolutionPoint
+from .solver import SolutionPoint, tangent_extremes
 
 RANK_TOL = 1e-7
 SYMMETRY_TOL = 1e-8
@@ -128,7 +128,7 @@ def _compensated_blocks(model: ProblemModel, sol: SolutionPoint,
     T = iso.vectors
     x_semi = sens.x_jac @ T.T
     try:
-        lxa = model.lagrangian_hess_xa(sol.x, sol.a, sol.lam)
+        lxa = sol.blocks.lagrangian_hess_xa(sol.lam)
     except Exception as exc:
         raise AssemblyError(
             f"mixed derivative block unavailable for {model.name!r}: {exc}") from exc
@@ -154,7 +154,7 @@ def build_omega_quadratic(model: ProblemModel, sol: SolutionPoint,
     _require_directions(model, iso)
     x_semi = sens.x_jac @ iso.vectors.T
     try:
-        lxx = model.lagrangian_hess_xx(sol.x, sol.a, sol.lam)
+        lxx = sol.blocks.lagrangian_hess_xx(sol.lam)
     except Exception as exc:
         raise AssemblyError(
             f"decision Hessian unavailable for {model.name!r}: {exc}") from exc
@@ -164,7 +164,7 @@ def build_omega_quadratic(model: ProblemModel, sol: SolutionPoint,
 
 
 def _positive_objective_value(model: ProblemModel, sol: SolutionPoint, recipe: str) -> float:
-    fval = model.f(sol.x, sol.a)
+    fval = sol.blocks.f
     if fval <= 0.0:
         raise DomainError(
             f"recipe {recipe} needs a positive objective value (got {fval:.6g}); "
@@ -182,10 +182,8 @@ def build_omega_a1(model: ProblemModel, sol: SolutionPoint,
     if model.K != 0:
         raise ConfigurationError("log-objective unconstrained recipe requires K = 0")
     fval = _positive_objective_value(model, sol, "omega_A1")
-    fx = model.obj_grad_x(sol.x, sol.a)
-    fa = model.obj_grad_a(sol.x, sol.a)
-    fxa = model.obj_hess_xa(sol.x, sol.a)
-    log_mixed = fxa - np.outer(fx, fa) / fval
+    outer = np.outer(sol.blocks.fx, sol.blocks.fa)
+    log_mixed = sol.blocks.fxa - outer / fval
     return _finalize(log_mixed.T @ sens.x_jac, "omega_A1", POSITIVE,
                      labels=model.parameter_names)
 
@@ -195,8 +193,7 @@ def build_omega_a2(model: ProblemModel, sol: SolutionPoint,
     """Unconstrained variant from plain mixed partials of the objective."""
     if model.K != 0:
         raise ConfigurationError("plain unconstrained recipe requires K = 0")
-    fxa = model.obj_hess_xa(sol.x, sol.a)
-    return _finalize(fxa.T @ sens.x_jac, "omega_A2", POSITIVE,
+    return _finalize(sol.blocks.fxa.T @ sens.x_jac, "omega_A2", POSITIVE,
                      labels=model.parameter_names)
 
 
@@ -212,9 +209,7 @@ def build_omega_b(model: ProblemModel, sol: SolutionPoint, sens: SensitivityBund
     _require_directions(model, iso)
     fval = _positive_objective_value(model, sol, "omega_B")
     T, x_semi, lxa = _compensated_blocks(model, sol, sens, iso)
-    fx = model.obj_grad_x(sol.x, sol.a)
-    fa = model.obj_grad_a(sol.x, sol.a)
-    bracket = lxa - np.outer(fx, fa) / fval
+    bracket = lxa - np.outer(sol.blocks.fx, sol.blocks.fa) / fval
     omega_b = (bracket @ T.T).T @ x_semi
     return _finalize(
         omega_b, "omega_B", POSITIVE,
@@ -227,25 +222,18 @@ def build_silberberg(model: ProblemModel, sol: SolutionPoint,
     """Primal-dual style parameter-space matrix, semidefinite only subject to
     the constraints.  Returns the matrix plus the verdict of the
     tangent-restricted eigenvalue test."""
-    lxa = model.lagrangian_hess_xa(sol.x, sol.a, sol.lam)
-    s_matrix = lxa.T @ sens.x_jac
+    s_matrix = sol.blocks.lagrangian_hess_xa(sol.lam).T @ sens.x_jac
+    ga = sol.blocks.Ga
     if model.K:
-        ga = model.con_grad_a_stack(sol.x, sol.a)
         s_matrix = s_matrix + ga.T @ sens.lam_jac
-        basis = scipy.linalg.null_space(ga)
-    else:
-        basis = np.eye(model.N)
     result = _finalize(s_matrix, "silberberg_S", POSITIVE,
                        labels=model.parameter_names,
                        note="semidefinite subject to constraints; see tangent verdict")
-    restricted = basis.T @ result.symmetrized() @ basis
-    eig = np.linalg.eigvalsh(0.5 * (restricted + restricted.T)) if restricted.size else np.zeros(0)
-    min_eig = float(eig[0]) if eig.size else 0.0
-    max_eig = float(eig[-1]) if eig.size else 0.0
+    min_eig, max_eig, dim = tangent_extremes(result.symmetrized(), ga)
     residual = max(0.0, -min_eig) / max(1.0, abs(max_eig))
     verdict = TangentVerdict(
         min_eigenvalue=min_eig, max_eigenvalue=max_eig,
-        subspace_dim=basis.shape[1], residual=residual, passed=residual <= tol)
+        subspace_dim=dim, residual=residual, passed=residual <= tol)
     return result, verdict
 
 
@@ -256,14 +244,12 @@ def build_universal(model: ProblemModel, sol: SolutionPoint,
     Uses the decision-space projector onto the span of the constraint
     gradients; constraint qualification (invertible Gram matrix) is required.
     """
-    x, a, lam = sol.x, sol.a, sol.lam
-    lxx = model.lagrangian_hess_xx(x, a, lam)
-    lxa = model.lagrangian_hess_xa(x, a, lam)
+    lxx = sol.blocks.lagrangian_hess_xx(sol.lam)
+    lxa = sol.blocks.lagrangian_hess_xa(sol.lam)
     if model.K == 0:
         u_matrix = sens.x_jac.T @ lxa
     else:
-        gx = model.con_grad_x_stack(x, a)
-        ga = model.con_grad_a_stack(x, a)
+        gx, ga = sol.blocks.Gx, sol.blocks.Ga
         gram = gx @ gx.T
         svals = np.linalg.svd(gram, compute_uv=False)
         if svals[-1] <= rank_rtol * max(svals[0], 1.0):

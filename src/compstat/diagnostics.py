@@ -68,9 +68,9 @@ def check_envelope(model: ProblemModel, sol: SolutionPoint, iso: IsovectorSet,
         point = newton_solve(model, b, sol.x, stencil_config)
         if not point.converged:
             raise CompstatError("stencil solve did not converge")
-        return model.f(point.x, b)
+        return point.blocks.f
 
-    fa = model.obj_grad_a(sol.x, a)
+    fa = sol.blocks.fa
     scale = max(1.0, float(np.max(np.abs(a))))
     v_dir = np.empty(iso.count)
     f_dir = np.empty(iso.count)
@@ -188,7 +188,7 @@ def check_hatta_reduction(model: ProblemModel, sol: SolutionPoint,
     if len(kappa) != model.K:
         return _skipped("hatta_reduction", "separable-constraint-reduction",
                         "separable slots do not match the constraint count")
-    ga = model.con_grad_a_stack(sol.x, sol.a)
+    ga = sol.blocks.Ga
     for l in range(model.K):
         expected = np.zeros(model.K)
         expected[l] = 1.0
@@ -206,7 +206,7 @@ def check_hatta_reduction(model: ProblemModel, sol: SolutionPoint,
     omega_ref = build_omega(model, sol, sens, iso).matrix
     # independent assembly: compensated decision columns and p-slot brackets
     x_comp = sens.x_jac[:, p_slots] + sens.x_jac[:, list(kappa)] @ k_grads
-    lxa = model.lagrangian_hess_xa(sol.x, sol.a, sol.lam)
+    lxa = sol.blocks.lagrangian_hess_xa(sol.lam)
     display = lxa[:, p_slots].T @ x_comp
     return report("hatta_reduction", "separable-constraint-reduction",
                   matrix_mismatch(display, omega_ref), tol, rows=rows.tolist())

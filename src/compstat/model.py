@@ -103,9 +103,6 @@ class ProblemModel:
             raise EvaluationError(f"constraint {k} of {self.name!r} returned a non-finite value")
         return value
 
-    def g_all(self, x, a) -> np.ndarray:
-        return np.array([self.g(k, x, a) for k in range(self.K)])
-
     # -- first derivatives ---------------------------------------------------
 
     def obj_grad_x(self, x, a) -> np.ndarray:
@@ -181,26 +178,67 @@ class ProblemModel:
         step = fd.STEP_FIRST if has_grad else fd.STEP_NESTED
         return fd.jacobian(lambda b: self.con_grad_x(k, x, b), a, step)
 
-    # -- Lagrangian blocks ---------------------------------------------------
 
-    def lagrangian_grad_x(self, x, a, lam) -> np.ndarray:
-        grad = self.obj_grad_x(x, a)
-        for k in range(self.K):
-            grad = grad + lam[k] * self.con_grad_x(k, x, a)
-        return grad
+def _read_only(array: np.ndarray) -> np.ndarray:
+    view = array.view()
+    view.setflags(write=False)
+    return view
 
-    def lagrangian_hess_xx(self, x, a, lam) -> np.ndarray:
-        hess = self.obj_hess_xx(x, a)
-        for k in range(self.K):
-            hess = hess + lam[k] * self.con_hess_xx(k, x, a)
-        return hess
 
-    def lagrangian_hess_xa(self, x, a, lam) -> np.ndarray:
-        """M x N mixed block of the Lagrangian, multipliers held fixed."""
-        hess = self.obj_hess_xa(x, a)
-        for k in range(self.K):
-            hess = hess + lam[k] * self.con_hess_xa(k, x, a)
-        return hess
+# Blocks attribute -> its evaluation from (model, x, a)
+_BLOCKS = {
+    "f": lambda m, x, a: m.f(x, a),
+    "g": lambda m, x, a: np.array([m.g(k, x, a) for k in range(m.K)]),
+    "fx": lambda m, x, a: m.obj_grad_x(x, a),
+    "fa": lambda m, x, a: m.obj_grad_a(x, a),
+    "Gx": lambda m, x, a: m.con_grad_x_stack(x, a),           # K x M
+    "Ga": lambda m, x, a: m.con_grad_a_stack(x, a),           # K x N
+    "fxx": lambda m, x, a: m.obj_hess_xx(x, a),
+    "fxa": lambda m, x, a: m.obj_hess_xa(x, a),               # M x N
+    "gxx": lambda m, x, a: tuple(_read_only(m.con_hess_xx(k, x, a)) for k in range(m.K)),
+    "gxa": lambda m, x, a: tuple(_read_only(m.con_hess_xa(k, x, a)) for k in range(m.K)),
+}
+
+
+@dataclass(frozen=True, eq=False)
+class Blocks:
+    """The blocks of `model` at one point (x, a) that the pipeline reads:
+    f, g, fx, fa, Gx, Ga, fxx, fxa, and gxx and gxa with one second-derivative
+    block per constraint (see `_BLOCKS`).  Each is evaluated on first use and
+    kept; arrays are handed out as read-only views.  A failed evaluation
+    keeps nothing and raises again on the next use.  The Lagrangian blocks
+    hold the multipliers `lam` fixed."""
+
+    model: ProblemModel
+    x: np.ndarray
+    a: np.ndarray
+
+    def __getattr__(self, name):
+        # called only for attributes not yet in the instance dict
+        if name not in _BLOCKS:
+            raise AttributeError(name)
+        value = _BLOCKS[name](self.model, self.x, self.a)
+        if isinstance(value, np.ndarray):
+            value = _read_only(value)
+        self.__dict__[name] = value
+        return value
+
+    def lagrangian_grad_x(self, lam) -> np.ndarray:
+        return _weighted(self.fx, self.Gx, lam)
+
+    def lagrangian_hess_xx(self, lam) -> np.ndarray:
+        return _weighted(self.fxx, self.gxx, lam)
+
+    def lagrangian_hess_xa(self, lam) -> np.ndarray:
+        """M x N mixed block of the Lagrangian."""
+        return _weighted(self.fxa, self.gxa, lam)
+
+
+def _weighted(first, terms, lam):
+    """first + lam[0] * terms[0] + lam[1] * terms[1] + ..., added in that order."""
+    for weight, term in zip(lam, terms):
+        first = first + weight * term
+    return first
 
 
 def evaluate_lagrangian(model: ProblemModel, x, a, lam) -> float:

@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
 
 import numpy as np
 import orjson
@@ -130,36 +129,22 @@ def _jsonable(value):
     return value
 
 
-@dataclass
-class RunReport:
-    config: dict
-    model: str
-    solution: dict
-    sensitivity: dict
-    isovectors: dict
-    csm_results: list
-    checks: list
-    errors: list = field(default_factory=list)
-    timings: dict = field(default_factory=dict)
-    schema_version: str = SCHEMA_VERSION
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "config": _jsonable(self.config),
-            "model": self.model,
-            "solution": self.solution,
-            "sensitivity": self.sensitivity,
-            "isovectors": self.isovectors,
-            "csm_results": self.csm_results,
-            "checks": self.checks,
-            "errors": self.errors,
-            "timings": _jsonable(self.timings),
-        }
-
-    @property
-    def all_checks_pass(self) -> bool:
-        return all(c["verdict"] != "fail" for c in self.checks)
+def run_report(config: dict, model: str, solution: dict, sensitivity: dict,
+               isovectors: dict, csm_results: list, checks: list, errors: list,
+               timings: dict) -> dict:
+    """The report of one analyzed point, in schema `SCHEMA_VERSION`."""
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "config": _jsonable(config),
+        "model": model,
+        "solution": solution,
+        "sensitivity": sensitivity,
+        "isovectors": isovectors,
+        "csm_results": csm_results,
+        "checks": checks,
+        "errors": errors,
+        "timings": _jsonable(timings),
+    }
 
 
 def matrices_to_csv(report_dict: dict) -> dict:

@@ -34,9 +34,7 @@ def constraint_identity_residual(model: ProblemModel, sol: SolutionPoint,
     """Max violation of d/da_mu g_k(x(a), a) = 0 across (k, mu)."""
     if model.K == 0:
         return 0.0
-    Ga = model.con_grad_a_stack(sol.x, sol.a)
-    Gx = model.con_grad_x_stack(sol.x, sol.a)
-    return float(np.max(np.abs(Ga + Gx @ sens.x_jac)))
+    return float(np.max(np.abs(sol.blocks.Ga + sol.blocks.Gx @ sens.x_jac)))
 
 
 def decision_jacobian_fd(model: ProblemModel, a, config: SolverConfig = SolverConfig(),
@@ -91,12 +89,9 @@ def decision_jacobian_ift(model: ProblemModel, sol: SolutionPoint) -> Sensitivit
     For each mu the unknowns (dx/da_mu, dlam/da_mu) satisfy
         L_xx dx + G_x^T dlam = -L_xa[:, mu],   G_x dx = -G_a[:, mu].
     """
-    x, a, lam = sol.x, sol.a, sol.lam
-    M = model.M
-    Lxx = model.lagrangian_hess_xx(x, a, lam)
-    Lxa = model.lagrangian_hess_xa(x, a, lam)
-    bordered = bordered_matrix(Lxx, model.con_grad_x_stack(x, a))
-    rhs = -np.vstack([Lxa, model.con_grad_a_stack(x, a)])
+    blocks, M = sol.blocks, model.M
+    bordered = bordered_matrix(blocks.lagrangian_hess_xx(sol.lam), blocks.Gx)
+    rhs = -np.vstack([blocks.lagrangian_hess_xa(sol.lam), blocks.Ga])
     try:
         lu, piv = scipy.linalg.lu_factor(bordered)
     except scipy.linalg.LinAlgError as exc:

@@ -6,22 +6,23 @@ root gives the decision functions x(a) and multipliers lam(a).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 import scipy.linalg
 
 from .errors import NonConvergenceError, RankDeficiencyError
-from .model import ProblemModel
+from .model import Blocks, ProblemModel
+
+MAX_BACKTRACKS = 30     # step halvings per Newton iteration
+RANK_RTOL = 1e-10       # relative singular-value floor of the constraint gradients
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     tol: float = 1e-10
     max_iter: int = 100
-    max_backtracks: int = 30
-    rank_rtol: float = 1e-10
     cross_check_newton: bool = True
 
     def stencil(self) -> "SolverConfig":
@@ -40,37 +41,37 @@ class SolutionPoint:
     iterations: int
     converged: bool
     source: str  # "newton" | "analytic"
+    blocks: Blocks = field(repr=False, compare=False)   # the model's blocks at (x, a)
     newton_discrepancy: Optional[float] = None
 
 
-def recover_multipliers(model: ProblemModel, x, a, rank_rtol: float = 1e-10):
+def recover_multipliers(model: ProblemModel, x, a):
     """Least-squares multipliers from grad_x f = -sum_k lam_k grad_x g_k.
 
     Returns (lam, residual) where the residual is the norm of the component
     of grad_x f outside the span of the constraint gradients; it vanishes
     exactly at a first-order point.
     """
-    x = np.asarray(x, dtype=float)
-    a = np.asarray(a, dtype=float)
-    fx = model.obj_grad_x(x, a)
-    if model.K == 0:
+    return _multipliers(Blocks(model, x, a))
+
+
+def _multipliers(blocks: Blocks):
+    fx = blocks.fx
+    if blocks.model.K == 0:
         return np.zeros(0), float(np.linalg.norm(fx))
-    Gx = model.con_grad_x_stack(x, a)  # K x M
+    Gx = blocks.Gx  # K x M
     svals = np.linalg.svd(Gx, compute_uv=False)
-    if svals[-1] <= rank_rtol * svals[0]:
+    if svals[-1] <= RANK_RTOL * svals[0]:
         raise RankDeficiencyError(
-            f"constraint gradients of {model.name!r} are linearly dependent "
+            f"constraint gradients of {blocks.model.name!r} are linearly dependent "
             f"(singular values {svals})")
     lam, *_ = np.linalg.lstsq(Gx.T, -fx, rcond=None)
     residual = float(np.linalg.norm(fx + Gx.T @ lam))
     return lam, residual
 
 
-def _kkt_residual(model: ProblemModel, x, a, lam) -> np.ndarray:
-    top = model.lagrangian_grad_x(x, a, lam)
-    if model.K == 0:
-        return top
-    return np.concatenate([top, model.g_all(x, a)])
+def _kkt_residual(blocks: Blocks, lam) -> np.ndarray:
+    return np.concatenate([blocks.lagrangian_grad_x(lam), blocks.g])
 
 
 def bordered_matrix(Lxx: np.ndarray, Gx: np.ndarray) -> np.ndarray:
@@ -92,13 +93,13 @@ def newton_solve(model: ProblemModel, a, x0, config: SolverConfig = SolverConfig
     silently returning a bad answer when the iteration cap is reached."""
     a = np.asarray(a, dtype=float)
     x = np.asarray(x0, dtype=float).copy()
-    lam, _ = recover_multipliers(model, x, a, config.rank_rtol)
-    res = _kkt_residual(model, x, a, lam)
+    blocks = Blocks(model, x, a)
+    lam, _ = _multipliers(blocks)
+    res = _kkt_residual(blocks, lam)
     res_norm = float(np.max(np.abs(res)))
     iterations = 0
     while res_norm > config.tol and iterations < config.max_iter:
-        mat = bordered_matrix(model.lagrangian_hess_xx(x, a, lam),
-                              model.con_grad_x_stack(x, a))
+        mat = bordered_matrix(blocks.lagrangian_hess_xx(lam), blocks.Gx)
         try:
             step = scipy.linalg.solve(mat, -res)
         except scipy.linalg.LinAlgError as exc:
@@ -108,11 +109,12 @@ def newton_solve(model: ProblemModel, a, x0, config: SolverConfig = SolverConfig
             raise RankDeficiencyError(
                 f"non-finite Newton step for {model.name!r} at iteration {iterations}")
         scale = 1.0
-        for _ in range(config.max_backtracks + 1):
+        for _ in range(MAX_BACKTRACKS + 1):
             x_try = x + scale * step[:model.M]
             lam_try = lam + scale * step[model.M:]
+            trial = Blocks(model, x_try, a)
             try:
-                res_try = _kkt_residual(model, x_try, a, lam_try)
+                res_try = _kkt_residual(trial, lam_try)
                 norm_try = float(np.max(np.abs(res_try)))
                 if not np.isfinite(norm_try):
                     norm_try = np.inf
@@ -123,7 +125,7 @@ def newton_solve(model: ProblemModel, a, x0, config: SolverConfig = SolverConfig
             scale *= 0.5
         else:
             break  # no descent direction left; stop and report
-        x, lam, res, res_norm = x_try, lam_try, res_try, norm_try
+        x, lam, res, res_norm, blocks = x_try, lam_try, res_try, norm_try, trial
         iterations += 1
     return SolutionPoint(
         a=a, x=x, lam=lam,
@@ -131,6 +133,7 @@ def newton_solve(model: ProblemModel, a, x0, config: SolverConfig = SolverConfig
         iterations=iterations,
         converged=bool(res_norm <= config.tol),
         source="newton",
+        blocks=blocks,
     )
 
 
@@ -147,7 +150,8 @@ def solve_interior(model: ProblemModel, a, x0=None,
         x, lam = model.analytic_solution(a)
         x = np.asarray(x, dtype=float)
         lam = np.asarray(lam, dtype=float)
-        residual = float(np.max(np.abs(_kkt_residual(model, x, a, lam))))
+        blocks = Blocks(model, x, a)
+        residual = float(np.max(np.abs(_kkt_residual(blocks, lam))))
         discrepancy = None
         if config.cross_check_newton:
             start = x if x0 is None else np.asarray(x0, dtype=float)
@@ -160,6 +164,7 @@ def solve_interior(model: ProblemModel, a, x0=None,
             iterations=0,
             converged=bool(residual <= config.tol),
             source="analytic",
+            blocks=blocks,
             newton_discrepancy=discrepancy,
         )
     if x0 is None:
@@ -172,14 +177,16 @@ def projected_hessian_extremes(model: ProblemModel, sol: SolutionPoint):
     """Eigenvalue range of the Lagrangian Hessian restricted to the
     decision-space tangent hyperplane (second-order necessary condition:
     the maximum must be nonpositive at a constrained maximum)."""
-    Lxx = model.lagrangian_hess_xx(sol.x, sol.a, sol.lam)
-    if model.K == 0:
-        basis = np.eye(model.M)
-    else:
-        Gx = model.con_grad_x_stack(sol.x, sol.a)
-        basis = scipy.linalg.null_space(Gx)
+    return tangent_extremes(sol.blocks.lagrangian_hess_xx(sol.lam), sol.blocks.Gx)[:2]
+
+
+def tangent_extremes(matrix: np.ndarray, grads: np.ndarray):
+    """(min, max, dim): the extreme eigenvalues of the symmetric part of `matrix`
+    on the null space of the rows of `grads` (all of space when there are
+    none) and that space's dimension; zeros when the space is empty."""
+    basis = scipy.linalg.null_space(grads) if grads.shape[0] else np.eye(matrix.shape[0])
     if basis.shape[1] == 0:
-        return 0.0, 0.0
-    proj = basis.T @ Lxx @ basis
-    eig = np.linalg.eigvalsh(0.5 * (proj + proj.T))
-    return float(eig[0]), float(eig[-1])
+        return 0.0, 0.0, 0
+    restricted = basis.T @ matrix @ basis
+    eig = np.linalg.eigvalsh(0.5 * (restricted + restricted.T))
+    return float(eig[0]), float(eig[-1]), basis.shape[1]

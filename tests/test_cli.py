@@ -90,6 +90,24 @@ def test_malformed_config_key_exits_3_without_partial_report(tmp_path, capsys):
     assert not out_file.exists()
 
 
+@pytest.mark.parametrize("config, flags", [
+    ("solver.tol = abc", []),
+    ("solver.max_iter = 1.5", []),
+    ("sensitivity.step = 0", ["--method", "fd"]),
+    ("", ["--tol", "nan"]),
+    ("", ["--tol", "inf"]),
+])
+def test_bad_config_value_exits_3_without_partial_report(config, flags, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"model = multi_constraint_utility\n{config}\n")
+    out_file = tmp_path / "never.json"
+    code, out, err = run_main(["analyze", "--config", str(cfg), "--out", str(out_file)]
+                              + flags, capsys)
+    assert code == 3
+    assert err.startswith("configuration error:") and out == ""
+    assert not out_file.exists()
+
+
 def test_nonpositive_tolerance_rejected():
     with pytest.raises(ConfigurationError):
         config_from_mapping({"model": "slutsky_hicks", "solver.tol": "-1"})

@@ -162,7 +162,7 @@ def test_checks_are_deterministic():
 def test_envelope_resolves_with_the_callers_solver_settings(monkeypatch):
     model, a = generic_quadratic_instance()
     model = dataclasses.replace(model, analytic_solution=None)  # re-solve by Newton
-    config = SolverConfig(tol=1e-9, max_iter=57, max_backtracks=11, rank_rtol=1e-9)
+    config = SolverConfig(tol=1e-9, max_iter=57)
     sol = solve_interior(model, a, x0=np.zeros(model.M), config=config)
     seen = []
 
@@ -175,5 +175,4 @@ def test_envelope_resolves_with_the_callers_solver_settings(monkeypatch):
     rep = check_envelope(model, sol, iso, solver_config=config)
     assert rep.passed
     assert seen and all(cfg == SolverConfig(
-        tol=1e-12, max_iter=57, max_backtracks=11, rank_rtol=1e-9,
-        cross_check_newton=False) for cfg in seen)
+        tol=1e-12, max_iter=57, cross_check_newton=False) for cfg in seen)

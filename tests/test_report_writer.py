@@ -60,11 +60,15 @@ def _canonical(text: str) -> str:
     [["analyze", "--model", name] for name in benchmark_names()]
     + [["analyze", "--model", "profit_cd", "--sweep", "p=1:3:5"],
        ["verify-all", "--format", "json"],
-       ["list-models", "--format", "json"]]))
+       ["list-models", "--format", "json"]]
+    + [["analyze", "--model", name, "--basis", "nullspace"] for name in benchmark_names()]))
 def test_cli_json_is_indented_dumps(argv, capsys):
-    main(argv)
+    code = main(argv)
     out = capsys.readouterr().out
     assert out == _canonical(out)
+    if "nullspace" in argv:
+        assert code == 0
+        assert json.loads(out)["isovectors"]["basis_kind"] == "nullspace"
 
 
 def test_out_file_is_indented_dumps(tmp_path, capsys):
@@ -183,7 +187,7 @@ def no_walker(monkeypatch):
 
 def test_finite_ascii_report_skips_walker(no_walker):
     entry = get_benchmark("slutsky_hicks")
-    _assert_renders_as_dumps(run_point(entry, entry.default_point, RunConfig()).to_dict())
+    _assert_renders_as_dumps(run_point(entry, entry.default_point, RunConfig()))
 
 
 def test_finite_ascii_edge_cases_skip_walker(no_walker):

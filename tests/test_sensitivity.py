@@ -118,7 +118,7 @@ def test_cross_check_residual_recorded():
 
 def test_fd_resolves_with_the_callers_solver_settings(monkeypatch):
     model = sqrt_profit_model()
-    config = SolverConfig(tol=1e-9, max_iter=57, max_backtracks=11, rank_rtol=1e-9)
+    config = SolverConfig(tol=1e-9, max_iter=57)
     seen = []
 
     def spy(model, a, x0, cfg):
@@ -130,5 +130,4 @@ def test_fd_resolves_with_the_callers_solver_settings(monkeypatch):
     # x = (p / 2w)^2: dx/dw = -2 and dx/dp = 1 at (w, p) = (1, 2)
     assert bundle.x_jac == pytest.approx(np.array([[-2.0, 1.0]]), abs=1e-5)
     assert len(seen) == 1 + 2 * model.N and all(cfg == SolverConfig(
-        tol=1e-12, max_iter=57, max_backtracks=11, rank_rtol=1e-9,
-        cross_check_newton=False) for cfg in seen)
+        tol=1e-12, max_iter=57, cross_check_newton=False) for cfg in seen)

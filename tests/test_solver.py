@@ -123,8 +123,7 @@ def test_second_order_necessary_condition_on_benchmarks():
 
 
 def test_stencil_config_tightens_tol_and_keeps_every_other_field():
-    config = SolverConfig(tol=1e-8, max_iter=7, max_backtracks=3, rank_rtol=1e-6)
+    config = SolverConfig(tol=1e-8, max_iter=7)
     assert config.stencil() == SolverConfig(
-        tol=1e-12, max_iter=7, max_backtracks=3, rank_rtol=1e-6,
-        cross_check_newton=False)
+        tol=1e-12, max_iter=7, cross_check_newton=False)
     assert SolverConfig(tol=1e-14).stencil().tol == 1e-14

@@ -18,7 +18,10 @@ basis; `--tol`; 3-point sweeps, sweeps into failing parameter ranges,
 points without an interior optimum and points outside a closed form's or
 a derivative's domain; a 64-point sweep; generated demand models with
 analytic derivatives (n = 40, 80) and finite differences only (n = 4, 8);
-`verify-all`; `list-models`; and configuration errors.
+`verify-all`; `list-models`; and configuration errors, among them values
+that do not parse or are not finite and positive, from a config file and
+from flags.  The config files are written into a scratch directory, which
+the printed arguments name `<scratch>`.
 """
 
 from __future__ import annotations
@@ -39,6 +42,9 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 _TIMINGS = re.compile(r'"timings": \{[^{}]*\}')
 _WARNING_LINE = re.compile(r"^(.*?\.py):\d+:", re.M)
+_CONFIG_FILES = {"tol_abc.cfg": "solver.tol = abc\n",
+                 "max_iter_1.5.cfg": "solver.max_iter = 1.5\n",
+                 "step_0.cfg": "sensitivity.step = 0\n"}
 
 
 def invocations(benchmark_names, get_benchmark) -> list:
@@ -92,6 +98,12 @@ def invocations(benchmark_names, get_benchmark) -> list:
              (["analyze", "--model", "no_such_model"], False),
              (["analyze", "--model", "slutsky_hicks", "--at", "zz=1"], False),
              (["analyze", "--model", "profit_cd", "--sweep", "p=1:3:0"], False)]
+    bad = ["analyze", "--model", "multi_constraint_utility"]
+    runs += [(bad + ["--config", "<scratch>/tol_abc.cfg"], False),
+             (bad + ["--config", "<scratch>/max_iter_1.5.cfg"], False),
+             (bad + ["--config", "<scratch>/step_0.cfg", "--method", "fd"], False),
+             (bad + ["--tol", "nan"], False),
+             (bad + ["--tol", "inf"], False)]
     return runs
 
 
@@ -105,14 +117,19 @@ def main(argv=None) -> int:
     if Path(compstat.__file__).resolve().parent != checkout / "src" / "compstat":
         raise SystemExit(f"compstat imported from {compstat.__file__}, not {checkout}")
 
+    def masked(text):
+        return text.replace(str(checkout), "<checkout>").replace(scratch, "<scratch>")
+
     def digest(text):
         if text is None:
             return None
-        text = _TIMINGS.sub('"timings": {}', text).replace(str(checkout), "<checkout>")
+        text = masked(_TIMINGS.sub('"timings": {}', text))
         text = _WARNING_LINE.sub(r"\1:N:", text)
         return hashlib.sha256(text.encode()).hexdigest()
 
     with tempfile.TemporaryDirectory() as scratch:
+        for name, text in _CONFIG_FILES.items():
+            Path(scratch, name).write_text(text, encoding="utf-8")
         for run, with_out in invocations(benchmark_names, get_benchmark):
             out_path = os.path.join(scratch, "out")
             run = run + (["--out", out_path] if with_out else [])
@@ -123,12 +140,12 @@ def main(argv=None) -> int:
             with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \
                     contextlib.redirect_stderr(stderr):
                 try:
-                    result["exit"] = cli.main(run)
+                    result["exit"] = cli.main([arg.replace("<scratch>", scratch)
+                                               for arg in run])
                 except SystemExit as exc:
                     result["exit"] = exc.code
                 except Exception as exc:
-                    result["exception"] = f"{type(exc).__name__}: {exc}".replace(
-                        str(checkout), "<checkout>")
+                    result["exception"] = masked(f"{type(exc).__name__}: {exc}")
             out_text = None
             if with_out and os.path.exists(out_path):
                 out_text = Path(out_path).read_text(encoding="utf-8")
