@@ -70,6 +70,9 @@ class RunConfig:
                             ("sensitivity.step", self.fd_step)):
             if value is not None and not (math.isfinite(value) and value > 0):
                 raise ConfigurationError(f"{name} must be finite and positive, got {value!r}")
+        if not (isinstance(self.solver_max_iter, int) and self.solver_max_iter > 0):
+            raise ConfigurationError(
+                f"solver.max_iter must be a positive integer, got {self.solver_max_iter!r}")
         if self.format not in _FORMATS:
             raise ConfigurationError(f"unknown format {self.format!r}")
         if self.method not in _METHODS:
@@ -265,7 +268,7 @@ def run_point(entry: BenchmarkEntry, a: np.ndarray, cfg: RunConfig) -> dict:
 
     tick = time.perf_counter()
     checks = []
-    checks.append(check_envelope(model, sol, iso, solver_config=solver_cfg,
+    checks.append(check_envelope(model, sol, iso, sens, solver_config=solver_cfg,
                                  tol=cfg.envelope_tol))
     for gen in model.invariance_generators:
         checks.append(check_invariance(model, gen, sol, sens, tol=cfg.envelope_tol))

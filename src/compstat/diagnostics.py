@@ -52,20 +52,29 @@ def _skipped(name, claim, reason) -> CheckReport:
 
 
 def check_envelope(model: ProblemModel, sol: SolutionPoint, iso: IsovectorSet,
+                   sens: SensitivityBundle,
                    value_fd_step: Optional[float] = None,
                    solver_config: SolverConfig = SolverConfig(),
                    tol: float = TOL_FD) -> CheckReport:
     """Directional derivatives of the value function along each tangent row
     must match the partial effect on the objective with decisions frozen;
-    when the rows also annihilate the objective, both must vanish."""
+    when the rows also annihilate the objective, both must vanish.
+
+    Without a closed form, the value at a +/- h t comes from a Newton
+    re-solve started at the tangent prediction x +/- h (dx/da) t of `sens`
+    (the Euler predictor of continuation), not at x: it is already within
+    O(h^2) of the root and usually needs one step or none.  The start
+    moves only where Newton begins; the re-solve still converges to the
+    stencil tolerance of `solver_config.stencil()` or the check is skipped.
+    """
     a = sol.a
     stencil_config = solver_config.stencil()
 
-    def value_at(b):
+    def value_at(b, x_start):
         if model.analytic_solution is not None:
             x, _ = model.analytic_solution(b)
             return model.f(np.asarray(x, dtype=float), b)
-        point = newton_solve(model, b, sol.x, stencil_config)
+        point = newton_solve(model, b, x_start, stencil_config)
         if not point.converged:
             raise CompstatError("stencil solve did not converge")
         return point.blocks.f
@@ -78,9 +87,10 @@ def check_envelope(model: ProblemModel, sol: SolutionPoint, iso: IsovectorSet,
         t = iso.vectors[alpha]
         t_scale = max(float(np.max(np.abs(t))), 1e-12)
         h = value_fd_step if value_fd_step is not None else fd.STEP_FIRST * scale / t_scale
+        dx = h * (sens.x_jac @ t)
         try:
-            v_plus = value_at(a + h * t)
-            v_minus = value_at(a - h * t)
+            v_plus = value_at(a + h * t, sol.x + dx)
+            v_minus = value_at(a - h * t, sol.x - dx)
         except CompstatError as exc:
             return _skipped("envelope", "envelope-identity",
                             f"stencil did not converge along direction {alpha}: {exc}")

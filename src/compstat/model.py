@@ -133,13 +133,13 @@ class ProblemModel:
         """K x M matrix whose row k is the decision-space constraint gradient."""
         if self.K == 0:
             return np.zeros((0, self.M))
-        return np.vstack([self.con_grad_x(k, x, a) for k in range(self.K)])
+        return np.array([self.con_grad_x(k, x, a) for k in range(self.K)])
 
     def con_grad_a_stack(self, x, a) -> np.ndarray:
         """K x N matrix whose row k is the parameter-space constraint gradient."""
         if self.K == 0:
             return np.zeros((0, self.N))
-        return np.vstack([self.con_grad_a(k, x, a) for k in range(self.K)])
+        return np.array([self.con_grad_a(k, x, a) for k in range(self.K)])
 
     # -- second derivatives --------------------------------------------------
 

@@ -122,7 +122,7 @@ def test_criterion_07_envelope_and_invariance():
     worst = 0.0
     # demand model: constraint-compensated directions
     demand = get_benchmark("slutsky_hicks").prepare("analytic")
-    rep = check_envelope(demand.model, demand.sol, demand.iso, tol=1e-5)
+    rep = check_envelope(demand.model, demand.sol, demand.iso, demand.sens, tol=1e-5)
     worst = max(worst, rep.residual)
     assert rep.passed
     rep = check_invariance(demand.model, demand.model.invariance_generators[0],
@@ -132,7 +132,7 @@ def test_criterion_07_envelope_and_invariance():
     # profit model: objective-compensated directions on the augmented form
     profit = get_benchmark("profit_cd").prepare("analytic")
     aug, sol, sens, iso = augmented_run(profit)
-    rep = check_envelope(aug, sol, iso, tol=1e-5)
+    rep = check_envelope(aug, sol, iso, sens, tol=1e-5)
     worst = max(worst, rep.residual)
     assert rep.passed and np.max(np.abs(rep.details["value_directional"])) < 1e-5
     rep = check_invariance(profit.model, profit.model.invariance_generators[0],
@@ -141,7 +141,7 @@ def test_criterion_07_envelope_and_invariance():
     assert rep.passed
     # cost-constrained model, including single-output price neutrality
     cost = get_benchmark("cost_constrained_profit").prepare("analytic")
-    rep = check_envelope(cost.model, cost.sol, cost.iso, tol=1e-5)
+    rep = check_envelope(cost.model, cost.sol, cost.iso, cost.sens, tol=1e-5)
     worst = max(worst, rep.residual)
     assert rep.passed
     for gen in cost.model.invariance_generators:

@@ -96,6 +96,8 @@ def test_malformed_config_key_exits_3_without_partial_report(tmp_path, capsys):
     ("sensitivity.step = 0", ["--method", "fd"]),
     ("", ["--tol", "nan"]),
     ("", ["--tol", "inf"]),
+    ("solver.max_iter = 0", []),
+    ("solver.max_iter = -1", []),
 ])
 def test_bad_config_value_exits_3_without_partial_report(config, flags, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"

@@ -22,7 +22,7 @@ def test_envelope_demand_value_function_is_compensation_invariant():
     # combination dv/dp_a + x_a dv/dm vanishes identically
     entry = get_benchmark("slutsky_hicks")
     run = entry.prepare("analytic")
-    rep = check_envelope(entry.model, run.sol, run.iso, tol=1e-6)
+    rep = check_envelope(entry.model, run.sol, run.iso, run.sens, tol=1e-6)
     assert rep.passed
     assert np.max(np.abs(rep.details["value_directional"])) < 1e-6
     # the objective carries no parameters, so the frozen-decision directional
@@ -34,7 +34,7 @@ def test_envelope_profit_with_objective_compensated_rows():
     entry = get_benchmark("profit_cd")
     run = entry.prepare("analytic")
     aug, sol, sens, iso = augmented_run(run)
-    rep = check_envelope(aug, sol, iso, tol=1e-6)
+    rep = check_envelope(aug, sol, iso, sens, tol=1e-6)
     assert rep.passed
     assert rep.details["annihilates_objective"]
     assert np.max(np.abs(rep.details["value_directional"])) < 1e-6
@@ -44,7 +44,7 @@ def test_envelope_standard_basis_reduces_to_plain_identity():
     entry = get_benchmark("profit_cd")
     run = entry.prepare("analytic")
     iso = build_isovectors(np.zeros((0, run.model.N)))
-    rep = check_envelope(entry.model, run.sol, iso, tol=1e-5)
+    rep = check_envelope(entry.model, run.sol, iso, run.sens, tol=1e-5)
     assert rep.passed
     # plain envelope: dV/da equals the frozen-decision gradient (-x, F)
     expected = entry.model.obj_grad_a(run.sol.x, run.sol.a)
@@ -56,10 +56,31 @@ def test_envelope_skips_on_stencil_failure():
     run = entry.prepare("numeric")
     from dataclasses import replace
     crippled = replace(entry.model, analytic_solution=None)
-    rep = check_envelope(crippled, run.sol, run.iso,
+    rep = check_envelope(crippled, run.sol, run.iso, run.sens,
                          solver_config=SolverConfig(max_iter=0))
     assert rep.verdict == "skipped"
     assert "reason" in rep.details
+
+
+@pytest.mark.parametrize("name, most_iterations", [
+    ("multi_constraint_utility", 1), ("pareto_allocation", 1), ("market_power", 0)])
+def test_envelope_resolves_start_at_the_tangent_prediction(name, most_iterations,
+                                                           monkeypatch):
+    # started at x, each re-solve took 2, 2 and 1 Newton iterations
+    entry = get_benchmark(name)
+    run = entry.prepare("analytic")
+    iterations = []
+
+    def spy(model, a, x0, cfg):
+        point = newton_solve(model, a, x0, cfg)
+        iterations.append(point.iterations)
+        return point
+
+    monkeypatch.setattr("compstat.diagnostics.newton_solve", spy)
+    rep = check_envelope(entry.model, run.sol, run.iso, run.sens)
+    assert rep.passed
+    assert len(iterations) == 2 * run.iso.count
+    assert max(iterations) <= most_iterations
 
 
 def test_invariance_checks_on_three_models():
@@ -153,8 +174,8 @@ def test_hatta_reduction_skips_without_declared_structure():
 def test_checks_are_deterministic():
     entry = get_benchmark("slutsky_hicks")
     run = entry.prepare("analytic")
-    first = check_envelope(entry.model, run.sol, run.iso)
-    second = check_envelope(entry.model, run.sol, run.iso)
+    first = check_envelope(entry.model, run.sol, run.iso, run.sens)
+    second = check_envelope(entry.model, run.sol, run.iso, run.sens)
     assert first.verdict == second.verdict
     assert first.residual == second.residual
 
@@ -172,7 +193,8 @@ def test_envelope_resolves_with_the_callers_solver_settings(monkeypatch):
 
     monkeypatch.setattr("compstat.diagnostics.newton_solve", spy)
     iso = build_isovectors(model.con_grad_a_stack(sol.x, sol.a))
-    rep = check_envelope(model, sol, iso, solver_config=config)
+    rep = check_envelope(model, sol, iso, decision_jacobian_ift(model, sol),
+                         solver_config=config)
     assert rep.passed
     assert seen and all(cfg == SolverConfig(
         tol=1e-12, max_iter=57, cross_check_newton=False) for cfg in seen)

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from compstat.benchmarks import all_benchmarks
 from compstat.benchmarks.slutsky import demand_model
 from compstat.errors import NonConvergenceError, RankDeficiencyError
 from compstat.model import ProblemModel
-from compstat.solver import (SolverConfig, newton_solve,
+from compstat.solver import (SolverConfig, _symmetric_step, newton_solve,
                              projected_hessian_extremes, recover_multipliers,
                              solve_interior)
 
@@ -127,3 +128,49 @@ def test_stencil_config_tightens_tol_and_keeps_every_other_field():
     assert config.stencil() == SolverConfig(
         tol=1e-12, max_iter=7, cross_check_newton=False)
     assert SolverConfig(tol=1e-14).stencil().tol == 1e-14
+
+
+def _indefinite(n, rng):
+    """A dense, exactly symmetric matrix with eigenvalues of both signs."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    eig = rng.uniform(0.5, 2.0, size=n) * np.where(np.arange(n) % 2, -1.0, 1.0)
+    mat = q @ np.diag(eig) @ q.T
+    return np.triu(mat) + np.triu(mat, 1).T
+
+
+@pytest.mark.parametrize("n", list(range(2, 13)) + [63, 64, 65, 81])
+def test_symmetric_step_equals_scipy_solve_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        mat, rhs = _indefinite(n, rng), rng.standard_normal(n)
+        step = _symmetric_step(mat, rhs)
+        assert step is not None
+        assert np.array_equal(step, scipy.linalg.solve(mat, rhs))
+
+
+def _ill_conditioned():
+    """Symmetric indefinite 2 x 2 with reciprocal condition about 1e-17."""
+    q = np.array([[0.6, 0.8], [-0.8, 0.6]])
+    mat = q @ np.diag([1.0, -1e-17]) @ q.T
+    return np.triu(mat) + np.triu(mat, 1).T
+
+
+@pytest.mark.parametrize("kind, mat", [
+    ("not symmetric", np.array([[1.0, 2.0, 0.5], [0.0, -1.0, 3.0], [0.5, 3.0, 0.0]])),
+    ("positive definite", np.array([[4.0, 1.0, 0.5], [1.0, 3.0, 1.0], [0.5, 1.0, 2.0]])),
+    ("tridiagonal", np.array([[1.0, 2.0, 0.0], [2.0, -1.0, 3.0], [0.0, 3.0, 0.0]])),
+    ("singular", np.array([[1.0, 2.0], [2.0, 4.0]])),
+    ("rcond below eps", _ill_conditioned()),
+])
+def test_symmetric_step_leaves_other_matrices_to_scipy(kind, mat):
+    assert _symmetric_step(mat, np.ones(mat.shape[0])) is None
+
+
+def test_ill_conditioned_newton_step_still_warns():
+    hess = _ill_conditioned()
+    model = ProblemModel(name="ill", M=2, N=2,
+                         objective=lambda x, a: float(a @ x - 0.5 * x @ hess @ x),
+                         grad_x_objective=lambda x, a: a - hess @ x,
+                         hess_xx_objective=lambda x, a: -hess)
+    with pytest.warns(scipy.linalg.LinAlgWarning, match="ill-conditioned"):
+        newton_solve(model, np.array([1.0, 2.0]), np.zeros(2), SolverConfig(max_iter=1))

@@ -44,6 +44,8 @@ _TIMINGS = re.compile(r'"timings": \{[^{}]*\}')
 _WARNING_LINE = re.compile(r"^(.*?\.py):\d+:", re.M)
 _CONFIG_FILES = {"tol_abc.cfg": "solver.tol = abc\n",
                  "max_iter_1.5.cfg": "solver.max_iter = 1.5\n",
+                 "max_iter_0.cfg": "solver.max_iter = 0\n",
+                 "max_iter_-1.cfg": "solver.max_iter = -1\n",
                  "step_0.cfg": "sensitivity.step = 0\n"}
 
 
@@ -101,6 +103,8 @@ def invocations(benchmark_names, get_benchmark) -> list:
     bad = ["analyze", "--model", "multi_constraint_utility"]
     runs += [(bad + ["--config", "<scratch>/tol_abc.cfg"], False),
              (bad + ["--config", "<scratch>/max_iter_1.5.cfg"], False),
+             (bad + ["--config", "<scratch>/max_iter_0.cfg"], False),
+             (bad + ["--config", "<scratch>/max_iter_-1.cfg"], False),
              (bad + ["--config", "<scratch>/step_0.cfg", "--method", "fd"], False),
              (bad + ["--tol", "nan"], False),
              (bad + ["--tol", "inf"], False)]
