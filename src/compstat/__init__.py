@@ -18,7 +18,7 @@ from .diagnostics import (CheckReport, check_envelope, check_hatta_reduction,
 from .geometry import (IsovectorSet, build_isovectors, gcd_apply,
                        one_term_compensation, prescribe_isovectors,
                        verify_conformance)
-from .model import (InvarianceGenerator, ProblemModel, augment_with_scale,
+from .model import (Blocks, InvarianceGenerator, ProblemModel, augment_with_scale,
                     evaluate_lagrangian, numeric_gradient, verify_generator)
 from .sensitivity import (SensitivityBundle, decision_jacobian_fd,
                           decision_jacobian_ift)
@@ -28,7 +28,7 @@ from .solver import (SolutionPoint, SolverConfig, newton_solve,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ProblemModel", "InvarianceGenerator", "evaluate_lagrangian",
+    "ProblemModel", "Blocks", "InvarianceGenerator", "evaluate_lagrangian",
     "numeric_gradient", "augment_with_scale", "verify_generator",
     "SolutionPoint", "SolverConfig", "solve_interior", "newton_solve",
     "recover_multipliers",

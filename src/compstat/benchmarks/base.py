@@ -11,7 +11,7 @@ import numpy as np
 from ..diagnostics import CheckReport, report
 from ..errors import NonConvergenceError
 from ..geometry import IsovectorSet, build_isovectors, gcd_apply, verify_conformance
-from ..model import ProblemModel
+from ..model import BLOCK_FIELDS, ProblemModel
 from ..sensitivity import (SensitivityBundle, decision_jacobian_analytic,
                            decision_jacobian_fd, decision_jacobian_ift)
 from ..solver import SolutionPoint, SolverConfig, newton_solve, solve_interior
@@ -58,16 +58,14 @@ class LinearBudget:
         return x_jac[:, self.prices] + np.outer(x_jac[:, self.level], x)
 
 
-_CONSTRAINT_FIELDS = ("constraints", "grad_x_constraints", "grad_a_constraints",
-                      "hess_xx_constraints", "hess_xa_constraints")
-
-
 def constraint_fields(constraints) -> dict:
     """The five constraint keyword arguments of ProblemModel, in the order
-    given, from LinearBudgets and (g, g_x, g_a, g_xx, g_xa) tuples."""
-    parts = [(c.value, c.grad_x, c.grad_a, c.hess_xx, c.hess_xa)
+    given, from LinearBudgets and (g, g_x, g_a, g_xx, g_xa) tuples: one
+    callable for each kind of `BLOCK_FIELDS`, in its order."""
+    parts = [tuple(getattr(c, kind) for kind in BLOCK_FIELDS)
              if isinstance(c, LinearBudget) else tuple(c) for c in constraints]
-    return {name: tuple(p[i] for p in parts) for i, name in enumerate(_CONSTRAINT_FIELDS)}
+    return {bank: tuple(p[i] for p in parts)
+            for i, (_, bank) in enumerate(BLOCK_FIELDS.values())}
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from . import fd
 from .csm import CsmResult, build_omega, from_matrix
 from .errors import CompstatError
 from .geometry import IsovectorSet, prescribe_isovectors
-from .model import InvarianceGenerator, ProblemModel
+from .model import Blocks, InvarianceGenerator, ProblemModel
 from .sensitivity import SensitivityBundle
 from .solver import (SolutionPoint, SolverConfig, newton_solve,
                      projected_hessian_extremes)
@@ -73,7 +73,7 @@ def check_envelope(model: ProblemModel, sol: SolutionPoint, iso: IsovectorSet,
     def value_at(b, x_start):
         if model.analytic_solution is not None:
             x, _ = model.analytic_solution(b)
-            return model.f(np.asarray(x, dtype=float), b)
+            return Blocks(model, x, b).f
         point = newton_solve(model, b, x_start, stencil_config)
         if not point.converged:
             raise CompstatError("stencil solve did not converge")

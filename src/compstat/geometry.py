@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DimensionError, EmptyTangentError, NullPropertyError
-from .model import ProblemModel
+from .model import Blocks, ProblemModel
 
 RANK_RTOL = 1e-10
 
@@ -125,13 +125,11 @@ def one_term_compensation(model: ProblemModel, x, a, target: str = "objective",
     annihilates the target by construction.  A zero compensating entry is
     still emitted but flagged degenerate via a warning.
     """
-    x = np.asarray(x, dtype=float)
-    a = np.asarray(a, dtype=float)
     if target == "objective":
-        grad = model.obj_grad_a(x, a)
+        grad = Blocks(model, x, a).fa
         annihilates = True
     elif target.startswith("constraint:"):
-        grad = model.con_grad_a(int(target.split(":", 1)[1]), x, a)
+        grad = Blocks(model, x, a).Ga[int(target.split(":", 1)[1])]
         annihilates = False
     else:
         raise DimensionError(f"unknown compensation target {target!r}")

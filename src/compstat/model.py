@@ -2,8 +2,9 @@
 
 A model is max_x f(x, a) subject to g_k(x, a) = 0 for k = 1..K, with x the
 M decision variables and a the N parameters.  Models are immutable after
-construction; every derivative the engine needs is served analytically when
-registered and by central finite differences otherwise.
+construction.  `Blocks(model, x, a)` evaluates a model at a point: every
+block comes from its registered callable or, without one, from a central
+finite-difference stencil, chosen in one place (`_block`).
 """
 
 from __future__ import annotations
@@ -76,107 +77,64 @@ class ProblemModel:
     def K(self) -> int:
         return len(self.constraints)
 
-    # -- checked evaluation -------------------------------------------------
 
-    def _check_point(self, x, a):
-        x = np.asarray(x, dtype=float)
-        a = np.asarray(a, dtype=float)
-        if x.shape != (self.M,):
-            raise ConfigurationError(
-                f"model {self.name!r}: expected {self.M} decision values, got shape {x.shape}")
-        if a.shape != (self.N,):
-            raise ConfigurationError(
-                f"model {self.name!r}: expected {self.N} parameter values, got shape {a.shape}")
-        return x, a
+# kind -> the ProblemModel fields registered for it: the objective's callable
+# and the constraints' bank, whose entry k serves constraint k (None: no entry)
+BLOCK_FIELDS = {
+    "value": ("objective", "constraints"),
+    "grad_x": ("grad_x_objective", "grad_x_constraints"),
+    "grad_a": ("grad_a_objective", "grad_a_constraints"),
+    "hess_xx": ("hess_xx_objective", "hess_xx_constraints"),
+    "hess_xa": ("hess_xa_objective", "hess_xa_constraints"),
+}
 
-    def f(self, x, a) -> float:
-        x, a = self._check_point(x, a)
-        value = float(self.objective(x, a))
-        if not np.isfinite(value):
-            raise EvaluationError(f"objective of {self.name!r} returned a non-finite value")
-        return value
 
-    def g(self, k: int, x, a) -> float:
-        x, a = self._check_point(x, a)
-        value = float(self.constraints[k](x, a))
-        if not np.isfinite(value):
-            raise EvaluationError(f"constraint {k} of {self.name!r} returned a non-finite value")
-        return value
+def _registered(model: ProblemModel, kind: str, k: Optional[int]):
+    """The callable registered for `kind` of term k (None: the objective), or None."""
+    objective_field, bank_field = BLOCK_FIELDS[kind]
+    if k is None:
+        return getattr(model, objective_field)
+    bank = getattr(model, bank_field)
+    return None if bank is None else bank[k]
 
-    # -- first derivatives ---------------------------------------------------
 
-    def obj_grad_x(self, x, a) -> np.ndarray:
-        x, a = self._check_point(x, a)
-        if self.grad_x_objective is not None:
-            return np.asarray(self.grad_x_objective(x, a), dtype=float)
-        return fd.gradient(lambda u: self.objective(u, a), x)
+def _stencil(model: ProblemModel, kind: str, k: Optional[int], x, a) -> np.ndarray:
+    """Central differences for a derivative block without a registered callable.
 
-    def obj_grad_a(self, x, a) -> np.ndarray:
-        x, a = self._check_point(x, a)
-        if self.grad_a_objective is not None:
-            return np.asarray(self.grad_a_objective(x, a), dtype=float)
-        return fd.gradient(lambda b: self.objective(x, b), a)
+    Gradients difference the value with fd.STEP_FIRST.  Second derivatives
+    difference the x-gradient block, registered or itself differenced:
+    hess_xx symmetrized with fd.STEP_FIRST, or `fd.hessian` of the value
+    when no x-gradient is registered; hess_xa with fd.STEP_FIRST, or
+    fd.STEP_NESTED when no x-gradient is registered.
+    """
+    value = _registered(model, "value", k)
+    if kind == "grad_x":
+        return fd.gradient(lambda u: value(u, a), x)
+    if kind == "grad_a":
+        return fd.gradient(lambda b: value(x, b), a)
+    has_grad = _registered(model, "grad_x", k) is not None
+    if kind == "hess_xx":
+        if not has_grad:
+            return fd.hessian(lambda u: value(u, a), x)
+        h = fd.jacobian(lambda u: _block(model, "grad_x", k, u, a), x)
+        return 0.5 * (h + h.T)
+    step = fd.STEP_FIRST if has_grad else fd.STEP_NESTED
+    return fd.jacobian(lambda b: _block(model, "grad_x", k, x, b), a, step)
 
-    def con_grad_x(self, k: int, x, a) -> np.ndarray:
-        x, a = self._check_point(x, a)
-        if self.grad_x_constraints is not None and self.grad_x_constraints[k] is not None:
-            return np.asarray(self.grad_x_constraints[k](x, a), dtype=float)
-        return fd.gradient(lambda u: self.constraints[k](u, a), x)
 
-    def con_grad_a(self, k: int, x, a) -> np.ndarray:
-        x, a = self._check_point(x, a)
-        if self.grad_a_constraints is not None and self.grad_a_constraints[k] is not None:
-            return np.asarray(self.grad_a_constraints[k](x, a), dtype=float)
-        return fd.gradient(lambda b: self.constraints[k](x, b), a)
-
-    def con_grad_x_stack(self, x, a) -> np.ndarray:
-        """K x M matrix whose row k is the decision-space constraint gradient."""
-        if self.K == 0:
-            return np.zeros((0, self.M))
-        return np.array([self.con_grad_x(k, x, a) for k in range(self.K)])
-
-    def con_grad_a_stack(self, x, a) -> np.ndarray:
-        """K x N matrix whose row k is the parameter-space constraint gradient."""
-        if self.K == 0:
-            return np.zeros((0, self.N))
-        return np.array([self.con_grad_a(k, x, a) for k in range(self.K)])
-
-    # -- second derivatives --------------------------------------------------
-
-    def obj_hess_xx(self, x, a) -> np.ndarray:
-        x, a = self._check_point(x, a)
-        if self.hess_xx_objective is not None:
-            return np.asarray(self.hess_xx_objective(x, a), dtype=float)
-        if self.grad_x_objective is not None:
-            h = fd.jacobian(lambda u: self.obj_grad_x(u, a), x)
-            return 0.5 * (h + h.T)
-        return fd.hessian(lambda u: self.objective(u, a), x)
-
-    def obj_hess_xa(self, x, a) -> np.ndarray:
-        """M x N mixed block d2 f / dx_i da_mu."""
-        x, a = self._check_point(x, a)
-        if self.hess_xa_objective is not None:
-            return np.asarray(self.hess_xa_objective(x, a), dtype=float)
-        step = fd.STEP_FIRST if self.grad_x_objective is not None else fd.STEP_NESTED
-        return fd.jacobian(lambda b: self.obj_grad_x(x, b), a, step)
-
-    def con_hess_xx(self, k: int, x, a) -> np.ndarray:
-        x, a = self._check_point(x, a)
-        if self.hess_xx_constraints is not None and self.hess_xx_constraints[k] is not None:
-            return np.asarray(self.hess_xx_constraints[k](x, a), dtype=float)
-        if self.grad_x_constraints is not None and self.grad_x_constraints[k] is not None:
-            h = fd.jacobian(lambda u: self.con_grad_x(k, u, a), x)
-            return 0.5 * (h + h.T)
-        return fd.hessian(lambda u: self.constraints[k](u, a), x)
-
-    def con_hess_xa(self, k: int, x, a) -> np.ndarray:
-        x, a = self._check_point(x, a)
-        if self.hess_xa_constraints is not None and self.hess_xa_constraints[k] is not None:
-            return np.asarray(self.hess_xa_constraints[k](x, a), dtype=float)
-        has_grad = (self.grad_x_constraints is not None
-                    and self.grad_x_constraints[k] is not None)
-        step = fd.STEP_FIRST if has_grad else fd.STEP_NESTED
-        return fd.jacobian(lambda b: self.con_grad_x(k, x, b), a, step)
+def _block(model: ProblemModel, kind: str, k: Optional[int], x, a):
+    """Block `kind` of term k at (x, a) from the registered callable, else
+    from `_stencil`; a value is a float and must be finite."""
+    fn = _registered(model, kind, k)
+    if fn is None:
+        return _stencil(model, kind, k, x, a)
+    if kind != "value":
+        return np.asarray(fn(x, a), dtype=float)
+    value = float(fn(x, a))
+    if not np.isfinite(value):
+        term = "objective" if k is None else f"constraint {k}"
+        raise EvaluationError(f"{term} of {model.name!r} returned a non-finite value")
+    return value
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -185,18 +143,13 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return view
 
 
-# Blocks attribute -> its evaluation from (model, x, a)
-_BLOCKS = {
-    "f": lambda m, x, a: m.f(x, a),
-    "g": lambda m, x, a: np.array([m.g(k, x, a) for k in range(m.K)]),
-    "fx": lambda m, x, a: m.obj_grad_x(x, a),
-    "fa": lambda m, x, a: m.obj_grad_a(x, a),
-    "Gx": lambda m, x, a: m.con_grad_x_stack(x, a),           # K x M
-    "Ga": lambda m, x, a: m.con_grad_a_stack(x, a),           # K x N
-    "fxx": lambda m, x, a: m.obj_hess_xx(x, a),
-    "fxa": lambda m, x, a: m.obj_hess_xa(x, a),               # M x N
-    "gxx": lambda m, x, a: tuple(_read_only(m.con_hess_xx(k, x, a)) for k in range(m.K)),
-    "gxa": lambda m, x, a: tuple(_read_only(m.con_hess_xa(k, x, a)) for k in range(m.K)),
+# Blocks attribute -> (kind, whether it stacks the K constraint terms)
+_ATTRIBUTES = {
+    "f": ("value", False), "g": ("value", True),
+    "fx": ("grad_x", False), "fa": ("grad_a", False),
+    "Gx": ("grad_x", True), "Ga": ("grad_a", True),            # K x M, K x N
+    "fxx": ("hess_xx", False), "fxa": ("hess_xa", False),      # M x M, M x N
+    "gxx": ("hess_xx", True), "gxa": ("hess_xa", True),        # K-tuples
 }
 
 
@@ -204,20 +157,37 @@ _BLOCKS = {
 class Blocks:
     """The blocks of `model` at one point (x, a) that the pipeline reads:
     f, g, fx, fa, Gx, Ga, fxx, fxa, and gxx and gxa with one second-derivative
-    block per constraint (see `_BLOCKS`).  Each is evaluated on first use and
-    kept; arrays are handed out as read-only views.  A failed evaluation
-    keeps nothing and raises again on the next use.  The Lagrangian blocks
-    hold the multipliers `lam` fixed."""
+    block per constraint (see `_ATTRIBUTES`).  Each comes from `_block`,
+    evaluated on first use and kept; arrays are handed out as read-only
+    views.  A failed evaluation keeps nothing and raises again on the next
+    use.  The Lagrangian blocks hold the multipliers `lam` fixed."""
 
     model: ProblemModel
     x: np.ndarray
     a: np.ndarray
 
+    def __post_init__(self):
+        for name, size, what in (("x", self.model.M, "decision"), ("a", self.model.N, "parameter")):
+            value = np.asarray(getattr(self, name), dtype=float)
+            if value.shape != (size,):
+                raise ConfigurationError(f"model {self.model.name!r}: expected {size} "
+                                         f"{what} values, got shape {value.shape}")
+            object.__setattr__(self, name, value)
+
     def __getattr__(self, name):
         # called only for attributes not yet in the instance dict
-        if name not in _BLOCKS:
+        if name not in _ATTRIBUTES:
             raise AttributeError(name)
-        value = _BLOCKS[name](self.model, self.x, self.a)
+        kind, stacked = _ATTRIBUTES[name]
+        model, x, a = self.model, self.x, self.a
+        if not stacked:
+            value = _block(model, kind, None, x, a)
+        elif kind.startswith("hess"):
+            value = tuple(_read_only(_block(model, kind, k, x, a)) for k in range(model.K))
+        elif model.K or kind == "value":
+            value = np.array([_block(model, kind, k, x, a) for k in range(model.K)])
+        else:
+            value = np.zeros((0, x.size if kind == "grad_x" else a.size))
         if isinstance(value, np.ndarray):
             value = _read_only(value)
         self.__dict__[name] = value
@@ -247,10 +217,8 @@ def evaluate_lagrangian(model: ProblemModel, x, a, lam) -> float:
     if lam.shape != (model.K,):
         raise ConfigurationError(
             f"model {model.name!r}: expected {model.K} multipliers, got shape {lam.shape}")
-    value = model.f(x, a)
-    for k in range(model.K):
-        value += lam[k] * model.g(k, x, a)
-    return float(value)
+    blocks = Blocks(model, x, a)
+    return float(_weighted(blocks.f, blocks.g, lam))
 
 
 @dataclass(frozen=True)
@@ -262,8 +230,7 @@ class GradientEval:
     fd_residual: Optional[float] = None
 
 
-def numeric_gradient(model: ProblemModel, which: str, wrt: str, x, a,
-                     cross_check: bool = True) -> GradientEval:
+def numeric_gradient(model: ProblemModel, which: str, wrt: str, x, a) -> GradientEval:
     """Gradient of the objective or of constraint k with respect to x or a.
 
     `which` is "objective" or "constraint:<k>".  Analytic gradients take
@@ -273,29 +240,23 @@ def numeric_gradient(model: ProblemModel, which: str, wrt: str, x, a,
     if wrt not in ("x", "a"):
         raise ConfigurationError(f"unknown differentiation target {wrt!r}")
     if which == "objective":
-        analytic = model.grad_x_objective if wrt == "x" else model.grad_a_objective
-        f_of = lambda u, b: model.objective(u, b)
+        k = None
     elif which.startswith("constraint:"):
         k = int(which.split(":", 1)[1])
         if not 0 <= k < model.K:
             raise ConfigurationError(f"constraint index {k} out of range for {model.name!r}")
-        bank = model.grad_x_constraints if wrt == "x" else model.grad_a_constraints
-        analytic = bank[k] if bank is not None else None
-        f_of = lambda u, b: model.constraints[k](u, b)
     else:
         raise ConfigurationError(f"unknown gradient request {which!r}")
 
+    kind = "grad_" + wrt
     x = np.asarray(x, dtype=float)
     a = np.asarray(a, dtype=float)
-    if wrt == "x":
-        fd_vec = fd.gradient(lambda u: f_of(u, a), x)
-    else:
-        fd_vec = fd.gradient(lambda b: f_of(x, b), a)
+    fd_vec = _stencil(model, kind, k, x, a)
+    analytic = _registered(model, kind, k)
     if analytic is None:
         return GradientEval(vector=fd_vec)
     vec = np.asarray(analytic(x, a), dtype=float)
-    residual = float(np.max(np.abs(vec - fd_vec))) if cross_check else None
-    return GradientEval(vector=vec, fd_residual=residual)
+    return GradientEval(vector=vec, fd_residual=float(np.max(np.abs(vec - fd_vec))))
 
 
 def augment_with_scale(model: ProblemModel, scale_name: str = "s") -> ProblemModel:
@@ -387,17 +348,16 @@ def verify_generator(model: ProblemModel, gen: InvarianceGenerator,
     """Max residual of the generator's response identities over sample points."""
     worst = 0.0
     for x, a in points:
-        x = np.asarray(x, dtype=float)
-        a = np.asarray(a, dtype=float)
-        X = np.asarray(gen.X_map(x), dtype=float)
-        A = np.asarray(gen.A_map(a), dtype=float)
-        jf = X @ model.obj_grad_x(x, a) + A @ model.obj_grad_a(x, a)
+        blocks = Blocks(model, x, a)
+        X = np.asarray(gen.X_map(blocks.x), dtype=float)
+        A = np.asarray(gen.A_map(blocks.a), dtype=float)
+        jf = X @ blocks.fx + A @ blocks.fa
         if gen.response_f is not None:
-            worst = max(worst, abs(jf - gen.response_f(model.f(x, a))))
-        for k in range(model.K):
-            jg = X @ model.con_grad_x(k, x, a) + A @ model.con_grad_a(k, x, a)
-            if gen.response_g is not None:
-                worst = max(worst, abs(jg - gen.response_g[k](model.g(k, x, a))))
+            worst = max(worst, abs(jf - gen.response_f(blocks.f)))
+        if gen.response_g is not None:
+            for k in range(model.K):
+                jg = X @ blocks.Gx[k] + A @ blocks.Ga[k]
+                worst = max(worst, abs(jg - gen.response_g[k](blocks.g[k])))
     if worst > tol:
         raise ConfigurationError(
             f"invariance generator {gen.name!r} fails its response identities "

@@ -18,6 +18,7 @@ from compstat.benchmarks.profit import (augmented_run, elasticity_triple,
 from compstat.benchmarks.slutsky import substitution_matrix
 from compstat.diagnostics import check_envelope, check_invariance
 from compstat.geometry import build_isovectors, gcd_apply, verify_conformance
+from compstat.model import Blocks
 from compstat.sensitivity import decision_jacobian_ift
 from compstat.solver import newton_solve, solve_interior
 
@@ -93,7 +94,7 @@ def test_criterion_05_conformance_on_constrained_benchmarks():
         run = entry.prepare("numeric")
         x_semi = gcd_apply(run.iso, run.sens.x_jac)
         table, _ = verify_conformance(
-            x_semi, entry.model.con_grad_x_stack(run.sol.x, run.sol.a))
+            x_semi, Blocks(entry.model, run.sol.x, run.sol.a).Gx)
         res = float(np.max(np.abs(table)))
         worst = max(worst, res)
         assert res < 1e-6, name
@@ -225,7 +226,7 @@ def test_criterion_09_principal_agent_structure():
 def test_criterion_10_rank_drop_at_zero_profit():
     model, x_jac_fn, a_singular, a_regular = zero_profit_instance()
     sol = solve_interior(model, a_singular)
-    assert abs(model.f(sol.x, a_singular)) < 1e-12
+    assert abs(Blocks(model, sol.x, a_singular).f) < 1e-12
     rank_singular = ratio_transform_rank(model, x_jac_fn, a_singular)
     rank_regular = ratio_transform_rank(model, x_jac_fn, a_regular)
     _record(10, "ratio-variable matrix loses exactly one rank at zero profit",
@@ -245,7 +246,7 @@ def test_criterion_11_method_cross_checks():
     iso = build_isovectors(np.zeros((0, profit.model.N)))
     quad = csm.build_omega_quadratic(profit.model, profit.sol, profit.sens, iso)
     rel = csm.spectral_relation(
-        quad, profit.model.obj_hess_xx(profit.sol.x, profit.sol.a),
+        quad, Blocks(profit.model, profit.sol.x, profit.sol.a).fxx,
         profit.sens, iso)
     spectral = float(np.max(rel.reconstruction_residuals))
     assert spectral < 1e-6

@@ -14,6 +14,7 @@ from compstat.benchmarks.profit import (elasticity_triple, ratio_transform_rank,
 from compstat.benchmarks.slutsky import substitution_matrix
 from compstat.benchmarks.utility import multi_budget_oracle_point
 from compstat.errors import ConfigurationError
+from compstat.model import Blocks
 from compstat.solver import newton_solve, solve_interior
 
 
@@ -87,7 +88,7 @@ def test_multi_output_sharpened_pair_skips_on_singular_output_block():
 def test_zero_profit_rank_drop_is_exactly_one():
     model, x_jac_fn, a_singular, a_regular = zero_profit_instance()
     sol = solve_interior(model, a_singular)
-    profit = model.f(sol.x, a_singular)
+    profit = Blocks(model, sol.x, a_singular).f
     assert profit == pytest.approx(0.0, abs=1e-12)
     rank_singular = ratio_transform_rank(model, x_jac_fn, a_singular)
     rank_regular = ratio_transform_rank(model, x_jac_fn, a_regular)

@@ -8,6 +8,7 @@ from compstat.benchmarks.slutsky import demand_model, substitution_matrix
 from compstat.errors import (ConfigurationError, DomainError,
                              TransformationError)
 from compstat.geometry import build_isovectors
+from compstat.model import Blocks
 from compstat.sensitivity import decision_jacobian_ift
 from compstat.solver import solve_interior
 
@@ -66,7 +67,7 @@ def test_unconstrained_quadratic_form_reduction():
     run = prepare("profit_cd")
     iso = build_isovectors(np.zeros((0, run.model.N)))
     quad = csm.build_omega_quadratic(run.model, run.sol, run.sens, iso)
-    hess = run.model.obj_hess_xx(run.sol.x, run.sol.a)
+    hess = Blocks(run.model, run.sol.x, run.sol.a).fxx
     expected = -run.sens.x_jac.T @ hess @ run.sens.x_jac
     assert quad.matrix == pytest.approx(expected, abs=1e-12)
 
@@ -106,10 +107,8 @@ def test_log_variant_equals_plain_variant_at_solution():
     a2 = csm.build_omega_a2(run.model, run.sol, run.sens)
     # the formulas differ by a rank-one term scaled by the decision gradient,
     # which vanishes at the solution
-    fx = run.model.obj_grad_x(run.sol.x, run.sol.a)
-    fa = run.model.obj_grad_a(run.sol.x, run.sol.a)
-    fval = run.model.f(run.sol.x, run.sol.a)
-    correction = -(np.outer(fx, fa) / fval).T @ run.sens.x_jac
+    blocks = Blocks(run.model, run.sol.x, run.sol.a)
+    correction = -(np.outer(blocks.fx, blocks.fa) / blocks.f).T @ run.sens.x_jac
     assert a1.matrix - a2.matrix == pytest.approx(correction, abs=1e-9)
     assert np.max(np.abs(correction)) < 1e-9
     assert a1.eigenvalues.min() >= -1e-8 * max(a1.eigenvalues.max(), 1e-12)
@@ -138,13 +137,13 @@ def test_log_constrained_variant_on_single_constraint_toy():
                   hess_xa_constraints=model.hess_xa_constraints[:1],
                   analytic_solution=None)
     sol = solve_interior(toy, a_point, x0=np.zeros(toy.M))
-    fval = toy.f(sol.x, sol.a)
+    fval = Blocks(toy, sol.x, sol.a).f
     if fval <= 0:                            # shift to the log-route domain
         toy = replace(toy, objective=lambda x, a, _f=toy.objective:
                       _f(x, a) + 1.0 - fval)
         sol = solve_interior(toy, a_point, x0=sol.x)
     sens = decision_jacobian_ift(toy, sol)
-    iso = build_isovectors(toy.con_grad_a_stack(sol.x, sol.a))
+    iso = build_isovectors(Blocks(toy, sol.x, sol.a).Ga)
     omega_b = csm.build_omega_b(toy, sol, sens, iso)
     omega = csm.build_omega(toy, sol, sens, iso)
     scale = max(1.0, np.max(np.abs(omega.matrix)))
@@ -276,7 +275,7 @@ def test_reparameterize_ratio_decision_map_links_blocks():
     # exactly at zero profit
     run = prepare("profit_cd")
     m_dim = run.model.M
-    F_val = run.model.obj_grad_a(run.sol.x, run.sol.a)[m_dim]
+    F_val = Blocks(run.model, run.sol.x, run.sol.a).fa[m_dim]
     F_grad = production_gradient(run)
     d_new_old = np.eye(m_dim) / F_val - np.outer(run.sol.x, F_grad) / F_val**2
     w, p = run.sol.a[:m_dim], run.sol.a[m_dim]
@@ -299,7 +298,7 @@ def test_spectral_relation_on_unconstrained_profit():
     run = prepare("profit_cd")
     iso = build_isovectors(np.zeros((0, run.model.N)))
     quad = csm.build_omega_quadratic(run.model, run.sol, run.sens, iso)
-    hess = run.model.obj_hess_xx(run.sol.x, run.sol.a)
+    hess = Blocks(run.model, run.sol.x, run.sol.a).fxx
     rel = csm.spectral_relation(quad, hess, run.sens, iso)
     assert np.max(rel.reconstruction_residuals) < 1e-6
     # concave objective: every matrix eigenvalue is nonnegative
@@ -313,7 +312,7 @@ def test_spectral_relation_zero_jacobian():
     sens = decision_jacobian_ift(model, sol)
     iso = build_isovectors(np.zeros((0, 2)))
     quad = csm.build_omega_quadratic(model, sol, sens, iso)
-    rel = csm.spectral_relation(quad, model.obj_hess_xx(sol.x, sol.a), sens, iso)
+    rel = csm.spectral_relation(quad, Blocks(model, sol.x, sol.a).fxx, sens, iso)
     assert np.max(np.abs(rel.csm_eigenvalues)) < 1e-14
     assert np.max(rel.reconstruction_residuals) < 1e-14
 

@@ -10,6 +10,7 @@ from compstat.diagnostics import (check_envelope, check_hatta_reduction,
                                   check_invariance, check_rank_bound,
                                   check_semidefinite)
 from compstat.geometry import build_isovectors
+from compstat.model import Blocks
 from compstat.sensitivity import decision_jacobian_ift
 from compstat.solver import SolverConfig, newton_solve, solve_interior
 
@@ -47,7 +48,7 @@ def test_envelope_standard_basis_reduces_to_plain_identity():
     rep = check_envelope(entry.model, run.sol, iso, run.sens, tol=1e-5)
     assert rep.passed
     # plain envelope: dV/da equals the frozen-decision gradient (-x, F)
-    expected = entry.model.obj_grad_a(run.sol.x, run.sol.a)
+    expected = Blocks(entry.model, run.sol.x, run.sol.a).fa
     assert rep.details["value_directional"] == pytest.approx(expected, abs=1e-6)
 
 
@@ -192,7 +193,7 @@ def test_envelope_resolves_with_the_callers_solver_settings(monkeypatch):
         return newton_solve(model, a, x0, cfg)
 
     monkeypatch.setattr("compstat.diagnostics.newton_solve", spy)
-    iso = build_isovectors(model.con_grad_a_stack(sol.x, sol.a))
+    iso = build_isovectors(Blocks(model, sol.x, sol.a).Ga)
     rep = check_envelope(model, sol, iso, decision_jacobian_ift(model, sol),
                          solver_config=config)
     assert rep.passed

@@ -8,7 +8,7 @@ from compstat.errors import EmptyTangentError, NullPropertyError
 from compstat.geometry import (build_isovectors, gcd_apply,
                                one_term_compensation, prescribe_isovectors,
                                verify_conformance)
-from compstat.model import augment_with_scale
+from compstat.model import Blocks, augment_with_scale
 from compstat.sensitivity import decision_jacobian_ift
 from compstat.solver import solve_interior
 
@@ -59,7 +59,7 @@ def test_prescribed_profit_scale_rows_accepted():
     aug = augment_with_scale(cd_profit_model())
     a = np.array([1.0, 1.0, 2.0, 1.3])
     sol = solve_interior(aug, a)
-    grad = aug.obj_grad_a(sol.x, a)
+    grad = Blocks(aug, sol.x, a).fa
     s_val, phi = a[-1], grad[-1]
     f_level = grad[2] / s_val
     rows = np.zeros((3, 4))
@@ -97,7 +97,7 @@ def test_one_term_compensation_profit_rows():
     a = np.array([1.0, 1.0, 2.0])
     sol = solve_interior(model, a)
     iso = one_term_compensation(model, sol.x, a, target="objective", comp_index=2)
-    f_level = model.obj_grad_a(sol.x, a)[2]
+    f_level = Blocks(model, sol.x, a).fa[2]
     assert iso.basis_kind == "one_term"
     assert iso.count == 2
     assert iso.vectors[0] == pytest.approx([f_level, 0.0, sol.x[0]])
@@ -110,7 +110,7 @@ def test_one_term_compensation_scale_augmented():
     a = np.array([1.0, 1.0, 2.0, 1.0])
     sol = solve_interior(aug, a)
     iso = one_term_compensation(aug, sol.x, a, target="objective", comp_index=-1)
-    grad = aug.obj_grad_a(sol.x, a)
+    grad = Blocks(aug, sol.x, a).fa
     # row alpha: (objective scale-derivative) e_alpha - (objective
     # alpha-derivative) e_scale
     for alpha in range(3):
@@ -180,6 +180,6 @@ def test_conformance_empty_and_benchmarks():
         run = entry.prepare("numeric")
         x_semi = gcd_apply(run.iso, run.sens.x_jac)
         table, ok = verify_conformance(
-            x_semi, entry.model.con_grad_x_stack(run.sol.x, run.sol.a),
+            x_semi, Blocks(entry.model, run.sol.x, run.sol.a).Gx,
             tol=1e-8 if name == "slutsky_hicks" else 1e-6)
         assert ok, name

@@ -4,7 +4,7 @@ import pytest
 from compstat.benchmarks.profit import cd_profit_model
 from compstat.benchmarks.slutsky import demand_model
 from compstat.errors import ConfigurationError, EvaluationError
-from compstat.model import (InvarianceGenerator, ProblemModel,
+from compstat.model import (Blocks, InvarianceGenerator, ProblemModel,
                             augment_with_scale, evaluate_lagrangian,
                             numeric_gradient, verify_generator)
 from compstat.sensitivity import decision_jacobian_fd
@@ -44,9 +44,9 @@ def test_lagrangian_rejects_bad_multiplier_count():
 def test_dimension_mismatch_is_configuration_error():
     model = demand_model(np.array([0.5, 0.5]))
     with pytest.raises(ConfigurationError):
-        model.f(np.array([0.5]), np.array([1.0, 1.0, 1.0]))
+        Blocks(model, np.array([0.5]), np.array([1.0, 1.0, 1.0])).f
     with pytest.raises(ConfigurationError):
-        model.f(np.array([0.5, 0.5]), np.array([1.0, 1.0]))
+        Blocks(model, np.array([0.5, 0.5]), np.array([1.0, 1.0])).f
 
 
 def test_budget_parameter_gradient():
@@ -93,11 +93,12 @@ def test_augment_with_scale_unit_scale_restores_objective():
     aug = augment_with_scale(base)
     x = np.array([0.4, 0.7])
     a = np.array([1.0, 1.2, 2.0])
-    assert aug.f(x, np.append(a, 1.0)) == pytest.approx(base.f(x, a), abs=1e-14)
+    value = Blocks(base, x, a).f
+    assert Blocks(aug, x, np.append(a, 1.0)).f == pytest.approx(value, abs=1e-14)
     assert aug.N == base.N + 1
     assert aug.parameter_names[-1] == "s"
     # scaling by 3 multiplies the objective
-    assert aug.f(x, np.append(a, 3.0)) == pytest.approx(3.0 * base.f(x, a), abs=1e-13)
+    assert Blocks(aug, x, np.append(a, 3.0)).f == pytest.approx(3.0 * value, abs=1e-13)
 
 
 def test_augment_twice_at_unit_scales_matches_original():
@@ -105,7 +106,8 @@ def test_augment_twice_at_unit_scales_matches_original():
     twice = augment_with_scale(augment_with_scale(base), scale_name="s2")
     x = np.array([0.4, 0.7])
     a = np.array([1.0, 1.2, 2.0])
-    assert twice.f(x, np.append(a, [1.0, 1.0])) == pytest.approx(base.f(x, a), abs=1e-14)
+    assert (Blocks(twice, x, np.append(a, [1.0, 1.0])).f
+            == pytest.approx(Blocks(base, x, a).f, abs=1e-14))
 
 
 def test_scale_column_of_jacobian_vanishes():

@@ -8,6 +8,7 @@ from compstat import csm
 from compstat.benchmarks.slutsky import demand_model, demand_jacobian
 from compstat.benchmarks.utility import multi_budget_model
 from compstat.geometry import build_isovectors, gcd_apply, prescribe_isovectors, verify_conformance
+from compstat.model import Blocks
 from compstat.sensitivity import decision_jacobian_fd, decision_jacobian_ift
 from compstat.solver import newton_solve, solve_interior
 
@@ -42,7 +43,7 @@ def test_eight_good_demand_system():
     x_jac_fn, _ = demand_jacobian(gamma)
     assert np.max(np.abs(sens.x_jac - x_jac_fn(a))) < 1e-9
     rows = np.hstack([np.eye(8), sol.x.reshape(-1, 1)])
-    iso = prescribe_isovectors(rows, model.con_grad_a_stack(sol.x, a))
+    iso = prescribe_isovectors(rows, Blocks(model, sol.x, a).Ga)
     _coherence(model, sol, sens, iso)
     fd = decision_jacobian_fd(model, a)
     assert np.max(np.abs(sens.x_jac - fd.x_jac)) < 1e-4
@@ -69,12 +70,12 @@ def test_three_budget_utility_rank_law():
         for alpha in range(m_dim):
             rows[k * m_dim + alpha, k * block + alpha] = 1.0
             rows[k * m_dim + alpha, k * block + m_dim] = sol.x[alpha]
-    iso = prescribe_isovectors(rows, model.con_grad_a_stack(sol.x, a))
+    iso = prescribe_isovectors(rows, Blocks(model, sol.x, a).Ga)
     _coherence(model, sol, sens, iso)
     omega = csm.build_omega(model, sol, sens, iso)
     assert omega.rank_estimate <= m_dim - n_con
     x_semi = gcd_apply(iso, sens.x_jac)
-    _, ok = verify_conformance(x_semi, model.con_grad_x_stack(sol.x, a))
+    _, ok = verify_conformance(x_semi, Blocks(model, sol.x, a).Gx)
     assert ok
 
 
@@ -84,7 +85,7 @@ def test_random_quadratic_instances(seed):
     sol = solve_interior(model, a_point)
     assert sol.converged
     sens = decision_jacobian_ift(model, sol)
-    iso = build_isovectors(model.con_grad_a_stack(sol.x, a_point))
+    iso = build_isovectors(Blocks(model, sol.x, a_point).Ga)
     _coherence(model, sol, sens, iso)
     fd = decision_jacobian_fd(model, a_point)
     assert np.max(np.abs(sens.x_jac - fd.x_jac)) < 1e-4
@@ -100,5 +101,5 @@ def test_demand_system_pipeline_off_default_points():
         sol = solve_interior(model, a)
         sens = decision_jacobian_ift(model, sol)
         rows = np.hstack([np.eye(2), sol.x.reshape(-1, 1)])
-        iso = prescribe_isovectors(rows, model.con_grad_a_stack(sol.x, a))
+        iso = prescribe_isovectors(rows, Blocks(model, sol.x, a).Ga)
         _coherence(model, sol, sens, iso)

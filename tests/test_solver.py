@@ -5,7 +5,7 @@ import scipy.linalg
 from compstat.benchmarks import all_benchmarks
 from compstat.benchmarks.slutsky import demand_model
 from compstat.errors import NonConvergenceError, RankDeficiencyError
-from compstat.model import ProblemModel
+from compstat.model import Blocks, ProblemModel
 from compstat.solver import (SolverConfig, _symmetric_step, newton_solve,
                              projected_hessian_extremes, recover_multipliers,
                              solve_interior)
@@ -43,7 +43,7 @@ def test_recover_multipliers_unconstrained_residual_is_gradient_norm():
     model = sqrt_profit_model()
     lam, residual = recover_multipliers(model, np.array([4.0]), np.array([1.0, 2.0]))
     assert lam.size == 0
-    grad = model.obj_grad_x(np.array([4.0]), np.array([1.0, 2.0]))
+    grad = Blocks(model, np.array([4.0]), np.array([1.0, 2.0])).fx
     assert residual == pytest.approx(float(np.linalg.norm(grad)), rel=1e-9)
     # at the optimum the residual vanishes
     _, at_optimum = recover_multipliers(model, np.array([1.0]), np.array([1.0, 2.0]))
