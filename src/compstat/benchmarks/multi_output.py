@@ -18,6 +18,7 @@ from ..model import InvarianceGenerator, ProblemModel
 from .base import BenchRun, BenchmarkEntry, LinearBudget, constraint_fields
 
 NEGATIVE = "negative_semidefinite_expected"
+COND_CAP = 1e12           # condition number above which an inner block counts as singular
 
 
 def _default_technology():
@@ -97,10 +98,10 @@ def io_blocks(run: BenchRun, output_grads):
     return w_block, m_block, q_block, p_block
 
 
-def sharpened_pair(w_block, m_block, p_block, cond_cap=1e12):
+def sharpened_pair(w_block, m_block, p_block):
     """Sharpened input/output bounds; None for a singular inner block, in
     which case callers record the caveat and skip."""
-    if (np.linalg.cond(p_block) > cond_cap) or (np.linalg.cond(w_block) > cond_cap):
+    if (np.linalg.cond(p_block) > COND_CAP) or (np.linalg.cond(w_block) > COND_CAP):
         return None, None
     w_star = w_block + m_block @ scipy.linalg.solve(p_block, m_block.T)
     p_star = p_block + m_block.T @ scipy.linalg.solve(w_block, m_block)

@@ -23,8 +23,10 @@ from ..solver import newton_solve
 from .base import BenchRun, BenchmarkEntry, LinearBudget, constraint_fields
 
 
-def principal_data(sigma: np.ndarray, w: np.ndarray, r: np.ndarray,
-                   riskless_tol: float = 1e-12):
+RISKLESS_TOL = 1e-12      # variance, relative to the largest, of an excluded riskless mix
+
+
+def principal_data(sigma: np.ndarray, w: np.ndarray, r: np.ndarray):
     """Eigen-coordinates of the covariance: variances, mix loadings, and the
     indices of excluded zero-variance (riskless) mixes."""
     sigma = np.asarray(sigma, dtype=float)
@@ -32,7 +34,7 @@ def principal_data(sigma: np.ndarray, w: np.ndarray, r: np.ndarray,
     r = np.asarray(r, dtype=float)
     variances, vectors = np.linalg.eigh(0.5 * (sigma + sigma.T))
     scale = max(float(variances[-1]), 1.0)
-    keep = variances > riskless_tol * scale
+    keep = variances > RISKLESS_TOL * scale
     dropped = tuple(int(i) for i in np.nonzero(~keep)[0])
     vectors = vectors[:, keep]
     # orient each mix to carry a nonnegative budget weight

@@ -26,6 +26,9 @@ from .solver import SolutionPoint, tangent_extremes
 
 RANK_TOL = 1e-7
 SYMMETRY_TOL = 1e-8
+TANGENT_TOL = 1e-8        # the Silberberg matrix's tangent-restricted eigenvalue test
+SINGULAR_RTOL = 1e-12     # relative singular-value floor of a Gram matrix or a transform
+MAP_RTOL = 1e-10          # relative singular-value floor of a reparameterization's map
 
 POSITIVE = "positive_semidefinite_expected"
 NEGATIVE = "negative_semidefinite_expected"
@@ -58,7 +61,7 @@ class TangentVerdict:
     """Semidefiniteness of a matrix restricted to the parameter-space
     tangent hyperplane of the constraints.  `residual` is the most negative
     restricted eigenvalue, as a positive number, over max(1, |largest|);
-    `passed` is `residual <= tol`."""
+    `passed` is `residual <= TANGENT_TOL`."""
     min_eigenvalue: float
     max_eigenvalue: float
     subspace_dim: int
@@ -76,25 +79,24 @@ class SpectralRelation:
     reconstruction_residuals: np.ndarray
 
 
-def estimate_rank(matrix: np.ndarray, rank_tol: float = RANK_TOL) -> int:
+def estimate_rank(matrix: np.ndarray) -> int:
     sym = 0.5 * (matrix + matrix.T)
     if sym.size == 0:
         return 0
-    return _rank_of_spectrum(np.linalg.eigvalsh(sym), rank_tol)
+    return _rank_of_spectrum(np.linalg.eigvalsh(sym))
 
 
-def _rank_of_spectrum(eig: np.ndarray, rank_tol: float) -> int:
-    """Number of eigenvalues above `rank_tol` times the largest magnitude."""
+def _rank_of_spectrum(eig: np.ndarray) -> int:
+    """Number of eigenvalues above RANK_TOL times the largest magnitude."""
     if eig.size == 0:
         return 0
     top = float(np.max(np.abs(eig)))
     if top == 0.0:
         return 0
-    return int(np.sum(np.abs(eig) > rank_tol * top))
+    return int(np.sum(np.abs(eig) > RANK_TOL * top))
 
 
 def _finalize(matrix: np.ndarray, recipe: str, sign: str, labels=(),
-              rank_tol: float = RANK_TOL, symmetry_tol: float = SYMMETRY_TOL,
               transform_kind=None, note=None) -> CsmResult:
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
@@ -105,8 +107,8 @@ def _finalize(matrix: np.ndarray, recipe: str, sign: str, labels=(),
     return CsmResult(
         matrix=matrix, recipe=recipe, sign_convention=sign,
         eigenvalues=eig, symmetry_residual=sym_res,
-        rank_estimate=_rank_of_spectrum(eig, rank_tol),
-        rank_tol=rank_tol, symmetry_tol=symmetry_tol,
+        rank_estimate=_rank_of_spectrum(eig),
+        rank_tol=RANK_TOL, symmetry_tol=SYMMETRY_TOL,
         labels=tuple(labels), transform_kind=transform_kind, note=note)
 
 
@@ -217,8 +219,7 @@ def build_omega_b(model: ProblemModel, sol: SolutionPoint, sens: SensitivityBund
         note="log-objective route; constraint terms carry log-normalized multipliers")
 
 
-def build_silberberg(model: ProblemModel, sol: SolutionPoint,
-                     sens: SensitivityBundle, tol: float = 1e-8):
+def build_silberberg(model: ProblemModel, sol: SolutionPoint, sens: SensitivityBundle):
     """Primal-dual style parameter-space matrix, semidefinite only subject to
     the constraints.  Returns the matrix plus the verdict of the
     tangent-restricted eigenvalue test."""
@@ -233,12 +234,12 @@ def build_silberberg(model: ProblemModel, sol: SolutionPoint,
     residual = max(0.0, -min_eig) / max(1.0, abs(max_eig))
     verdict = TangentVerdict(
         min_eigenvalue=min_eig, max_eigenvalue=max_eig,
-        subspace_dim=dim, residual=residual, passed=residual <= tol)
+        subspace_dim=dim, residual=residual, passed=residual <= TANGENT_TOL)
     return result, verdict
 
 
 def build_universal(model: ProblemModel, sol: SolutionPoint,
-                    sens: SensitivityBundle, rank_rtol: float = 1e-12) -> CsmResult:
+                    sens: SensitivityBundle) -> CsmResult:
     """Projection-based maximal matrix over the full parameter set.
 
     Uses the decision-space projector onto the span of the constraint
@@ -252,7 +253,7 @@ def build_universal(model: ProblemModel, sol: SolutionPoint,
         gx, ga = sol.blocks.Gx, sol.blocks.Ga
         gram = gx @ gx.T
         svals = np.linalg.svd(gram, compute_uv=False)
-        if svals[-1] <= rank_rtol * max(svals[0], 1.0):
+        if svals[-1] <= SINGULAR_RTOL * max(svals[0], 1.0):
             raise ConstraintQualificationError(
                 f"constraint-gradient Gram matrix of {model.name!r} is singular")
         gram_inv_gx = scipy.linalg.solve(gram, gx, assume_a="pos")
@@ -263,7 +264,7 @@ def build_universal(model: ProblemModel, sol: SolutionPoint,
     return _finalize(u_matrix, "universal_U", POSITIVE, labels=model.parameter_names)
 
 
-def transform_csm(csm: CsmResult, T: np.ndarray, rank_rtol: float = 1e-12) -> CsmResult:
+def transform_csm(csm: CsmResult, T: np.ndarray) -> CsmResult:
     """Congruence/contraction T M T^T.
 
     Classifies T as a square congruence, a square singular map, or a
@@ -276,14 +277,13 @@ def transform_csm(csm: CsmResult, T: np.ndarray, rank_rtol: float = 1e-12) -> Cs
             f"transform has {T.shape[1]} columns, matrix has order {csm.order}")
     if T.shape[0] == T.shape[1]:
         svals = np.linalg.svd(T, compute_uv=False)
-        singular = bool(svals.size and svals[-1] <= rank_rtol * max(svals[0], 1.0))
+        singular = bool(svals.size and svals[-1] <= SINGULAR_RTOL * max(svals[0], 1.0))
         kind = "singular" if singular else "congruence"
     else:
         kind = "contraction"
     out = T @ csm.matrix @ T.T
     return _finalize(out, "transformed", csm.sign_convention,
                      labels=tuple(f"t{i + 1}" for i in range(T.shape[0])),
-                     rank_tol=csm.rank_tol, symmetry_tol=csm.symmetry_tol,
                      transform_kind=kind,
                      note=f"from recipe {csm.recipe}")
 
@@ -305,8 +305,8 @@ def _resolve_jacobian(spec, dim: int, kind: str) -> np.ndarray:
 
 
 def reparameterize_csm(model: ProblemModel, sol: SolutionPoint, sens: SensitivityBundle,
-                       iso: IsovectorSet, decision_map=None, parameter_map=None,
-                       rank_rtol: float = 1e-10) -> CsmResult:
+                       iso: IsovectorSet, decision_map=None,
+                       parameter_map=None) -> CsmResult:
     """Matrix after a smooth change of decision variables and parameters.
 
     Maps are given in the forward direction (old = map(new)), either as
@@ -323,7 +323,7 @@ def reparameterize_csm(model: ProblemModel, sol: SolutionPoint, sens: Sensitivit
     p_jac = _resolve_jacobian(parameter_map, model.N, "parameter")
     for name, jac in (("decision", d_jac), ("parameter", p_jac)):
         svals = np.linalg.svd(jac, compute_uv=False)
-        if svals[-1] <= rank_rtol * max(svals[0], 1.0):
+        if svals[-1] <= MAP_RTOL * max(svals[0], 1.0):
             raise TransformationError(
                 f"{name} map has a singular Jacobian at the point; "
                 "the coordinate change is invalid there")

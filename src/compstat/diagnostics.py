@@ -23,6 +23,7 @@ from .solver import (SolutionPoint, SolverConfig, newton_solve,
 
 TOL_ANALYTIC = 1e-8
 TOL_FD = 1e-5
+HATTA_TOL = 1e-6      # the separable-constraint reduction against the main recipe
 
 
 @dataclass(frozen=True)
@@ -53,7 +54,6 @@ def _skipped(name, claim, reason) -> CheckReport:
 
 def check_envelope(model: ProblemModel, sol: SolutionPoint, iso: IsovectorSet,
                    sens: SensitivityBundle,
-                   value_fd_step: Optional[float] = None,
                    solver_config: SolverConfig = SolverConfig(),
                    tol: float = TOL_FD) -> CheckReport:
     """Directional derivatives of the value function along each tangent row
@@ -86,7 +86,7 @@ def check_envelope(model: ProblemModel, sol: SolutionPoint, iso: IsovectorSet,
     for alpha in range(iso.count):
         t = iso.vectors[alpha]
         t_scale = max(float(np.max(np.abs(t))), 1e-12)
-        h = value_fd_step if value_fd_step is not None else fd.STEP_FIRST * scale / t_scale
+        h = fd.STEP_FIRST * scale / t_scale
         dx = h * (sens.x_jac @ t)
         try:
             v_plus = value_at(a + h * t, sol.x + dx)
@@ -187,7 +187,7 @@ def check_rank_bound(csm: CsmResult, M: int, K: int, A: Optional[int] = None,
 
 
 def check_hatta_reduction(model: ProblemModel, sol: SolutionPoint,
-                          sens: SensitivityBundle, tol: float = 1e-6) -> CheckReport:
+                          sens: SensitivityBundle) -> CheckReport:
     """For constraints of the separable form a_kappa - k(x, rest) = 0, the
     compensation rows built from the k-gradients must reproduce the main
     recipe entry for entry."""
@@ -219,4 +219,4 @@ def check_hatta_reduction(model: ProblemModel, sol: SolutionPoint,
     lxa = sol.blocks.lagrangian_hess_xa(sol.lam)
     display = lxa[:, p_slots].T @ x_comp
     return report("hatta_reduction", "separable-constraint-reduction",
-                  matrix_mismatch(display, omega_ref), tol, rows=rows.tolist())
+                  matrix_mismatch(display, omega_ref), HATTA_TOL, rows=rows.tolist())

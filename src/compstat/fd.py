@@ -32,13 +32,13 @@ def _check_finite(value, where: str, coordinate: int):
     return value
 
 
-def gradient(fn: Callable[[np.ndarray], float], v: np.ndarray,
-             base_step: float = STEP_FIRST) -> np.ndarray:
-    """Central-difference gradient of a scalar function of one vector."""
+def gradient(fn: Callable[[np.ndarray], float], v: np.ndarray) -> np.ndarray:
+    """Central-difference gradient of a scalar function of one vector, with
+    base step STEP_FIRST."""
     v = np.asarray(v, dtype=float)
     out = np.empty(v.size)
     for i in range(v.size):
-        h = step_for(v[i], base_step)
+        h = step_for(v[i])
         vp = v.copy(); vp[i] += h
         vm = v.copy(); vm[i] -= h
         fp = _check_finite(fn(vp), "gradient", i)
@@ -62,9 +62,9 @@ def jacobian(fn: Callable[[np.ndarray], np.ndarray], v: np.ndarray,
     return np.column_stack(cols) if cols else np.zeros((0, 0))
 
 
-def hessian(fn: Callable[[np.ndarray], float], v: np.ndarray,
-            base_step: float = STEP_NESTED) -> np.ndarray:
-    """Symmetric second-derivative matrix via differenced central gradients."""
+def hessian(fn: Callable[[np.ndarray], float], v: np.ndarray) -> np.ndarray:
+    """Symmetric second-derivative matrix via differenced central gradients,
+    with base step STEP_NESTED."""
     g = lambda u: gradient(fn, u)
-    h = jacobian(g, v, base_step)
+    h = jacobian(g, v, STEP_NESTED)
     return 0.5 * (h + h.T)

@@ -20,6 +20,8 @@ from .errors import DimensionError, EmptyTangentError, NullPropertyError
 from .model import Blocks, ProblemModel
 
 RANK_RTOL = 1e-10
+NULL_TOL = 1e-8           # a prescribed row's null-property residual, per unit row norm
+CONFORMANCE_TOL = 1e-6    # the compensated columns against the decision gradients
 
 
 @dataclass(frozen=True)
@@ -49,8 +51,7 @@ def null_property_residuals(rows: np.ndarray, grad_stack: np.ndarray) -> np.ndar
     return np.abs(raw) / scales
 
 
-def build_isovectors(grad_stack: np.ndarray, annihilates_objective: bool = False,
-                     rank_rtol: float = RANK_RTOL) -> IsovectorSet:
+def build_isovectors(grad_stack: np.ndarray, annihilates_objective: bool = False) -> IsovectorSet:
     """Orthonormal basis of the orthogonal complement of the stacked gradients.
 
     With C independent target gradients in an N-dimensional parameter space
@@ -63,7 +64,7 @@ def build_isovectors(grad_stack: np.ndarray, annihilates_objective: bool = False
     if grad_stack.shape[0] == 0:
         vectors = np.eye(n)
     else:
-        vectors = scipy.linalg.null_space(grad_stack, rcond=rank_rtol).T
+        vectors = scipy.linalg.null_space(grad_stack, rcond=RANK_RTOL).T
     if vectors.shape[0] == 0:
         raise EmptyTangentError(
             "target gradients span the whole parameter space; no tangent directions remain")
@@ -76,8 +77,7 @@ def build_isovectors(grad_stack: np.ndarray, annihilates_objective: bool = False
 
 
 def prescribe_isovectors(rows: np.ndarray, grad_stack: np.ndarray,
-                         annihilates_objective: bool = False,
-                         tol: float = 1e-8) -> IsovectorSet:
+                         annihilates_objective: bool = False) -> IsovectorSet:
     """Accept user- or recipe-supplied rows after verifying the null property.
 
     Rows need not be orthogonal or unit length.  A linearly dependent set is
@@ -95,7 +95,7 @@ def prescribe_isovectors(rows: np.ndarray, grad_stack: np.ndarray,
     if residuals.size:
         worst = np.unravel_index(np.argmax(residuals), residuals.shape)
         scale = np.linalg.norm(rows[worst[0]])
-        if residuals[worst] > tol * max(1.0, scale):
+        if residuals[worst] > NULL_TOL * max(1.0, scale):
             raise NullPropertyError(
                 f"row {worst[0]} fails the null property against target {worst[1]} "
                 f"(residual {residuals[worst]:.3e})",
@@ -165,8 +165,7 @@ def gcd_apply(iso: IsovectorSet, jac: np.ndarray) -> np.ndarray:
     return jac @ iso.vectors.T
 
 
-def verify_conformance(x_semicolon: np.ndarray, decision_grads: np.ndarray,
-                       tol: float = 1e-6):
+def verify_conformance(x_semicolon: np.ndarray, decision_grads: np.ndarray):
     """Residual table r[k, alpha] = sum_i g_k,i x_i;alpha and a pass verdict.
 
     The columns of a compensated decision Jacobian must be orthogonal to
@@ -181,14 +180,14 @@ def verify_conformance(x_semicolon: np.ndarray, decision_grads: np.ndarray,
             f"decision gradients have {decision_grads.shape[1]} components, "
             f"jacobian has {x_semicolon.shape[0]} rows")
     table = decision_grads @ x_semicolon
-    bound = conformance_tolerance(x_semicolon, decision_grads, tol)
+    bound = conformance_tolerance(x_semicolon, decision_grads)
     passed = bool(np.max(np.abs(table)) <= bound) if table.size else True
     return table, passed
 
 
-def conformance_tolerance(x_semicolon: np.ndarray, decision_grads: np.ndarray,
-                          tol: float = 1e-6) -> float:
-    """The bound `verify_conformance` holds its residual table to: `tol`
-    scaled by the size of the gradients and the compensated responses."""
-    return tol * max(1.0, float(np.max(np.abs(decision_grads))) *
+def conformance_tolerance(x_semicolon: np.ndarray, decision_grads: np.ndarray) -> float:
+    """The bound `verify_conformance` holds its residual table to:
+    CONFORMANCE_TOL scaled by the size of the gradients and the compensated
+    responses."""
+    return CONFORMANCE_TOL * max(1.0, float(np.max(np.abs(decision_grads))) *
                      max(1.0, float(np.max(np.abs(x_semicolon)))))
