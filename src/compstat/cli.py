@@ -110,11 +110,18 @@ def parse_config_file(path: str) -> dict:
     return values
 
 
+def _finite(value: float, text: str) -> float:
+    if not math.isfinite(value):
+        raise ConfigurationError(f"bad value {text!r}; parameter values must be finite")
+    return value
+
+
 def _parse_floats(text: str) -> list:
     try:
-        return [float(v) for v in text.split(",") if v.strip() != ""]
+        values = [float(v) for v in text.split(",") if v.strip() != ""]
     except ValueError as exc:
         raise ConfigurationError(f"bad numeric list {text!r}") from exc
+    return [_finite(v, text) for v in values]
 
 
 def _parse_sweep(text: str) -> tuple:
@@ -125,7 +132,8 @@ def _parse_sweep(text: str) -> tuple:
     count = int(match.group(4))
     if count < 1:
         raise ConfigurationError(f"bad sweep {text!r}; count must be at least 1")
-    return (match.group(1), float(match.group(2)), float(match.group(3)), count)
+    start, stop = (_finite(float(match.group(i)), text) for i in (2, 3))
+    return (match.group(1), start, stop, count)
 
 
 def _parse_names(text: str) -> tuple:
@@ -484,6 +492,12 @@ def _warn_again(caught: list) -> None:
 
 def cmd_verify_all(only=(), tol_override: Optional[float] = None):
     """Every benchmark's property suite under both derivative pipelines."""
+    if tol_override is not None and not (math.isfinite(tol_override) and tol_override > 0):
+        raise ConfigurationError(f"--tol must be finite and positive, got {tol_override!r}")
+    for name in only:
+        if name not in benchmark_names():
+            raise ConfigurationError(
+                f"unknown benchmark {name!r}; known: {', '.join(benchmark_names())}")
     rows = []
     failed = False
     for name in benchmark_names():

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg
 
 from . import fd
-from .errors import DegeneracyError, SensitivityError
+from .errors import DegeneracyError, EvaluationError, SensitivityError
 from .model import ProblemModel
 from .solver import SolutionPoint, SolverConfig, bordered_matrix, newton_solve
 
@@ -97,6 +97,8 @@ def decision_jacobian_ift(model: ProblemModel, sol: SolutionPoint) -> Sensitivit
     except scipy.linalg.LinAlgError as exc:
         raise DegeneracyError(
             f"singular bordered matrix for {model.name!r}") from exc
+    except ValueError as exc:           # scipy's check of non-finite input
+        raise EvaluationError(f"non-finite bordered system for {model.name!r}") from exc
     solution = scipy.linalg.lu_solve((lu, piv), rhs)
     if not np.all(np.isfinite(solution)):
         raise DegeneracyError(f"singular bordered matrix for {model.name!r}")

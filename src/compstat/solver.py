@@ -12,7 +12,7 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 
-from .errors import NonConvergenceError, RankDeficiencyError
+from .errors import EvaluationError, NonConvergenceError, RankDeficiencyError
 from .model import Blocks, ProblemModel
 
 MAX_BACKTRACKS = 30     # step halvings per Newton iteration
@@ -60,6 +60,9 @@ def _multipliers(blocks: Blocks):
     if blocks.model.K == 0:
         return np.zeros(0), float(np.linalg.norm(fx))
     Gx = blocks.Gx  # K x M
+    if not (np.isfinite(fx).all() and np.isfinite(Gx).all()):
+        raise EvaluationError(
+            f"non-finite objective or constraint x-gradient of {blocks.model.name!r}")
     svals = np.linalg.svd(Gx, compute_uv=False)
     if svals[-1] <= RANK_RTOL * svals[0]:
         raise RankDeficiencyError(
@@ -107,6 +110,9 @@ def newton_solve(model: ProblemModel, a, x0, config: SolverConfig = SolverConfig
         except scipy.linalg.LinAlgError as exc:
             raise RankDeficiencyError(
                 f"singular Newton system for {model.name!r} at iteration {iterations}") from exc
+        except ValueError as exc:       # scipy's check of non-finite input
+            raise EvaluationError(
+                f"non-finite Newton system for {model.name!r} at iteration {iterations}") from exc
         if not np.all(np.isfinite(step)):
             raise RankDeficiencyError(
                 f"non-finite Newton step for {model.name!r} at iteration {iterations}")

@@ -214,6 +214,39 @@ def test_scaled_catalog_points_never_crash_untyped(capsys):
     assert warned == []
 
 
+def test_non_finite_parameter_values_exit_3_before_any_solve(capsys):
+    # pareto_allocation at b1=inf used to spin in a least-squares solve; the
+    # others stopped with an untyped LinAlgError or ValueError
+    for argv in (["pareto_allocation", "--at", "b1=inf"],
+                 ["pareto_allocation", "--at", "b1=nan"],
+                 ["profit_cd", "--at", "p=inf"],
+                 ["profit_cd", "--at", "p=1e400"],
+                 ["profit_cd", "--sweep", "p=1:inf:3"]):
+        code, out, err = run_main(["analyze", "--model"] + argv, capsys)
+        assert (code, out) == (3, ""), argv
+        assert err.startswith("configuration error: ") and "finite" in err, argv
+    # a finite point whose blocks overflow is a typed engine error
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code, out, err = run_main(["analyze", "--model", "slutsky_hicks",
+                                   "--at", "p=1e308,1"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "non-finite" in err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--tol", "nan"], "finite and positive"),
+    (["--tol", "-1"], "finite and positive"),
+    (["--tol", "0"], "finite and positive"),
+    (["--only", "nosuch"], "unknown benchmark 'nosuch'"),
+    (["--only", "slutsky_hicks,nosuch"], "unknown benchmark 'nosuch'"),
+])
+def test_verify_all_rejects_bad_flags_with_exit_3(flags, message, capsys):
+    code, out, err = run_main(["verify-all"] + flags, capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("configuration error: ") and message in err
+
+
 def test_verify_all_clean_checkout(capsys):
     rows, code = cmd_verify_all()
     assert code == 0

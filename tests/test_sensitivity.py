@@ -4,8 +4,8 @@ import pytest
 from compstat.benchmarks import all_benchmarks, get_benchmark
 from compstat.benchmarks.profit import cd_demand_jacobian, cd_profit_model
 from compstat.benchmarks.slutsky import demand_model
-from compstat.errors import SensitivityError
-from compstat.model import augment_with_scale
+from compstat.errors import EvaluationError, SensitivityError
+from compstat.model import ProblemModel, augment_with_scale
 from compstat.sensitivity import (constraint_identity_residual,
                                   decision_jacobian_fd, decision_jacobian_ift)
 from compstat.solver import SolverConfig, newton_solve, solve_interior
@@ -131,3 +131,17 @@ def test_fd_resolves_with_the_callers_solver_settings(monkeypatch):
     assert bundle.x_jac == pytest.approx(np.array([[-2.0, 1.0]]), abs=1e-5)
     assert len(seen) == 1 + 2 * model.N and all(cfg == SolverConfig(
         tol=1e-12, max_iter=57, cross_check_newton=False) for cfg in seen)
+
+
+def test_non_finite_bordered_system_raises_a_typed_error():
+    # the start point is the optimum, so Newton never reads the Hessian;
+    # the implicit-function solve does, and lu_factor rejected it untyped
+    model = ProblemModel(
+        name="nan_hessian", M=2, N=2,
+        objective=lambda x, a: -float(np.sum((x - a) ** 2)),
+        grad_x_objective=lambda x, a: -2.0 * (x - a),
+        hess_xx_objective=lambda x, a: np.full((2, 2), np.nan))
+    sol = newton_solve(model, np.ones(2), np.ones(2))
+    assert sol.converged and sol.iterations == 0
+    with pytest.raises(EvaluationError, match="non-finite"):
+        decision_jacobian_ift(model, sol)

@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from compstat.benchmarks import all_benchmarks
 from compstat.benchmarks.slutsky import demand_model
-from compstat.errors import NonConvergenceError, RankDeficiencyError
+from compstat.errors import EvaluationError, NonConvergenceError, RankDeficiencyError
 from compstat.model import Blocks, ProblemModel
 from compstat.solver import (SolverConfig, _symmetric_step, newton_solve,
                              projected_hessian_extremes, recover_multipliers,
@@ -48,6 +50,20 @@ def test_recover_multipliers_unconstrained_residual_is_gradient_norm():
     # at the optimum the residual vanishes
     _, at_optimum = recover_multipliers(model, np.array([1.0]), np.array([1.0, 2.0]))
     assert at_optimum < 1e-9
+
+
+@pytest.mark.parametrize("field, block", [
+    ("grad_x_constraints", lambda x, a: np.array([np.inf, 1.0])),
+    ("hess_xx_objective", lambda x, a: np.full((2, 2), np.nan)),
+])
+def test_non_finite_blocks_raise_a_typed_error_before_lapack(field, block):
+    # a non-finite constraint x-gradient reached np.linalg.svd and lstsq,
+    # a non-finite Hessian the input check of scipy.linalg.solve
+    model = demand_model(np.array([0.5, 0.5]))
+    value = (block,) if field.endswith("constraints") else block
+    broken = dataclasses.replace(model, **{field: value})
+    with pytest.raises(EvaluationError, match="non-finite"):
+        newton_solve(broken, np.array([1.0, 1.0, 1.0]), np.array([0.3, 0.8]))
 
 
 def test_recover_multipliers_log_utility():
