@@ -18,10 +18,12 @@ basis; `--tol`; 3-point sweeps, sweeps into failing parameter ranges,
 points without an interior optimum and points outside a closed form's or
 a derivative's domain; a 64-point sweep; generated demand models with
 analytic derivatives (n = 40, 80) and finite differences only (n = 4, 8);
-`verify-all`; `list-models`; and configuration errors, among them values
-that do not parse or are not finite and positive, from a config file and
-from flags.  The config files are written into a scratch directory, which
-the printed arguments name `<scratch>`.
+catalog entries with some derivatives registered and the rest left to
+finite differences (the factories of `_VARIANTS`); `verify-all`;
+`list-models`; and configuration errors, among them values that do not
+parse or are not finite and positive, from a config file and from flags.
+The config files and the `_VARIANTS` module are written into a scratch
+directory, which the printed arguments name `<scratch>`.
 """
 
 from __future__ import annotations
@@ -47,6 +49,44 @@ _CONFIG_FILES = {"tol_abc.cfg": "solver.tol = abc\n",
                  "max_iter_0.cfg": "solver.max_iter = 0\n",
                  "max_iter_-1.cfg": "solver.max_iter = -1\n",
                  "step_0.cfg": "sensitivity.step = 0\n"}
+# a module of `--model module:factory` factories: catalog entries whose
+# models keep some derivative callables and leave the rest to the stencils
+_VARIANTS = '''
+import dataclasses
+
+from compstat.benchmarks import get_benchmark
+
+_HESSIANS = ("hess_xx_objective", "hess_xa_objective",
+             "hess_xx_constraints", "hess_xa_constraints")
+
+
+def _variant(name, **fields):
+    entry = get_benchmark(name)
+    return dataclasses.replace(entry, model=dataclasses.replace(entry.model, **fields))
+
+
+def slutsky_no_hessians():
+    return _variant("slutsky_hicks", **dict.fromkeys(_HESSIANS))
+
+
+def profit_grad_x_only():
+    return _variant("profit_cd", grad_a_objective=None, **dict.fromkeys(_HESSIANS))
+
+
+def portfolio_one_fd_constraint_gradient():
+    bank = get_benchmark("efficient_portfolio").model.grad_x_constraints
+    return _variant("efficient_portfolio", grad_x_constraints=(bank[0], None))
+
+
+def utility_mixed_banks():
+    model = get_benchmark("multi_constraint_utility").model
+    return _variant("multi_constraint_utility",
+                    grad_a_constraints=(None, model.grad_a_constraints[1]),
+                    hess_xx_constraints=(model.hess_xx_constraints[0], None),
+                    hess_xa_constraints=None)
+'''
+_VARIANT_FACTORIES = ("slutsky_no_hessians", "profit_grad_x_only",
+                      "portfolio_one_fd_constraint_gradient", "utility_mixed_banks")
 
 
 def invocations(benchmark_names, get_benchmark) -> list:
@@ -91,6 +131,10 @@ def invocations(benchmark_names, get_benchmark) -> list:
         for factory in ("demand_40", "demand_80", "demandfd_4", "demandfd_8"):
             runs.append((["analyze", "--model", f"perfbench.inputs:{factory}_{seed}_0"],
                          factory == "demand_40"))
+    for factory in _VARIANT_FACTORIES:
+        for method in ("ift", "fd"):
+            runs.append((["analyze", "--model", f"digest_variants:{factory}",
+                          "--method", method], False))
     runs += [(["verify-all", "--format", "json"], True),
              (["verify-all", "--format", "table"], False),
              (["verify-all", "--format", "json", "--tol", "1e-12"], False),
@@ -134,6 +178,8 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as scratch:
         for name, text in _CONFIG_FILES.items():
             Path(scratch, name).write_text(text, encoding="utf-8")
+        Path(scratch, "digest_variants.py").write_text(_VARIANTS, encoding="utf-8")
+        sys.path.insert(0, scratch)
         for run, with_out in invocations(benchmark_names, get_benchmark):
             out_path = os.path.join(scratch, "out")
             run = run + (["--out", out_path] if with_out else [])
