@@ -51,7 +51,8 @@ def null_property_residuals(rows: np.ndarray, grad_stack: np.ndarray) -> np.ndar
     return np.abs(raw) / scales
 
 
-def build_isovectors(grad_stack: np.ndarray, annihilates_objective: bool = False) -> IsovectorSet:
+def build_isovectors(grad_stack: np.ndarray,
+                     annihilates_objective: bool = False) -> IsovectorSet:
     """Orthonormal basis of the orthogonal complement of the stacked gradients.
 
     With C independent target gradients in an N-dimensional parameter space
@@ -190,4 +191,4 @@ def conformance_tolerance(x_semicolon: np.ndarray, decision_grads: np.ndarray) -
     CONFORMANCE_TOL scaled by the size of the gradients and the compensated
     responses."""
     return CONFORMANCE_TOL * max(1.0, float(np.max(np.abs(decision_grads))) *
-                     max(1.0, float(np.max(np.abs(x_semicolon)))))
+                                 max(1.0, float(np.max(np.abs(x_semicolon)))))
