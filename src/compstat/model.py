@@ -9,6 +9,7 @@ finite-difference stencil, chosen in one place (`_block`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
@@ -131,7 +132,7 @@ def _block(model: ProblemModel, kind: str, k: Optional[int], x, a):
     if kind != "value":
         return np.asarray(fn(x, a), dtype=float)
     value = float(fn(x, a))
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         term = "objective" if k is None else f"constraint {k}"
         raise EvaluationError(f"{term} of {model.name!r} returned a non-finite value")
     return value
@@ -143,44 +144,21 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return view
 
 
-# Blocks attribute -> (kind, whether it stacks the K constraint terms)
-_ATTRIBUTES = {
-    "f": ("value", False), "g": ("value", True),
-    "fx": ("grad_x", False), "fa": ("grad_a", False),
-    "Gx": ("grad_x", True), "Ga": ("grad_a", True),            # K x M, K x N
-    "fxx": ("hess_xx", False), "fxa": ("hess_xa", False),      # M x M, M x N
-    "gxx": ("hess_xx", True), "gxa": ("hess_xa", True),        # K-tuples
-}
+class _Lazy:
+    """A `Blocks` attribute: block `kind` of the objective or, `stacked`, of
+    each constraint; evaluated on first use and kept in the instance dict."""
 
+    def __init__(self, kind: str, stacked: bool = False):
+        self.kind, self.stacked = kind, stacked
 
-@dataclass(frozen=True, eq=False)
-class Blocks:
-    """The blocks of `model` at one point (x, a) that the pipeline reads:
-    f, g, fx, fa, Gx, Ga, fxx, fxa, and gxx and gxa with one second-derivative
-    block per constraint (see `_ATTRIBUTES`).  Each comes from `_block`,
-    evaluated on first use and kept; arrays are handed out as read-only
-    views.  A failed evaluation keeps nothing and raises again on the next
-    use.  The Lagrangian blocks hold the multipliers `lam` fixed."""
+    def __set_name__(self, owner, name):
+        self.name = name
 
-    model: ProblemModel
-    x: np.ndarray
-    a: np.ndarray
-
-    def __post_init__(self):
-        for name, size, what in (("x", self.model.M, "decision"), ("a", self.model.N, "parameter")):
-            value = np.asarray(getattr(self, name), dtype=float)
-            if value.shape != (size,):
-                raise ConfigurationError(f"model {self.model.name!r}: expected {size} "
-                                         f"{what} values, got shape {value.shape}")
-            object.__setattr__(self, name, value)
-
-    def __getattr__(self, name):
-        # called only for attributes not yet in the instance dict
-        if name not in _ATTRIBUTES:
-            raise AttributeError(name)
-        kind, stacked = _ATTRIBUTES[name]
-        model, x, a = self.model, self.x, self.a
-        if not stacked:
+    def __get__(self, blocks, owner=None):
+        if blocks is None:
+            return self
+        kind, model, x, a = self.kind, blocks.model, blocks.x, blocks.a
+        if not self.stacked:
             value = _block(model, kind, None, x, a)
         elif kind.startswith("hess"):
             value = tuple(_read_only(_block(model, kind, k, x, a)) for k in range(model.K))
@@ -190,8 +168,40 @@ class Blocks:
             value = np.zeros((0, x.size if kind == "grad_x" else a.size))
         if isinstance(value, np.ndarray):
             value = _read_only(value)
-        self.__dict__[name] = value
+        blocks.__dict__[self.name] = value
         return value
+
+
+@dataclass(frozen=True, eq=False)
+class Blocks:
+    """The blocks of `model` at one point (x, a) that the pipeline reads:
+    f, g, fx, fa, Gx, Ga, fxx, fxa, and gxx and gxa with one second-derivative
+    block per constraint.  Each comes from `_block`, evaluated on first use
+    and kept; arrays are handed out as read-only views.  A failed evaluation
+    keeps nothing and raises again on the next use.  The Lagrangian blocks
+    hold the multipliers `lam` fixed."""
+
+    model: ProblemModel
+    x: np.ndarray
+    a: np.ndarray
+
+    f, g = _Lazy("value"), _Lazy("value", stacked=True)
+    fx, fa = _Lazy("grad_x"), _Lazy("grad_a")
+    Gx, Ga = _Lazy("grad_x", stacked=True), _Lazy("grad_a", stacked=True)   # K x M, K x N
+    fxx, fxa = _Lazy("hess_xx"), _Lazy("hess_xa")                           # M x M, M x N
+    gxx, gxa = _Lazy("hess_xx", stacked=True), _Lazy("hess_xa", stacked=True)   # K-tuples
+
+    def __post_init__(self):
+        model = self.model
+        x, a = np.asarray(self.x, dtype=float), np.asarray(self.a, dtype=float)
+        if x.shape != (model.M,):
+            raise ConfigurationError(
+                f"model {model.name!r}: expected {model.M} decision values, got shape {x.shape}")
+        if a.shape != (model.N,):
+            raise ConfigurationError(
+                f"model {model.name!r}: expected {model.N} parameter values, got shape {a.shape}")
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "a", a)
 
     def lagrangian_grad_x(self, lam) -> np.ndarray:
         return _weighted(self.fx, self.Gx, lam)

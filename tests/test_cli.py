@@ -215,8 +215,8 @@ def test_scaled_catalog_points_never_crash_untyped(capsys):
 
 
 def test_non_finite_parameter_values_exit_3_before_any_solve(capsys):
-    # pareto_allocation at b1=inf used to spin in a least-squares solve; the
-    # others stopped with an untyped LinAlgError or ValueError
+    # rejected while parsing, so no solve sees them (pareto_allocation at
+    # b1=inf would otherwise spin in a least-squares solve)
     for argv in (["pareto_allocation", "--at", "b1=inf"],
                  ["pareto_allocation", "--at", "b1=nan"],
                  ["profit_cd", "--at", "p=inf"],

@@ -135,7 +135,7 @@ def test_fd_resolves_with_the_callers_solver_settings(monkeypatch):
 
 def test_non_finite_bordered_system_raises_a_typed_error():
     # the start point is the optimum, so Newton never reads the Hessian;
-    # the implicit-function solve does, and lu_factor rejected it untyped
+    # the implicit-function solve does, before lu_factor's input check
     model = ProblemModel(
         name="nan_hessian", M=2, N=2,
         objective=lambda x, a: -float(np.sum((x - a) ** 2)),

@@ -57,8 +57,8 @@ def test_recover_multipliers_unconstrained_residual_is_gradient_norm():
     ("hess_xx_objective", lambda x, a: np.full((2, 2), np.nan)),
 ])
 def test_non_finite_blocks_raise_a_typed_error_before_lapack(field, block):
-    # a non-finite constraint x-gradient reached np.linalg.svd and lstsq,
-    # a non-finite Hessian the input check of scipy.linalg.solve
+    # neither np.linalg.svd and lstsq nor the input check of
+    # scipy.linalg.solve may see a non-finite block
     model = demand_model(np.array([0.5, 0.5]))
     value = (block,) if field.endswith("constraints") else block
     broken = dataclasses.replace(model, **{field: value})
