@@ -102,11 +102,11 @@ def _registered(model: ProblemModel, kind: str, k: Optional[int]):
 def _stencil(model: ProblemModel, kind: str, k: Optional[int], x, a) -> np.ndarray:
     """Central differences for a derivative block without a registered callable.
 
-    Gradients difference the value with fd.STEP_FIRST.  Second derivatives
-    difference the x-gradient block, registered or itself differenced:
-    hess_xx symmetrized with fd.STEP_FIRST, or `fd.hessian` of the value
-    when no x-gradient is registered; hess_xa with fd.STEP_FIRST, or
-    fd.STEP_NESTED when no x-gradient is registered.
+    Gradients difference the value with fd.STEP_FIRST.  hess_xx is the
+    symmetrized Jacobian of a registered x-gradient (fd.STEP_FIRST), else
+    `fd.hessian` of the value.  hess_xa is the a-Jacobian of the x-gradient
+    block, with fd.STEP_FIRST when that is registered and fd.STEP_NESTED
+    when it is itself differenced.
     """
     value = _registered(model, "value", k)
     if kind == "grad_x":
