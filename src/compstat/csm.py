@@ -252,6 +252,9 @@ def build_universal(model: ProblemModel, sol: SolutionPoint,
     else:
         gx, ga = sol.blocks.Gx, sol.blocks.Ga
         gram = gx @ gx.T
+        if not np.isfinite(gram).all():
+            raise ConstraintQualificationError(
+                f"constraint-gradient Gram matrix of {model.name!r} is not finite")
         svals = np.linalg.svd(gram, compute_uv=False)
         if svals[-1] <= SINGULAR_RTOL * max(svals[0], 1.0):
             raise ConstraintQualificationError(

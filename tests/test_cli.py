@@ -214,7 +214,7 @@ def test_scaled_catalog_points_never_crash_untyped(capsys):
     assert warned == []
 
 
-def test_non_finite_parameter_values_exit_3_before_any_solve(capsys):
+def test_non_finite_parameters_exit_3_and_overflowing_blocks_are_typed(capsys):
     # rejected while parsing, so no solve sees them (pareto_allocation at
     # b1=inf would otherwise spin in a least-squares solve)
     for argv in (["pareto_allocation", "--at", "b1=inf"],
@@ -232,6 +232,15 @@ def test_non_finite_parameter_values_exit_3_before_any_solve(capsys):
                                    "--at", "p=1e308,1"], capsys)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and "non-finite" in err
+    # with finite-difference sensitivities the point reaches the recipes,
+    # where the overflowing Gram matrix is a recipe error of the report
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code, out, _ = run_main(["analyze", "--model", "slutsky_hicks", "--at", "p=1e308,1",
+                                 "--method", "fd"], capsys)
+    assert code == 1 and json.loads(out)["errors"] == [{
+        "stage": "csm:universal_U",
+        "message": "constraint-gradient Gram matrix of 'slutsky_hicks' is not finite"}]
 
 
 @pytest.mark.parametrize("flags, message", [
