@@ -16,11 +16,12 @@ import numpy as np
 import scipy.linalg
 
 from ..csm import build_omega, estimate_rank
-from ..diagnostics import matrix_mismatch, min_eig_violation, report
+from ..diagnostics import (IDENTITY_TOL, ROUNDING_TOL, check_conformance, matrix_mismatch,
+                           min_eig_violation, report)
 from ..errors import DomainError
 from ..geometry import prescribe_isovectors
 from ..model import InvarianceGenerator, ProblemModel
-from .base import BenchRun, BenchmarkEntry, check_conformance, constraint_fields
+from .base import BenchRun, BenchmarkEntry, constraint_fields
 
 
 def _slots(m_dim):
@@ -238,8 +239,7 @@ def _pa_check_full_nsd(run):
                          [blocks[(1, 0)], blocks[(1, 1)]]])
     res = matrix_mismatch(phi_full, -omega.matrix)
     res = max(res, min_eig_violation(phi_full, "negative"))
-    return report("contract_csm_nsd", "contract-responses-sign", res,
-                  max(run.tol, 1e-6))
+    return report("contract_csm_nsd", "contract-responses-sign", res, IDENTITY_TOL)
 
 
 def _pa_check_block_identities(run):
@@ -249,15 +249,14 @@ def _pa_check_block_identities(run):
     r_mat = np.diag(ratio)
     res = matrix_mismatch(blocks[(1, 1)], r_mat @ blocks[(0, 0)] @ r_mat)
     res = max(res, matrix_mismatch(blocks[(0, 1)], blocks[(0, 0)] @ r_mat))
-    return report("block_identities", "probability-ratio-blocks", res,
-                  max(run.tol, 1e-5))
+    return report("block_identities", "probability-ratio-blocks", res, IDENTITY_TOL)
 
 
 def _pa_check_reduced_operators(run):
     worst = max(matrix_mismatch(reduced_jacobian(run, 0), raw_jacobian(run, 0)),
                 matrix_mismatch(reduced_jacobian(run, 1), raw_jacobian(run, 1)))
     return report("reduced_operator_equality", "normalization-elimination",
-                  worst, max(run.tol, 1e-6))
+                  worst, IDENTITY_TOL)
 
 
 def low_effort_wage_matrix(run: BenchRun) -> np.ndarray:
@@ -276,7 +275,7 @@ def _pa_check_h_matrix(run):
     rank = estimate_rank(h_mat)
     ok = rank <= run.model.M - 2
     return report("low_effort_matrix", "wage-response-sign-and-rank",
-                  res if ok else max(res, 1.0), max(run.tol, 1e-5), rank=rank)
+                  res if ok else max(res, 1.0), IDENTITY_TOL, rank=rank)
 
 
 def _pa_check_multiplier_signs(run):
@@ -285,7 +284,7 @@ def _pa_check_multiplier_signs(run):
     res = max(0.0, -lam[0]) + max(0.0, lam[1])
     res = max(res, float(np.max(1.0 - lam[0] * v_prime)))
     return report("multiplier_signs", "effort-shadow-price-signs",
-                  max(0.0, res), run.tol,
+                  max(0.0, res), ROUNDING_TOL,
                   high_effort=float(lam[0]), low_effort=float(lam[1]))
 
 
@@ -294,7 +293,7 @@ def _pa_check_diagonal_inequalities(run):
     d2 = np.diag(reduced_jacobian(run, 1))
     res = max(float(np.max(np.maximum(-d1, 0.0))), float(np.max(np.maximum(d2, 0.0))))
     return report("diagonal_inequalities", "own-probability-response-signs",
-                  res, max(run.tol, 1e-6),
+                  res, IDENTITY_TOL,
                   high_effort_diag=d1.tolist(), low_effort_diag=d2.tolist())
 
 
@@ -309,8 +308,7 @@ def _pa_check_homogeneity(run):
         level = run.sol.a[iB1 if which == 0 else iB2]
         resid = blk @ probs + level * level_col
         worst = max(worst, float(np.max(np.abs(resid))))
-    return report("block_scale_invariance", "per-effort-degree-zero", worst,
-                  max(run.tol, 1e-6))
+    return report("block_scale_invariance", "per-effort-degree-zero", worst, IDENTITY_TOL)
 
 
 def register_principal_agent(m_dim: int = 3,
@@ -332,7 +330,7 @@ def register_principal_agent(m_dim: int = 3,
         ("low_effort_matrix", _pa_check_h_matrix),
         ("multiplier_signs", _pa_check_multiplier_signs),
         ("diagonal_inequalities", _pa_check_diagonal_inequalities),
-        ("conformance", check_conformance),
+        ("conformance", lambda run: check_conformance(run.sol, run.sens, run.iso)),
         ("block_scale_invariance", _pa_check_homogeneity),
     )
     return BenchmarkEntry(

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..diagnostics import report
+from ..diagnostics import check_conformance, report
 from ..geometry import build_isovectors, prescribe_isovectors
 from ..model import ProblemModel
-from .base import BenchmarkEntry, check_conformance, constraint_fields
+from .base import BenchmarkEntry, constraint_fields
 
 
 def allocation_model(taste, shift_count, endow_count, name="pareto_allocation") -> ProblemModel:
@@ -193,7 +193,7 @@ def register_pareto_allocation(taste=None, shifts=(0.2, 0.3),
     suite = (
         ("null_property", _ac_check_null_property),
         ("endowment_free_rows", _ac_check_endowment_free),
-        ("conformance", check_conformance),
+        ("conformance", lambda run: check_conformance(run.sol, run.sens, run.iso)),
         ("single_agent_degenerate", _ac_check_single_agent),
     )
     x0 = np.tile(np.asarray(endowments, dtype=float) / n_agents, n_agents)

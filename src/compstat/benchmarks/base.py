@@ -8,9 +8,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ..diagnostics import CheckReport, report
 from ..errors import NonConvergenceError
-from ..geometry import IsovectorSet, build_isovectors, gcd_apply, verify_conformance
+from ..geometry import IsovectorSet, build_isovectors
 from ..model import BLOCK_FIELDS, ProblemModel
 from ..sensitivity import (SensitivityBundle, decision_jacobian_analytic,
                            decision_jacobian_fd, decision_jacobian_ift)
@@ -78,19 +77,6 @@ class BenchRun:
     iso: Optional[IsovectorSet]         # None when the solve did not converge
     pipeline: str                    # "analytic" | "numeric"
     timings: dict = field(default_factory=dict)   # stage -> wall seconds
-
-    @property
-    def tol(self) -> float:
-        """Default check tolerance for this pipeline."""
-        return 1e-8 if self.pipeline == "analytic" else 1e-6
-
-
-def check_conformance(run: BenchRun) -> CheckReport:
-    """Suite check: the compensated decision columns are orthogonal to the
-    decision-space constraint gradients, to 1e-6."""
-    table, _ = verify_conformance(gcd_apply(run.iso, run.sens.x_jac), run.sol.blocks.Gx)
-    return report("conformance", "constraint-conformance",
-                  float(np.max(np.abs(table))) if table.size else 0.0, 1e-6)
 
 
 @dataclass(frozen=True)

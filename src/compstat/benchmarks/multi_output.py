@@ -11,7 +11,8 @@ import numpy as np
 import scipy.linalg
 
 from ..csm import build_omega, build_omega_a2, estimate_rank
-from ..diagnostics import check_invariance, matrix_mismatch, min_eig_violation, report
+from ..diagnostics import (IDENTITY_TOL, ROUNDING_TOL, check_invariance, matrix_mismatch,
+                           min_eig_violation, report)
 from ..errors import DomainError
 from ..geometry import prescribe_isovectors
 from ..model import InvarianceGenerator, ProblemModel
@@ -116,13 +117,12 @@ def _make_suite(output_grads):
         a2 = build_omega_a2(run.model, run.sol, run.sens)
         res = matrix_mismatch(a2.matrix, t_mat)
         res = max(res, min_eig_violation(t_mat, "positive"))
-        return report("block_matrix_psd", "io-block-semidefinite", res,
-                      max(run.tol, 1e-6))
+        return report("block_matrix_psd", "io-block-semidefinite", res, IDENTITY_TOL)
 
     def check_block_symmetry(run):
         _, m_block, q_block, _ = io_blocks(run, output_grads)
         return report("block_symmetry", "cross-block-transpose",
-                      matrix_mismatch(-q_block.T, m_block), max(run.tol, 1e-6))
+                      matrix_mismatch(-q_block.T, m_block), IDENTITY_TOL)
 
     def check_sharpened_pair(run):
         w_block, m_block, _, p_block = io_blocks(run, output_grads)
@@ -133,7 +133,7 @@ def _make_suite(output_grads):
         res = max(min_eig_violation(w_star, "negative"),
                   min_eig_violation(p_star, "positive"))
         res = max(res, min_eig_violation(w_star - w_block, "positive"))
-        return report("sharpened_pair", "optimal-io-bounds", res, max(run.tol, 1e-6))
+        return report("sharpened_pair", "optimal-io-bounds", res, IDENTITY_TOL)
 
     def check_sharpening_optimal(run):
         w_block, m_block, _, p_block = io_blocks(run, output_grads)
@@ -150,11 +150,11 @@ def _make_suite(output_grads):
                 rhs = -2 * u @ m_block @ v + v @ p_block @ v
                 worst = max(worst, best - rhs)       # v* minimizes the rhs
         return report("sharpening_optimal", "optimal-compensator-sampling",
-                      max(0.0, worst), max(run.tol, 1e-6))
+                      max(0.0, worst), IDENTITY_TOL)
 
     def check_homogeneity(run):
         return check_invariance(run.model, run.model.invariance_generators[0],
-                                run.sol, run.sens, tol=max(run.tol, 1e-6))
+                                run.sol, run.sens, tol=IDENTITY_TOL)
 
     def check_single_output_reduction(run):
         model1, x_jac1, (c1, a1) = multi_output_model(
@@ -176,8 +176,7 @@ def _make_suite(output_grads):
         res = matrix_mismatch(w_star, w_star_scalar)
         wWw = float(m_block[:, 0] @ scipy.linalg.solve(w_block, m_block[:, 0]))
         res = max(res, abs(float(p_star[0, 0]) - (dFdp + wWw)) / max(1.0, abs(dFdp)))
-        return report("single_output_reduction", "g1-specialization", res,
-                      max(run.tol, 1e-6))
+        return report("single_output_reduction", "g1-specialization", res, IDENTITY_TOL)
 
     return (
         ("block_matrix_psd", check_block_matrix),
@@ -341,29 +340,27 @@ def _make_cost_suite(output_grads):
         blocks = eq_blocks(run)
         res = matrix_mismatch(omega.matrix, blocks)
         res = max(res, min_eig_violation(blocks, "positive"))
-        return report("expenditure_block_csm", "cost-compensated-recipe", res,
-                      max(run.tol, 1e-6))
+        return report("expenditure_block_csm", "cost-compensated-recipe", res, IDENTITY_TOL)
 
     def check_dual_homogeneity(run):
         worst = 0.0
         for gen in run.model.invariance_generators:
             rep = check_invariance(run.model, gen, run.sol, run.sens,
-                                   tol=max(run.tol, 1e-6))
+                                   tol=IDENTITY_TOL)
             worst = max(worst, rep.residual)
-        return report("dual_homogeneity", "separate-degree-zero", worst,
-                      max(run.tol, 1e-6))
+        return report("dual_homogeneity", "separate-degree-zero", worst, IDENTITY_TOL)
 
     def check_multiplier_positive(run):
         lam = float(run.sol.lam[0])
         return report("multiplier_positive", "expenditure-shadow-price-sign",
-                      max(0.0, -lam), run.tol, lam=lam)
+                      max(0.0, -lam), ROUNDING_TOL, lam=lam)
 
     def check_slutsky_analog(run):
         w_comp, _, _, p_block = _cost_blocks(run, output_grads)
         res = max(min_eig_violation(-w_comp, "positive"),
                   min_eig_violation(p_block, "positive"))
         return report("slutsky_analog_psd", "expenditure-substitution-sign", res,
-                      max(run.tol, 1e-6))
+                      IDENTITY_TOL)
 
     def check_cross_equality(run):
         lam = run.sol.lam[0]
@@ -371,7 +368,7 @@ def _make_cost_suite(output_grads):
         lhs = lam * m_block
         rhs = -q_comp.T
         return report("cross_equality", "input-output-reciprocity",
-                      matrix_mismatch(lhs, rhs), max(run.tol, 1e-6))
+                      matrix_mismatch(lhs, rhs), IDENTITY_TOL)
 
     def check_rank(run):
         blocks = eq_blocks(run)

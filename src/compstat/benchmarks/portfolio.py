@@ -14,7 +14,8 @@ import numpy as np
 import scipy.linalg
 
 from ..csm import build_omega, estimate_rank
-from ..diagnostics import check_invariance, matrix_mismatch, min_eig_violation, report
+from ..diagnostics import (IDENTITY_TOL, ROUNDING_TOL, check_invariance, matrix_mismatch,
+                           min_eig_violation, report)
 from ..errors import DomainError
 from ..geometry import prescribe_isovectors
 from ..model import InvarianceGenerator, ProblemModel
@@ -244,7 +245,7 @@ def _pf_check_variance(run):
         res = max(res, max(0.0, best_value - portfolio_variance(*args, best_target + delta)))
         res = max(res, max(0.0, best_value - portfolio_variance(*args, best_target - delta)))
     return report("variance_formula", "optimal-variance-closed-form", res,
-                  max(run.tol, 1e-8), minimum_target=best_target,
+                  ROUNDING_TOL, minimum_target=best_target,
                   minimum_value=best_value)
 
 
@@ -264,7 +265,7 @@ def _pf_check_csm_blocks(run):
     rank = estimate_rank(expected)
     ok = rank <= run.model.M - 2
     return report("csm_block_structure", "uncorrelated-block-form",
-                  res if ok else max(res, 1.0), max(run.tol, 1e-6), rank=rank)
+                  res if ok else max(res, 1.0), IDENTITY_TOL, rank=rank)
 
 
 def _pf_check_symmetry_relations(run):
@@ -274,8 +275,7 @@ def _pf_check_symmetry_relations(run):
     sq_resp = np.diag(2.0 * x) @ var_resp          # responses of squared shares
     res = matrix_mismatch(sq_resp, -4.0 * np.outer(x, x) * sub_w / nu[0])
     res = max(res, matrix_mismatch(sq_resp, -4.0 * np.outer(x, x) * sub_r / nu[1]))
-    return report("symmetry_relations", "block-proportionality", res,
-                  max(run.tol, 1e-6))
+    return report("symmetry_relations", "block-proportionality", res, IDENTITY_TOL)
 
 
 def _pf_check_null_vectors(run):
@@ -288,18 +288,16 @@ def _pf_check_null_vectors(run):
     for mat in (sub_w, sub_r, 2.0 * scaled):
         for vec in (w, r):
             worst = max(worst, float(np.max(np.abs(mat @ vec))))
-    return report("null_vectors", "constraint-null-vectors", worst,
-                  max(run.tol, 1e-6))
+    return report("null_vectors", "constraint-null-vectors", worst, IDENTITY_TOL)
 
 
 def _pf_check_homogeneity(run):
     worst = 0.0
     for gen in run.model.invariance_generators:
         rep = check_invariance(run.model, gen, run.sol, run.sens,
-                               tol=max(run.tol, 1e-6))
+                               tol=IDENTITY_TOL)
         worst = max(worst, rep.residual)
-    return report("triple_homogeneity", "separate-degree-zero", worst,
-                  max(run.tol, 1e-6))
+    return report("triple_homogeneity", "separate-degree-zero", worst, IDENTITY_TOL)
 
 
 def _make_original_checks(sigma, w, r):
@@ -329,7 +327,7 @@ def _make_original_checks(sigma, w, r):
         rank_ok = (estimate_rank(sub_w) <= m_dim - 2
                    and estimate_rank(sub_r) <= m_dim - 2)
         return report("original_coordinates", "asset-coordinate-consistency",
-                      res if rank_ok else max(res, 1.0), max(run.tol, 1e-6),
+                      res if rank_ok else max(res, 1.0), IDENTITY_TOL,
                       dropped=list(dropped))
 
     def check_diagonal_trivial(run):

@@ -14,7 +14,8 @@ import numpy as np
 
 from ..csm import (build_omega, build_omega_a1, build_omega_a2, estimate_rank,
                    from_matrix, transform_csm)
-from ..diagnostics import check_invariance, matrix_mismatch, min_eig_violation, report
+from ..diagnostics import (IDENTITY_TOL, check_invariance, matrix_mismatch,
+                           min_eig_violation, report)
 from ..errors import ConfigurationError, DomainError
 from ..geometry import build_isovectors, prescribe_isovectors
 from ..model import InvarianceGenerator, ProblemModel, augment_with_scale
@@ -197,26 +198,25 @@ def _make_suite(gamma, F0):
     def check_closed_form_jacobian(run):
         expected = cd_demand_jacobian(gamma, F0)(run.sol.a)
         return report("closed_form_jacobian", "demand-jacobian-value",
-                      matrix_mismatch(run.sens.x_jac, expected), max(run.tol, 1e-6))
+                      matrix_mismatch(run.sens.x_jac, expected), IDENTITY_TOL)
 
     def check_supply_response(run):
         dFdp = supply_derivative(run)
         a2 = build_omega_a2(run.model, run.sol, run.sens)
         res = max(0.0, -dFdp) + abs(a2.matrix[run.model.M, run.model.M] - dFdp)
         return report("supply_response_nonneg", "supply-slope-sign", res,
-                      max(run.tol, 1e-6), dFdp=dFdp)
+                      IDENTITY_TOL, dFdp=dFdp)
 
     def check_input_block(run):
         w_block = input_price_block(run)
         a2 = build_omega_a2(run.model, run.sol, run.sens)
         res = matrix_mismatch(a2.matrix[:run.model.M, :run.model.M], -w_block)
         res = max(res, min_eig_violation(w_block, "negative"))
-        return report("input_price_block_nsd", "negative-semidefinite", res,
-                      max(run.tol, 1e-6))
+        return report("input_price_block_nsd", "negative-semidefinite", res, IDENTITY_TOL)
 
     def check_homogeneity(run):
         return check_invariance(run.model, run.model.invariance_generators[0],
-                                run.sol, run.sens, tol=max(run.tol, 1e-6))
+                                run.sol, run.sens, tol=IDENTITY_TOL)
 
     def check_ratio_matrix(run):
         z_direct = ratio_matrix(run)
@@ -226,7 +226,7 @@ def _make_suite(gamma, F0):
         res = matrix_mismatch(member.matrix / production_level(run), z_direct)
         res = max(res, min_eig_violation(z_direct, "negative"))
         return report("ratio_matrix_nsd", "ratio-responses-negative-semidefinite",
-                      res, max(run.tol, 1e-6))
+                      res, IDENTITY_TOL)
 
     def check_cross_derivative(run):
         m_dim = run.model.M
@@ -234,7 +234,7 @@ def _make_suite(gamma, F0):
         dF_dw = production_gradient(run) @ input_price_block(run)
         scale = max(1.0, float(np.max(np.abs(x_p))))
         return report("cross_derivative_identity", "reciprocity-output-input",
-                      float(np.max(np.abs(x_p + dF_dw))) / scale, max(run.tol, 1e-6))
+                      float(np.max(np.abs(x_p + dF_dw))) / scale, IDENTITY_TOL)
 
     def check_scale_rows_csm(run):
         aug, sol, sens, iso = augmented_run(run)
@@ -247,15 +247,14 @@ def _make_suite(gamma, F0):
         x_p = sens.x_jac[:, m_dim]
         res = max(res, float(np.max(np.abs(omega.matrix[m_dim, :m_dim] - dF_dw))) / scale)
         res = max(res, float(np.max(np.abs(omega.matrix[:m_dim, m_dim] + x_p))) / scale)
-        return report("scale_rows_csm", "augmented-recipe-symmetry", res,
-                      max(run.tol, 1e-6))
+        return report("scale_rows_csm", "augmented-recipe-symmetry", res, IDENTITY_TOL)
 
     def check_sharpened_input_bound(run):
         w_block = input_price_block(run)
         x_p = run.sens.x_jac[:, run.model.M]
         sharpened = w_block + np.outer(x_p, x_p) / supply_derivative(run)
         return report("sharpened_input_bound", "sharpened-own-price-bound",
-                      min_eig_violation(sharpened, "negative"), max(run.tol, 1e-6),
+                      min_eig_violation(sharpened, "negative"), IDENTITY_TOL,
                       diagonal=np.diag(sharpened).tolist())
 
     def check_supply_bound(run):
@@ -263,7 +262,7 @@ def _make_suite(gamma, F0):
         # the bound holds generally; this technology attains it exactly
         res = max(max(0.0, bound - sigma), abs(sigma - bound))
         return report("supply_bound", "supply-slope-lower-bound", res,
-                      max(run.tol, 1e-6), sigma=sigma, bound=bound)
+                      IDENTITY_TOL, sigma=sigma, bound=bound)
 
     def check_family_sampling(run):
         rng = np.random.default_rng(7)
@@ -274,7 +273,7 @@ def _make_suite(gamma, F0):
         zero_member = family_member(run, np.zeros(run.model.M))
         worst = max(worst, matrix_mismatch(zero_member.matrix, input_price_block(run)))
         return report("family_sampling", "congruence-family-semidefinite", worst,
-                      max(run.tol, 1e-6))
+                      IDENTITY_TOL)
 
     def check_singular_transform(run):
         m_dim = run.model.M
@@ -295,8 +294,7 @@ def _make_suite(gamma, F0):
         res = max(min_eig_violation(a1.matrix, "positive"),
                   min_eig_violation(a2.matrix, "positive"),
                   matrix_mismatch(a1.matrix, a2.matrix))
-        return report("log_variant_agreement", "log-route-unconstrained", res,
-                      max(run.tol, 1e-6))
+        return report("log_variant_agreement", "log-route-unconstrained", res, IDENTITY_TOL)
 
     return (
         ("closed_form_jacobian", check_closed_form_jacobian),

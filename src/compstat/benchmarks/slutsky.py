@@ -9,7 +9,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..csm import build_omega, estimate_rank
-from ..diagnostics import check_invariance, matrix_mismatch, min_eig_violation, report
+from ..diagnostics import (ROUNDING_TOL, check_invariance, matrix_mismatch,
+                           min_eig_violation, report)
 from ..errors import DomainError
 from ..geometry import prescribe_isovectors
 from ..model import InvarianceGenerator, ProblemModel
@@ -96,26 +97,26 @@ def _check_sigma_closed_form(run: BenchRun):
     shares = run.sol.x * p / m
     expected = np.diag(-shares * m / p**2) + np.outer(shares / p, run.sol.x)
     return report("sigma_closed_form", "substitution-matrix-value",
-                  matrix_mismatch(sigma, expected), run.tol)
+                  matrix_mismatch(sigma, expected), ROUNDING_TOL)
 
 
 def _check_sigma_semidefinite(run: BenchRun):
     sigma = substitution_matrix(run)
     return report("sigma_negative_semidefinite", "negative-semidefinite",
-                  min_eig_violation(sigma, "negative"), run.tol,
+                  min_eig_violation(sigma, "negative"), ROUNDING_TOL,
                   eigenvalues=np.linalg.eigvalsh(0.5 * (sigma + sigma.T)).tolist())
 
 
 def _check_sigma_symmetry(run: BenchRun):
     sigma = substitution_matrix(run)
-    return report("sigma_symmetric", "symmetry", matrix_mismatch(sigma.T, sigma), run.tol)
+    return report("sigma_symmetric", "symmetry", matrix_mismatch(sigma.T, sigma), ROUNDING_TOL)
 
 
 def _check_price_null_vector(run: BenchRun):
     sigma = substitution_matrix(run)
     p = run.sol.a[:run.model.M]
     return report("sigma_price_null", "budget-null-vector",
-                  float(np.max(np.abs(sigma @ p))), run.tol)
+                  float(np.max(np.abs(sigma @ p))), ROUNDING_TOL)
 
 
 def _check_rank(run: BenchRun):
@@ -130,12 +131,13 @@ def _check_omega_relation(run: BenchRun):
     omega = build_omega(run.model, run.sol, run.sens, run.iso)
     expected = -run.sol.lam[0] * substitution_matrix(run)
     return report("omega_is_scaled_sigma", "recipe-vs-substitution",
-                  matrix_mismatch(omega.matrix, expected), run.tol)
+                  matrix_mismatch(omega.matrix, expected), ROUNDING_TOL)
 
 
 def _check_homogeneity(run: BenchRun):
     gen = run.model.invariance_generators[0]
-    rep = check_invariance(run.model, gen, run.sol, run.sens, tol=run.tol * 10)
+    # the identity sums the Jacobian over all N parameters
+    rep = check_invariance(run.model, gen, run.sol, run.sens, tol=10 * ROUNDING_TOL)
     return rep
 
 
@@ -163,7 +165,7 @@ def _check_reduced_form(run: BenchRun):
     p_tilde = run.sol.a[:run.model.M] / m
     res = max(res, float(np.max(np.abs(sigma_tilde @ p_tilde))))
     res = max(res, min_eig_violation(sigma_tilde, "negative"))
-    return report("reduced_form_equivalent", "income-scaled-reduction", res, run.tol)
+    return report("reduced_form_equivalent", "income-scaled-reduction", res, ROUNDING_TOL)
 
 
 def _check_drop_reconstruct(run: BenchRun):
@@ -178,7 +180,7 @@ def _check_drop_reconstruct(run: BenchRun):
     rebuilt[:m_dim - 1, m_dim - 1] = -lead @ p_tilde[:m_dim - 1] / p_tilde[m_dim - 1]
     rebuilt[m_dim - 1, :] = -p_tilde[:m_dim - 1] @ rebuilt[:m_dim - 1, :] / p_tilde[m_dim - 1]
     return report("drop_last_reconstruct", "redundant-row-reconstruction",
-                  matrix_mismatch(rebuilt, sigma_tilde), run.tol)
+                  matrix_mismatch(rebuilt, sigma_tilde), ROUNDING_TOL)
 
 
 def derived_matrices(run: BenchRun) -> dict:

@@ -7,7 +7,7 @@ import numpy as np
 import scipy.linalg
 
 from ..csm import build_omega, estimate_rank
-from ..diagnostics import matrix_mismatch, min_eig_violation, report
+from ..diagnostics import IDENTITY_TOL, matrix_mismatch, min_eig_violation, report
 from ..geometry import prescribe_isovectors
 from ..model import ProblemModel
 from .base import BenchRun, BenchmarkEntry, LinearBudget, constraint_fields
@@ -60,7 +60,7 @@ def substitution_block(run: BenchRun, k: int) -> np.ndarray:
 def _mc_check_full_nsd(run):
     omega = build_omega(run.model, run.sol, run.sens, run.iso)
     return report("full_csm_semidefinite", "compensated-recipe-sign",
-                  min_eig_violation(omega.matrix, "positive"), max(run.tol, 1e-7))
+                  min_eig_violation(omega.matrix, "positive"), IDENTITY_TOL)
 
 
 def _mc_check_blocks(run):
@@ -75,8 +75,7 @@ def _mc_check_blocks(run):
             expected = (lam[i] * lam[j] / lam[0]) * sigma1
             worst = max(worst, matrix_mismatch(got, expected))
             worst = max(worst, matrix_mismatch(got, lam[i] * substitution_block(run, j)))
-    return report("double_block_structure", "repeated-block-form", worst,
-                  max(run.tol, 1e-6))
+    return report("double_block_structure", "repeated-block-form", worst, IDENTITY_TOL)
 
 
 def _mc_check_annihilation(run):
@@ -87,8 +86,7 @@ def _mc_check_annihilation(run):
     for k in range(run.model.K):
         p_k = run.sol.a[k * block:k * block + m_dim]
         worst = max(worst, float(np.max(np.abs(p_k @ sigma1))))
-    return report("price_annihilation", "budget-null-vectors", worst,
-                  max(run.tol, 1e-6))
+    return report("price_annihilation", "budget-null-vectors", worst, IDENTITY_TOL)
 
 
 def _mc_check_rank(run):
@@ -110,7 +108,7 @@ def _mc_check_offdiag_transpose(run):
     lhs = lam[0] * substitution_block(run, 1)
     rhs = (lam[1] * substitution_block(run, 0)).T
     return report("offdiag_transpose", "cross-block-transpose",
-                  matrix_mismatch(lhs, rhs), max(run.tol, 1e-6))
+                  matrix_mismatch(lhs, rhs), IDENTITY_TOL)
 
 
 def _mc_check_k1_reduction(run):
@@ -125,14 +123,13 @@ def _mc_check_k1_reduction(run):
     expected = np.diag(-shares * m / p**2) + np.outer(shares / p, x_ref)
     res = matrix_mismatch(sigma, expected)
     res = max(res, float(np.max(np.abs(sub.sol.x - x_ref))))
-    return report("k1_reduction", "single-constraint-specialization", res,
-                  max(run.tol, 1e-6))
+    return report("k1_reduction", "single-constraint-specialization", res, IDENTITY_TOL)
 
 
 def _mc_check_multiplier_signs(run):
     res = float(np.max(np.maximum(-run.sol.lam, 0.0)))
     return report("multiplier_signs", "budget-shadow-price-signs", res,
-                  max(run.tol, 1e-8), multipliers=run.sol.lam.tolist())
+                  IDENTITY_TOL, multipliers=run.sol.lam.tolist())
 
 
 # default instance built backward from a target bundle so that both budget
@@ -276,7 +273,7 @@ def _mp_make_suite(gamma, intercepts, slopes):
         rank = estimate_rank(g_mat)
         ok = rank <= run.model.M - 1
         return report("g_matrix_nsd", "market-power-substitution-sign",
-                      res if ok else max(res, 1.0), max(run.tol, 1e-6), rank=rank)
+                      res if ok else max(res, 1.0), IDENTITY_TOL, rank=rank)
 
     def check_g_price_structure(run):
         g_tilde = price_coordinate_g(run, b)
@@ -286,7 +283,7 @@ def _mp_make_suite(gamma, intercepts, slopes):
         res = max(res, float(np.max(np.abs(g_tilde @ prices))) / scale)
         res = max(res, float(np.max(np.abs(prices @ g_tilde))) / scale)
         return report("price_coordinate_structure", "modified-substitution-nulls",
-                      res, max(run.tol, 1e-5))
+                      res, IDENTITY_TOL)
 
     def check_elasticity_form(run):
         prices, x_p, x_m_price = _market_pieces(run, b)
@@ -306,7 +303,7 @@ def _mp_make_suite(gamma, intercepts, slopes):
                             * (x[beta] / x[g]) * dem / sup)
                 elastic[alpha, beta] = acc
         return report("elasticity_form", "market-share-scaling",
-                      matrix_mismatch(correction, elastic), max(run.tol, 1e-6))
+                      matrix_mismatch(correction, elastic), IDENTITY_TOL)
 
     def check_modified_euler(run):
         prices, x_p, x_m_price = _market_pieces(run, b)
@@ -317,7 +314,7 @@ def _mp_make_suite(gamma, intercepts, slopes):
         residual = m_mod * x_m_price + x_p @ p_mod
         scale = max(1.0, float(np.max(np.abs(x))))
         return report("modified_euler", "price-impact-euler",
-                      float(np.max(np.abs(residual))) / scale, max(run.tol, 1e-5))
+                      float(np.max(np.abs(residual))) / scale, IDENTITY_TOL)
 
     def check_competitive_limit(run):
         reference = demand_model(gamma, name="_limit_reference")

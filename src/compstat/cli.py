@@ -31,10 +31,10 @@ import numpy as np
 
 from . import csm as csm_mod
 from .benchmarks import BenchmarkEntry, benchmark_names, get_benchmark
-from .diagnostics import (check_envelope, check_hatta_reduction, check_invariance,
+from .diagnostics import (IDENTITY_TOL, ROUNDING_TOL, STENCIL_TOL, check_conformance,
+                          check_envelope, check_hatta_reduction, check_invariance,
                           check_rank_bound, check_semidefinite, matrix_mismatch, report)
 from .errors import CompstatError, ConfigurationError
-from .geometry import conformance_tolerance, gcd_apply, verify_conformance
 from .report import (SCHEMA_VERSION, check_dict, csm_dict, encode_json, isovector_dict,
                      matrices_to_csv, run_report, sensitivity_dict, solution_dict)
 from .solver import SolverConfig
@@ -59,7 +59,7 @@ class RunConfig:
     solver_max_iter: int = 100
     fd_step: Optional[float] = None
     check_tol: float = 1e-7
-    envelope_tol: float = 1e-5
+    envelope_tol: float = STENCIL_TOL
     out: Optional[str] = None
     format: str = "json"
 
@@ -291,7 +291,7 @@ def run_point(entry: BenchmarkEntry, a: np.ndarray, cfg: RunConfig) -> dict:
             continue
         checks.append(check_semidefinite(
             result, "positive", tol=cfg.check_tol,
-            symmetry_tol=max(cfg.check_tol, 1e-8), name=f"semidefinite[{recipe}]"))
+            symmetry_tol=max(cfg.check_tol, ROUNDING_TOL), name=f"semidefinite[{recipe}]"))
         checks.append(check_rank_bound(result, model.M, model.K,
                                        name=f"rank_bound[{recipe}]"))
     for name, (result, sign) in derived.items():
@@ -300,13 +300,7 @@ def run_point(entry: BenchmarkEntry, a: np.ndarray, cfg: RunConfig) -> dict:
             symmetry_tol=max(cfg.check_tol, 1e-7),
             name=f"semidefinite[derived:{name}]"))
     if model.K:
-        x_semi = gcd_apply(iso, sens.x_jac)
-        grads = sol.blocks.Gx
-        table, _ = verify_conformance(x_semi, grads)
-        checks.append(report(
-            "conformance", "constraint-conformance",
-            float(np.max(np.abs(table))) if table.size else 0.0,
-            conformance_tolerance(x_semi, grads)))
+        checks.append(check_conformance(sol, sens, iso))
     if "omega_eq7" in results:
         ref = results["omega_eq7"].matrix
         for other, transform in (("omega_quadratic", None),
@@ -318,7 +312,7 @@ def run_point(entry: BenchmarkEntry, a: np.ndarray, cfg: RunConfig) -> dict:
             if transform == "sandwich":
                 mat = iso.vectors @ mat @ iso.vectors.T
             checks.append(report(f"coherence[{other}]", "recipe-cross-identity",
-                                 matrix_mismatch(mat, ref), 1e-6))
+                                 matrix_mismatch(mat, ref), IDENTITY_TOL))
     checks.append(check_hatta_reduction(model, sol, sens))
     timings["checks_s"] = time.perf_counter() - tick
 

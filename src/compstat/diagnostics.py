@@ -1,5 +1,6 @@
 """Structural checks at a solution point: envelope, invariance,
-semidefiniteness, rank bounds, and the separable-constraint reduction.
+semidefiniteness, rank bounds, conformance, and the separable-constraint
+reduction.
 
 Each check returns a CheckReport rather than raising; a failed check
 carries its residual and tolerance, a skipped check carries a reason.
@@ -15,15 +16,23 @@ import numpy as np
 from . import fd
 from .csm import CsmResult, build_omega, from_matrix
 from .errors import CompstatError
-from .geometry import IsovectorSet, prescribe_isovectors
+from .geometry import (IsovectorSet, conformance_tolerance, gcd_apply,
+                       prescribe_isovectors, verify_conformance)
 from .model import Blocks, InvarianceGenerator, ProblemModel
 from .sensitivity import SensitivityBundle
 from .solver import (SolutionPoint, SolverConfig, newton_solve,
                      projected_hessian_extremes)
 
-TOL_ANALYTIC = 1e-8
-TOL_FD = 1e-5
-HATTA_TOL = 1e-6      # the separable-constraint reduction against the main recipe
+# Check tolerances.  A check states one of these, or a literal with a reason
+# of its own, and keeps it whichever derivative pipeline produced its inputs.
+# Residuals are relative (`matrix_mismatch`, `spectrum_violation`).
+ROUNDING_TOL = 1e-8   # symmetry, signs and closed forms at the solved point: the
+                      # residual is rounding alone (<= 4.4e-16 in the suites)
+IDENTITY_TOL = 1e-6   # identities between matrices assembled from solved Jacobians:
+                      # room for a 1e-10 Newton stop amplified by a bordered
+                      # system with rcond down to 1.25e-4 (efficient_portfolio)
+STENCIL_TOL = 1e-5    # envelope and invariance: may read central differences, whose
+                      # nested-stencil Hessians alone carry STEP_NESTED**2 = 1.5e-8
 
 
 @dataclass(frozen=True)
@@ -55,7 +64,7 @@ def _skipped(name, claim, reason) -> CheckReport:
 def check_envelope(model: ProblemModel, sol: SolutionPoint, iso: IsovectorSet,
                    sens: SensitivityBundle,
                    solver_config: SolverConfig = SolverConfig(),
-                   tol: float = TOL_FD) -> CheckReport:
+                   tol: float = STENCIL_TOL) -> CheckReport:
     """Directional derivatives of the value function along each tangent row
     must match the partial effect on the objective with decisions frozen;
     when the rows also annihilate the objective, both must vanish.
@@ -109,7 +118,7 @@ def check_envelope(model: ProblemModel, sol: SolutionPoint, iso: IsovectorSet,
 
 def check_invariance(model: ProblemModel, gen: InvarianceGenerator,
                      sol: SolutionPoint, sens: SensitivityBundle,
-                     tol: float = TOL_FD) -> CheckReport:
+                     tol: float = STENCIL_TOL) -> CheckReport:
     """Residual of X(x(a)) - sum_mu A_mu(a) dx/da_mu = 0."""
     X = np.asarray(gen.X_map(sol.x), dtype=float)
     A = np.asarray(gen.A_map(sol.a), dtype=float)
@@ -118,6 +127,19 @@ def check_invariance(model: ProblemModel, gen: InvarianceGenerator,
     residual = float(np.max(np.abs(residual_vec))) / scale
     return report(f"invariance[{gen.name}]", "decision-invariance", residual, tol,
                   residual_vector=residual_vec.tolist())
+
+
+def check_conformance(sol: SolutionPoint, sens: SensitivityBundle,
+                      iso: IsovectorSet) -> CheckReport:
+    """The compensated decision columns must be orthogonal to every
+    decision-space constraint gradient, to the bound of
+    `geometry.conformance_tolerance`, which scales with both."""
+    x_semi = gcd_apply(iso, sens.x_jac)
+    grads = sol.blocks.Gx
+    table, _ = verify_conformance(x_semi, grads)
+    return report("conformance", "constraint-conformance",
+                  float(np.max(np.abs(table))) if table.size else 0.0,
+                  conformance_tolerance(x_semi, grads))
 
 
 def spectrum_violation(eig: np.ndarray, sign: str) -> float:
@@ -154,8 +176,8 @@ def matrix_mismatch(actual: np.ndarray, expected: np.ndarray) -> float:
 
 
 def check_semidefinite(matrix: Union[np.ndarray, CsmResult], expected_sign: str,
-                       tol: float = TOL_ANALYTIC,
-                       symmetry_tol: float = TOL_ANALYTIC,
+                       tol: float = ROUNDING_TOL,
+                       symmetry_tol: float = ROUNDING_TOL,
                        name: str = "semidefinite") -> CheckReport:
     """Symmetry plus one-sided spectrum of the symmetrized matrix.
 
@@ -219,4 +241,4 @@ def check_hatta_reduction(model: ProblemModel, sol: SolutionPoint,
     lxa = sol.blocks.lagrangian_hess_xa(sol.lam)
     display = lxa[:, p_slots].T @ x_comp
     return report("hatta_reduction", "separable-constraint-reduction",
-                  matrix_mismatch(display, omega_ref), HATTA_TOL, rows=rows.tolist())
+                  matrix_mismatch(display, omega_ref), IDENTITY_TOL, rows=rows.tolist())

@@ -12,7 +12,8 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 
-from .errors import EvaluationError, NonConvergenceError, RankDeficiencyError
+from .errors import (CompstatError, EvaluationError, NonConvergenceError,
+                     RankDeficiencyError)
 from .model import Blocks, ProblemModel
 
 MAX_BACKTRACKS = 30     # step halvings per Newton iteration
@@ -92,7 +93,9 @@ def bordered_matrix(Lxx: np.ndarray, Gx: np.ndarray) -> np.ndarray:
 
 def newton_solve(model: ProblemModel, a, x0, config: SolverConfig = SolverConfig()):
     """Damped Newton on the stacked first-order system; backtracks on the
-    residual norm.  Returns a SolutionPoint flagged non-converged instead of
+    residual norm.  A trial point whose evaluation raises a CompstatError or
+    an ArithmeticError counts as an infinite residual; any other exception
+    propagates.  Returns a SolutionPoint flagged non-converged instead of
     silently returning a bad answer when the iteration cap is reached."""
     a = np.asarray(a, dtype=float)
     x = np.asarray(x0, dtype=float).copy()
@@ -126,7 +129,7 @@ def newton_solve(model: ProblemModel, a, x0, config: SolverConfig = SolverConfig
                 norm_try = float(np.max(np.abs(res_try)))
                 if not np.isfinite(norm_try):
                     norm_try = np.inf
-            except Exception:
+            except (CompstatError, ArithmeticError):
                 norm_try = np.inf
             if norm_try < res_norm:
                 break

@@ -381,6 +381,24 @@ def test_conformance_reports_the_tolerance_its_verdict_used(capsys):
     assert conformance["tolerance"] == pytest.approx(1.07017e-5, rel=1e-5)
 
 
+@pytest.mark.parametrize("name", benchmark_names())
+def test_each_check_has_one_tolerance_whichever_pipeline_runs_it(name, capsys):
+    # the conformance bound scales with the compensated Jacobian, whose last
+    # bits differ between pipelines; the other tolerances are equal bit for bit
+    rows, code = cmd_verify_all(only=(name,))
+    assert code == 0
+    tolerances = {}
+    for row in rows:
+        tolerances.setdefault(row["check"], []).append(row["tolerance"])
+    for check, tols in tolerances.items():
+        assert tols == pytest.approx([tols[0]] * len(tols), rel=1e-12), check
+    if "conformance" in tolerances:
+        code, out, _ = run_main(["analyze", "--model", name], capsys)
+        analyzed = next(c for c in json.loads(out)["checks"] if c["name"] == "conformance")
+        assert tolerances["conformance"] == pytest.approx(
+            [analyzed["tolerance"]] * len(tolerances["conformance"]), rel=1e-12)
+
+
 def test_every_analyze_verdict_matches_its_residual_and_tolerance(capsys):
     for name in benchmark_names():
         code, out, _ = run_main(["analyze", "--model", name], capsys)

@@ -6,7 +6,8 @@ import scipy.linalg
 
 from compstat.benchmarks import all_benchmarks
 from compstat.benchmarks.slutsky import demand_model
-from compstat.errors import EvaluationError, NonConvergenceError, RankDeficiencyError
+from compstat.errors import (DomainError, EvaluationError, NonConvergenceError,
+                             RankDeficiencyError)
 from compstat.model import Blocks, ProblemModel
 from compstat.solver import (SolverConfig, _symmetric_step, newton_solve,
                              projected_hessian_extremes, recover_multipliers,
@@ -107,6 +108,33 @@ def test_iteration_cap_returns_flagged_result():
                        SolverConfig(max_iter=1))
     assert not sol.converged
     assert sol.iterations == 1
+
+
+@pytest.mark.parametrize("error, propagates", [(DomainError, False), (TypeError, True)])
+def test_only_typed_trial_point_errors_are_backtracked(error, propagates):
+    # the full step from (1, 0.5) lands on the maximum (2, 0.5), where the
+    # callables raise: a typed error halves the step to x1 = 1.5 and stalls
+    # there unconverged, any other error reaches the caller
+    def guarded(fn):
+        def call(x, a):
+            if x[0] > 1.5:
+                raise error("outside the callable's range")
+            return fn(x, a)
+        return call
+
+    model = ProblemModel(
+        name="guarded", M=2, N=1,
+        objective=guarded(lambda x, a: float(-(x[0] - 2.0) ** 2 - (x[1] - a[0]) ** 2)),
+        grad_x_objective=guarded(lambda x, a: -2.0 * (x - np.array([2.0, a[0]]))),
+        hess_xx_objective=lambda x, a: -2.0 * np.eye(2))
+    solve = lambda: newton_solve(model, np.array([0.5]), np.array([1.0, 0.5]))
+    if propagates:
+        with pytest.raises(error, match="outside the callable's range"):
+            solve()
+    else:
+        sol = solve()
+        assert (sol.converged, sol.iterations) == (False, 1)
+        assert sol.x == pytest.approx([1.5, 0.5])
 
 
 def test_solve_interior_requires_start_without_analytic():

@@ -10,7 +10,10 @@ invocation: the arguments, the exit code or the exception raised, and the
 sha256 digests of stdout, of the `--out` file and of stderr.  Before they
 are digested, `"timings"` blocks (wall times) are emptied, the checkout
 path is replaced by `<checkout>`, and the line numbers in warning headers
-are replaced by `N`.  Run it on two checkouts and diff the two outputs.
+are replaced by `N`.  After each `verify-all --format json` line it prints
+one more line per row of that document: the row's (benchmark, pipeline,
+check) key and the digest of the row alone, so that a diff names the rows
+that changed.  Run it on two checkouts and diff the two outputs.
 
 The invocations cover every catalog model with each sensitivity method in
 each format, on stdout and with `--out`; all seven recipes; the null-space
@@ -203,6 +206,12 @@ def main(argv=None) -> int:
             result.update(stdout=digest(stdout.getvalue()), out=digest(out_text),
                           stderr=digest(stderr.getvalue()))
             print(json.dumps(result), flush=True)
+            if run[0] == "verify-all" and "json" in run and result.get("exit") in (0, 1):
+                document = out_text if with_out else stdout.getvalue()
+                for row in json.loads(document):
+                    key = [row["benchmark"], row["pipeline"], row["check"]]
+                    print(json.dumps({"argv": result["argv"], "row": key,
+                                      "digest": digest(json.dumps(row))}), flush=True)
     return 0
 
 
