@@ -36,7 +36,8 @@ from .diagnostics import (IDENTITY_TOL, ROUNDING_TOL, STENCIL_TOL, check_conform
                           check_rank_bound, check_semidefinite, matrix_mismatch, report)
 from .errors import CompstatError, ConfigurationError
 from .report import (SCHEMA_VERSION, check_dict, csm_dict, encode_json, isovector_dict,
-                     matrices_to_csv, run_report, sensitivity_dict, solution_dict)
+                     json_floats, matrices_to_csv, run_report, sensitivity_dict,
+                     solution_dict)
 from .solver import SolverConfig
 
 _AT_KEY = re.compile(r"^at\.[A-Za-z_][A-Za-z0-9_]*$")
@@ -508,8 +509,9 @@ def cmd_verify_all(only=(), tol_override: Optional[float] = None):
                 rows.append({
                     "benchmark": name, "pipeline": pipeline, "check": rep.name,
                     "verdict": verdict,
-                    "residual": rep.residual, "tolerance":
-                        tol_override if tol_override is not None else rep.tolerance,
+                    "residual": json_floats(rep.residual),
+                    "tolerance": json_floats(
+                        tol_override if tol_override is not None else rep.tolerance),
                     "claim": rep.claim,
                 })
                 failed = failed or verdict == "fail"

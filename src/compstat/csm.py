@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 
-from .errors import (AssemblyError, ConfigurationError,
+from .errors import (AssemblyError, CompstatError, ConfigurationError,
                      ConstraintQualificationError, DimensionError, DomainError,
                      TransformationError)
 from .geometry import IsovectorSet
@@ -131,7 +131,7 @@ def _compensated_blocks(model: ProblemModel, sol: SolutionPoint,
     x_semi = sens.x_jac @ T.T
     try:
         lxa = sol.blocks.lagrangian_hess_xa(sol.lam)
-    except Exception as exc:
+    except (CompstatError, ArithmeticError) as exc:
         raise AssemblyError(
             f"mixed derivative block unavailable for {model.name!r}: {exc}") from exc
     return T, x_semi, lxa
@@ -157,7 +157,7 @@ def build_omega_quadratic(model: ProblemModel, sol: SolutionPoint,
     x_semi = sens.x_jac @ iso.vectors.T
     try:
         lxx = sol.blocks.lagrangian_hess_xx(sol.lam)
-    except Exception as exc:
+    except (CompstatError, ArithmeticError) as exc:
         raise AssemblyError(
             f"decision Hessian unavailable for {model.name!r}: {exc}") from exc
     omega = -x_semi.T @ lxx @ x_semi

@@ -1,19 +1,22 @@
 """Run-report assembly and lossless JSON serialization.
 
 Matrices are emitted row-major as arrays of arrays next to a labels array;
-floats go through Python's shortest round-trip repr, so a serialized report
-reloads bit-identically.  The schema carries an explicit version that must
-be bumped on any field change.
+floats are written in a shortest round-trip spelling, so a serialized
+report reloads bit-identically.  The schema carries an explicit version
+that must be bumped on any field change.
 
-Every JSON document the CLI prints is rendered by `encode_json` as exactly
-the characters `json.dumps` produces with an indent of two spaces.  orjson
-renders a document in one piece, with the same shortest round-trip float
-digits as `float.__repr__`; a few line-anchored substitutions then respell
-its exponents as `float.__repr__` does (`1e-07`, `1e+16`, `1e-05` for
-orjson's `1e-7`, `1e16`, `0.00001`).  `json.dumps` itself renders a
-document instead when orjson rejects it (NumPy scalars, ints beyond 64
-bits), when its text holds a non-ASCII or DEL character (orjson leaves them
-unescaped), or when it holds a NaN or an infinity (orjson writes `null`).
+Every JSON document the CLI prints is rendered by `encode_json` in the
+layout of `json.dumps` with an indent of two spaces.  orjson renders a
+document in one piece, its floats in orjson's own shortest round-trip
+spelling, which reads `1e-7`, `1e16` and `0.00001` where `float.__repr__`
+reads `1e-07`, `1e+16` and `1e-05`.  orjson writes a NaN or an infinity as
+`null`, so every float and float array that enters a document goes through
+`json_floats`.  It tests finiteness once per array and marks a value that
+holds a NaN or an infinity with a type orjson refuses.  `json.dumps` itself
+renders a document, with `NaN`, `Infinity` and `-Infinity`, when orjson
+refuses it (such a marked value, NumPy scalars, ints beyond 64 bits) or
+when its text holds a non-ASCII or DEL character (orjson leaves them
+unescaped).
 A document can be rendered nested at a depth, so that a part of a larger
 document is rendered where it is computed and the parts are joined as text.
 """
@@ -22,7 +25,6 @@ from __future__ import annotations
 
 import json
 import math
-import re
 
 import numpy as np
 import orjson
@@ -36,35 +38,57 @@ from .solver import SolutionPoint
 SCHEMA_VERSION = "2"
 
 
+def json_floats(values):
+    """`values` as JSON data: None stays None, a number becomes a float, and
+    an array or a list of floats becomes (nested) lists of floats.  Finiteness
+    is tested once per value; one that holds a NaN or an infinity comes back
+    as a `_NonFiniteFloat` or a `_NonFiniteList`, which orjson refuses, so
+    that `json.dumps` renders its document (see the module docstring)."""
+    if values is None:
+        return None
+    if isinstance(values, (np.ndarray, list, tuple)):
+        array = np.asarray(values, dtype=float)
+        data = array.tolist()
+        return data if np.isfinite(array).all() else _NonFiniteList(data)
+    value = float(values)
+    return value if math.isfinite(value) else _NonFiniteFloat(value)
+
+
+class _NonFiniteFloat(float):
+    """A NaN or an infinity; orjson refuses float subclasses."""
+
+
+class _NonFiniteList(list):
+    """Lists of floats holding a NaN or an infinity; orjson refuses list
+    subclasses under `OPT_PASSTHROUGH_SUBCLASS`."""
+
+
 def labeled_matrix(matrix: np.ndarray, row_labels=(), col_labels=()) -> dict:
-    matrix = np.asarray(matrix, dtype=float)
     return {
         "row_labels": list(row_labels),
         "col_labels": list(col_labels),
-        "rows": matrix.tolist(),
+        "rows": json_floats(matrix),
     }
 
 
 def solution_dict(sol: SolutionPoint) -> dict:
     return {
-        "a": [float(v) for v in sol.a],
-        "x": [float(v) for v in sol.x],
-        "multipliers": [float(v) for v in sol.lam],
-        "kkt_residual": float(sol.kkt_residual),
+        "a": json_floats(sol.a),
+        "x": json_floats(sol.x),
+        "multipliers": json_floats(sol.lam),
+        "kkt_residual": json_floats(sol.kkt_residual),
         "iterations": int(sol.iterations),
         "converged": bool(sol.converged),
         "source": sol.source,
-        "newton_discrepancy": (None if sol.newton_discrepancy is None
-                               else float(sol.newton_discrepancy)),
+        "newton_discrepancy": json_floats(sol.newton_discrepancy),
     }
 
 
 def sensitivity_dict(sens: SensitivityBundle, parameter_names, decision_names) -> dict:
     return {
         "method": sens.method,
-        "step": None if sens.step is None else float(sens.step),
-        "cross_check_residual": (None if sens.cross_check_residual is None
-                                 else float(sens.cross_check_residual)),
+        "step": json_floats(sens.step),
+        "cross_check_residual": json_floats(sens.cross_check_residual),
         "x_jac": labeled_matrix(sens.x_jac, decision_names, parameter_names),
         "lam_jac": labeled_matrix(sens.lam_jac,
                                   [f"lam{k + 1}" for k in range(sens.lam_jac.shape[0])],
@@ -79,7 +103,7 @@ def isovector_dict(iso: IsovectorSet, parameter_names) -> dict:
         "redundant": bool(iso.redundant),
         "vectors": labeled_matrix(
             iso.vectors, [f"t{i + 1}" for i in range(iso.count)], parameter_names),
-        "null_residuals": [[float(v) for v in row] for row in iso.null_residuals],
+        "null_residuals": json_floats(iso.null_residuals),
     }
 
 
@@ -88,11 +112,11 @@ def csm_dict(result: CsmResult) -> dict:
         "recipe": result.recipe,
         "sign_convention": result.sign_convention,
         "matrix": labeled_matrix(result.matrix, result.labels, result.labels),
-        "eigenvalues": [float(v) for v in result.eigenvalues],
-        "symmetry_residual": float(result.symmetry_residual),
+        "eigenvalues": json_floats(result.eigenvalues),
+        "symmetry_residual": json_floats(result.symmetry_residual),
         "rank_estimate": int(result.rank_estimate),
-        "rank_tol": float(result.rank_tol),
-        "symmetry_tol": float(result.symmetry_tol),
+        "rank_tol": json_floats(result.rank_tol),
+        "symmetry_tol": json_floats(result.symmetry_tol),
         "transform_kind": result.transform_kind,
         "note": result.note,
     }
@@ -102,8 +126,8 @@ def check_dict(rep: CheckReport) -> dict:
     return {
         "name": rep.name,
         "verdict": rep.verdict,
-        "residual": None if rep.residual is None else float(rep.residual),
-        "tolerance": None if rep.tolerance is None else float(rep.tolerance),
+        "residual": json_floats(rep.residual),
+        "tolerance": json_floats(rep.tolerance),
         "claim": rep.claim,
         "details": _jsonable(rep.details),
     }
@@ -114,16 +138,16 @@ def _jsonable(value):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         if set(map(type, value)) == {float}:
-            return list(value)
+            return json_floats(value)
         return [_jsonable(v) for v in value]
     if isinstance(value, np.ndarray):
         if value.dtype.kind == "f":
-            return value.tolist()
+            return json_floats(value)
         return [_jsonable(v) for v in value.tolist()]
     if isinstance(value, (np.bool_, bool)):     # before int: bool is an int
         return bool(value)
     if isinstance(value, (np.floating, float)):
-        return float(value)
+        return json_floats(value)
     if isinstance(value, (np.integer, int)):
         return int(value)
     return value
@@ -161,64 +185,29 @@ def matrices_to_csv(report_dict: dict) -> dict:
 
 
 def encode_json(obj, depth: int = 0) -> str:
-    """`obj` as `json.dumps(obj, indent=2)` renders it, every line after the
-    first indented `depth` levels further, without a final newline.
+    """`obj` in the layout of `json.dumps(obj, indent=2)`, every line after
+    the first indented `depth` levels further, without a final newline.
 
     Lists and tuples, dicts with str keys, str, int, float, bool and None
     are accepted; anything else raises TypeError.  orjson renders the
-    document; it goes to `json.dumps` instead when orjson rejects it or its
-    text would differ (see the module docstring).  orjson also renders some
-    types `json.dumps` rejects (dataclasses, datetimes, UUIDs, enums); the
-    program passes none of them.
+    document, floats in its own shortest round-trip spelling; `json.dumps`
+    renders it instead, exactly as it would, when orjson refuses it or its
+    text holds a non-ASCII or DEL character (see the module docstring).
+    orjson writes a NaN or an infinity that has not come through
+    `json_floats` as `null`.  orjson also renders some types `json.dumps`
+    rejects (dataclasses, datetimes, UUIDs, enums); the program passes none
+    of them.
     """
     try:
-        text = orjson.dumps(obj, option=orjson.OPT_INDENT_2).decode()
+        text = orjson.dumps(
+            obj, option=orjson.OPT_INDENT_2 | orjson.OPT_PASSTHROUGH_SUBCLASS).decode()
     except TypeError:
         if not _str_keys(obj):            # json.dumps would turn them into str
             raise TypeError("dict keys must be str") from None
         text = None
-    if text is None or not text.isascii() or "\x7f" in text or not _finite(obj):
+    if text is None or not text.isascii() or "\x7f" in text:
         text = json.dumps(obj, indent=2)
-    else:
-        text = _EXPONENT.sub(_respell_exponent, text)
-        text = _FIFTH.sub(_respell_fifth, text)
     return text.replace("\n", "\n" + "  " * depth) if depth else text
-
-
-# orjson writes `1e-7`, `1e16` and `0.00001` where float.__repr__ writes
-# `1e-07`, `1e+16` and `1e-05`.  These patterns respell a number token that
-# ends a line, before an optional comma; a string token cannot end there,
-# since it ends with its quote.
-_EXPONENT = re.compile(r"e(\d+|-\d)(?=,?$)", re.M)
-_FIFTH = re.compile(r"0\.0000(\d)(\d*)(?=,?$)", re.M)
-
-
-def _respell_exponent(match) -> str:
-    digits = match[1]
-    return "e-0" + digits[1] if digits[0] == "-" else "e+" + digits
-
-
-def _respell_fifth(match) -> str:
-    start = match.start()
-    if start and match.string[start - 1].isdigit():    # 10.00001 stays
-        return match[0]
-    lead, rest = match.group(1, 2)
-    return f"{lead}.{rest}e-05" if rest else f"{lead}e-05"
-
-
-def _finite(obj) -> bool:
-    """False if `obj` holds a NaN or an infinity, or finite floats in one
-    list whose sum overflows."""
-    if isinstance(obj, float):
-        return math.isfinite(obj)
-    if isinstance(obj, dict):
-        return all(map(_finite, obj.values()))
-    if isinstance(obj, (list, tuple)):
-        try:
-            return math.isfinite(sum(obj))
-        except TypeError:                 # an element that is not a number
-            return all(map(_finite, obj))
-    return True
 
 
 def _str_keys(obj) -> bool:

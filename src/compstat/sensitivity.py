@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg
 
 from . import fd
-from .errors import DegeneracyError, EvaluationError, SensitivityError
+from .errors import CompstatError, DegeneracyError, EvaluationError, SensitivityError
 from .model import ProblemModel
 from .solver import SolutionPoint, SolverConfig, bordered_matrix, newton_solve
 
@@ -56,7 +56,7 @@ def decision_jacobian_fd(model: ProblemModel, a, config: SolverConfig = SolverCo
             return np.asarray(x, dtype=float), np.asarray(lam, dtype=float)
         try:
             point = newton_solve(model, b, x_center, stencil_config)
-        except Exception as exc:
+        except (CompstatError, ArithmeticError) as exc:
             raise SensitivityError(
                 f"stencil solve failed for parameter index {mu} of "
                 f"{model.name!r}: {exc}", parameter_index=mu) from exc

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from compstat import csm
 from compstat.benchmarks import all_benchmarks, get_benchmark
 from compstat.benchmarks.profit import production_gradient
 from compstat.benchmarks.slutsky import demand_model, substitution_matrix
-from compstat.errors import (ConfigurationError, DomainError,
+from compstat.errors import (AssemblyError, ConfigurationError, DomainError,
                              TransformationError)
 from compstat.geometry import build_isovectors
 from compstat.model import Blocks
@@ -327,3 +329,23 @@ def test_symmetry_residual_reported_before_symmetrization():
 def test_rank_estimate_conventions():
     assert csm.estimate_rank(np.zeros((3, 3))) == 0
     assert csm.estimate_rank(np.diag([1.0, 1e-12, 0.5])) == 2
+
+
+@pytest.mark.parametrize("error, typed", [(TypeError, False), (DomainError, True)])
+@pytest.mark.parametrize("builder", [csm.build_omega, csm.build_omega_quadratic])
+def test_only_typed_block_errors_become_assembly_errors(builder, error, typed):
+    def unavailable(lam):
+        raise error("user bug in a Hessian block")
+
+    blocks = SimpleNamespace(lagrangian_hess_xa=unavailable, lagrangian_hess_xx=unavailable)
+    model = SimpleNamespace(name="guarded", N=1)
+    sol = SimpleNamespace(blocks=blocks, lam=np.zeros(0))
+    sens = SimpleNamespace(x_jac=np.eye(1))
+    iso = SimpleNamespace(vectors=np.eye(1), n_parameters=1, count=1)
+    if typed:
+        with pytest.raises(AssemblyError, match="'guarded'") as info:
+            builder(model, sol, sens, iso)
+        assert isinstance(info.value.__cause__, DomainError)
+    else:
+        with pytest.raises(TypeError, match="user bug in a Hessian block"):
+            builder(model, sol, sens, iso)

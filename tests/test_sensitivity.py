@@ -4,7 +4,7 @@ import pytest
 from compstat.benchmarks import all_benchmarks, get_benchmark
 from compstat.benchmarks.profit import cd_demand_jacobian, cd_profit_model
 from compstat.benchmarks.slutsky import demand_model
-from compstat.errors import EvaluationError, SensitivityError
+from compstat.errors import DomainError, EvaluationError, SensitivityError
 from compstat.model import ProblemModel, augment_with_scale
 from compstat.sensitivity import (constraint_identity_residual,
                                   decision_jacobian_fd, decision_jacobian_ift)
@@ -104,6 +104,32 @@ def test_stencil_failure_names_parameter():
     with pytest.raises(SensitivityError) as excinfo:
         decision_jacobian_fd(model, np.array([0.3, 0.0]), x0=np.array([0.3]))
     assert excinfo.value.parameter_index == 1
+
+
+@pytest.mark.parametrize("error, typed", [(TypeError, False), (DomainError, True)])
+def test_only_typed_stencil_errors_become_sensitivity_errors(error, typed):
+    # the callables work at a = 0.5 only: the base solve converges there and
+    # the first stencil point raises
+    def guarded(fn):
+        def call(x, a):
+            if a[0] != 0.5:
+                raise error("user bug off the base point")
+            return fn(x, a)
+        return call
+
+    model = ProblemModel(
+        name="guarded", M=1, N=1,
+        objective=guarded(lambda x, a: float(-(x[0] - a[0]) ** 2)),
+        grad_x_objective=guarded(lambda x, a: -2.0 * (x - a[0])),
+        hess_xx_objective=lambda x, a: -2.0 * np.eye(1))
+    solve = lambda: decision_jacobian_fd(model, np.array([0.5]), x0=np.array([0.5]))
+    if typed:
+        with pytest.raises(SensitivityError, match="parameter index 0 of 'guarded'") as info:
+            solve()
+        assert isinstance(info.value.__cause__, DomainError)
+    else:
+        with pytest.raises(TypeError, match="user bug off the base point"):
+            solve()
 
 
 def test_cross_check_residual_recorded():

@@ -1,7 +1,7 @@
 """Digests of the command-line output over a fixed set of invocations, for
 checking that a change leaves the bytes of every report as they were.
 
-    python3 tools/report_digests.py [CHECKOUT] > digests.jsonl
+    python3 tools/report_digests.py [--parsed] [CHECKOUT] > digests.jsonl
 
 runs each invocation through `compstat.cli.main` in one process, with one
 BLAS thread, on the `compstat` and `perfbench` packages of CHECKOUT (by
@@ -15,11 +15,18 @@ one more line per row of that document: the row's (benchmark, pipeline,
 check) key and the digest of the row alone, so that a diff names the rows
 that changed.  Run it on two checkouts and diff the two outputs.
 
+With `--parsed`, stdout and the `--out` file are digested as documents
+where they parse as JSON: every `"timings"` entry is dropped and the rest
+is dumped again with `json.dumps`, whose float spelling is bit-exact, so
+two renderings of the same values digest alike.  Output that does not
+parse as JSON, and stderr, is digested as in the default mode.
+
 The invocations cover every catalog model with each sensitivity method in
 each format, on stdout and with `--out`; all seven recipes; the null-space
 basis; `--tol`; 3-point sweeps, sweeps into failing parameter ranges,
 points without an interior optimum and points outside a closed form's or
-a derivative's domain; a 64-point sweep; generated demand models with
+a derivative's domain; points and a sweep whose reports hold NaN and
+infinities; a 64-point sweep; generated demand models with
 analytic derivatives (n = 40, 80) and finite differences only (n = 4, 8);
 catalog entries with some derivatives registered and the rest left to
 finite differences (the factories of `_VARIANTS`); `verify-all`;
@@ -125,7 +132,9 @@ def invocations(benchmark_names, get_benchmark) -> list:
                ["multi_output_profit", "--at", "p2=-1"],
                ["slutsky_hicks", "--at", "m=0"],
                ["profit_cd", "--at", "w1=0"],
-               ["efficient_portfolio", "--at", "s2_1=0"]):
+               ["efficient_portfolio", "--at", "s2_1=0"],
+               ["slutsky_hicks", "--at", "p=1e308,1", "--method", "fd"],
+               ["slutsky_hicks", "--sweep", "p1=1e307:1e308:3", "--method", "fd"]):
         runs.append((["analyze", "--model"] + at, False))
     for fmt in ("json", "csv", "table"):
         runs.append((["analyze", "--model", "profit_cd", "--sweep", "p=1.5:3:64",
@@ -158,8 +167,20 @@ def invocations(benchmark_names, get_benchmark) -> list:
     return runs
 
 
+def _without_timings(doc):
+    """`doc` with every "timings" entry of its dicts dropped."""
+    if isinstance(doc, dict):
+        return {k: _without_timings(v) for k, v in doc.items() if k != "timings"}
+    if isinstance(doc, list):
+        return [_without_timings(v) for v in doc]
+    return doc
+
+
 def main(argv=None) -> int:
-    args = sys.argv[1:] if argv is None else argv
+    args = list(sys.argv[1:] if argv is None else argv)
+    parsed = "--parsed" in args
+    if parsed:
+        args.remove("--parsed")
     checkout = Path(args[0] if args else Path(__file__).resolve().parents[1]).resolve()
     sys.path[:0] = [str(checkout / "src"), str(checkout)]
     import compstat
@@ -177,6 +198,14 @@ def main(argv=None) -> int:
         text = masked(_TIMINGS.sub('"timings": {}', text))
         text = _WARNING_LINE.sub(r"\1:N:", text)
         return hashlib.sha256(text.encode()).hexdigest()
+
+    def document_digest(text):
+        if parsed and text is not None:
+            try:
+                text = json.dumps(_without_timings(json.loads(text)))
+            except ValueError:            # not a JSON document
+                pass
+        return digest(text)
 
     with tempfile.TemporaryDirectory() as scratch:
         for name, text in _CONFIG_FILES.items():
@@ -203,7 +232,8 @@ def main(argv=None) -> int:
             if with_out and os.path.exists(out_path):
                 out_text = Path(out_path).read_text(encoding="utf-8")
                 os.remove(out_path)
-            result.update(stdout=digest(stdout.getvalue()), out=digest(out_text),
+            result.update(stdout=document_digest(stdout.getvalue()),
+                          out=document_digest(out_text),
                           stderr=digest(stderr.getvalue()))
             print(json.dumps(result), flush=True)
             if run[0] == "verify-all" and "json" in run and result.get("exit") in (0, 1):
