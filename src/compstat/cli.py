@@ -314,7 +314,7 @@ def run_point(entry: BenchmarkEntry, a: np.ndarray, cfg: RunConfig) -> dict:
                 mat = iso.vectors @ mat @ iso.vectors.T
             checks.append(report(f"coherence[{other}]", "recipe-cross-identity",
                                  matrix_mismatch(mat, ref), IDENTITY_TOL))
-    checks.append(check_hatta_reduction(model, sol, sens))
+    checks.append(check_hatta_reduction(model, sol, sens, iso, results.get("omega_eq7")))
     timings["checks_s"] = time.perf_counter() - tick
 
     return run_report(
@@ -356,7 +356,8 @@ def _analyze_points(entry: BenchmarkEntry, cfg: RunConfig, depth: int,
     for a in points:
         rep = run_point(entry, a, cfg)
         if cfg.format == "table":
-            lines = [f"model={rep['model']} a={rep['solution']['a']} "
+            a = [float(v) for v in rep["solution"]["a"]]    # spelled as a list
+            lines = [f"model={rep['model']} a={a} "
                      f"converged={rep['solution']['converged']}"]
             for chk in rep["checks"]:
                 res = "-" if chk["residual"] is None else f"{chk['residual']:.3e}"

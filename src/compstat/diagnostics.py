@@ -17,7 +17,7 @@ from . import fd
 from .csm import CsmResult, build_omega, from_matrix
 from .errors import CompstatError
 from .geometry import (IsovectorSet, conformance_tolerance, gcd_apply,
-                       prescribe_isovectors, verify_conformance)
+                       prescribe_isovectors, require_null_property, verify_conformance)
 from .model import Blocks, InvarianceGenerator, ProblemModel
 from .sensitivity import SensitivityBundle
 from .solver import (SolutionPoint, SolverConfig, newton_solve,
@@ -97,6 +97,9 @@ def check_envelope(model: ProblemModel, sol: SolutionPoint, iso: IsovectorSet,
         t_scale = max(float(np.max(np.abs(t))), 1e-12)
         h = fd.STEP_FIRST * scale / t_scale
         dx = h * (sens.x_jac @ t)
+        # a fresh array per stencil point: OpenBLAS dot products round by
+        # operand alignment, so rows of one stacked array of points could
+        # move the last bit of a model value
         try:
             v_plus = value_at(a + h * t, sol.x + dx)
             v_minus = value_at(a - h * t, sol.x - dx)
@@ -110,8 +113,8 @@ def check_envelope(model: ProblemModel, sol: SolutionPoint, iso: IsovectorSet,
         residual = max(residual, float(np.max(np.abs(v_dir))) if iso.count else 0.0)
     min_curv, max_curv = projected_hessian_extremes(model, sol)
     return report("envelope", "envelope-identity", residual, tol,
-                  value_directional=v_dir.tolist(),
-                  objective_directional=f_dir.tolist(),
+                  value_directional=v_dir,
+                  objective_directional=f_dir,
                   annihilates_objective=iso.annihilates_objective,
                   tangent_hessian_range=[min_curv, max_curv])
 
@@ -126,7 +129,7 @@ def check_invariance(model: ProblemModel, gen: InvarianceGenerator,
     scale = max(1.0, float(np.max(np.abs(sol.x))))
     residual = float(np.max(np.abs(residual_vec))) / scale
     return report(f"invariance[{gen.name}]", "decision-invariance", residual, tol,
-                  residual_vector=residual_vec.tolist())
+                  residual_vector=residual_vec)
 
 
 def check_conformance(sol: SolutionPoint, sens: SensitivityBundle,
@@ -191,10 +194,10 @@ def check_semidefinite(matrix: Union[np.ndarray, CsmResult], expected_sign: str,
     sym_tol = symmetry_tol * max(1.0, top)
     rep = report(name, f"{expected_sign}-semidefinite",
                  spectrum_violation(eig, expected_sign), tol,
-                 eigenvalues=eig.tolist(), symmetry_residual=sym_res)
+                 eigenvalues=eig, symmetry_residual=sym_res)
     if rep.passed and sym_res > sym_tol:
         return report(name, "symmetry-prerequisite", sym_res, sym_tol,
-                      eigenvalues=eig.tolist(), symmetry_residual=sym_res)
+                      eigenvalues=eig, symmetry_residual=sym_res)
     return rep
 
 
@@ -205,14 +208,21 @@ def check_rank_bound(csm: CsmResult, M: int, K: int, A: Optional[int] = None,
     bound = min(M - K, A if A is not None else csm.order)
     rank = csm.rank_estimate
     return report(name, "rank-bound", rank, bound, rank=rank, bound=bound,
-                  eigenvalues=csm.eigenvalues.tolist())
+                  eigenvalues=csm.eigenvalues)
 
 
 def check_hatta_reduction(model: ProblemModel, sol: SolutionPoint,
-                          sens: SensitivityBundle) -> CheckReport:
+                          sens: SensitivityBundle, iso: Optional[IsovectorSet] = None,
+                          omega: Optional[CsmResult] = None) -> CheckReport:
     """For constraints of the separable form a_kappa - k(x, rest) = 0, the
     compensation rows built from the k-gradients must reproduce the main
-    recipe entry for entry."""
+    recipe entry for entry.
+
+    `omega` is the main recipe the caller built on `iso`, if any.  When
+    `iso` holds prescribed, independent rows equal to the compensation rows
+    bit for bit, `omega` is the matrix those rows would build, and the rows
+    are only held to the null property; otherwise the main recipe is built
+    again on them."""
     if model.separable_kappa is None:
         return _skipped("hatta_reduction", "separable-constraint-reduction",
                         "model does not declare separable constraint parameters")
@@ -234,11 +244,15 @@ def check_hatta_reduction(model: ProblemModel, sol: SolutionPoint,
         rows[idx, mu] = 1.0
         for l in range(model.K):
             rows[idx, kappa[l]] = k_grads[l, idx]
-    iso = prescribe_isovectors(rows, ga)
-    omega_ref = build_omega(model, sol, sens, iso).matrix
+    if (omega is not None and iso is not None and iso.basis_kind == "prescribed"
+            and not iso.redundant and np.array_equal(rows, iso.vectors)):
+        require_null_property(rows, ga)
+        omega_ref = omega.matrix
+    else:
+        omega_ref = build_omega(model, sol, sens, prescribe_isovectors(rows, ga)).matrix
     # independent assembly: compensated decision columns and p-slot brackets
     x_comp = sens.x_jac[:, p_slots] + sens.x_jac[:, list(kappa)] @ k_grads
     lxa = sol.blocks.lagrangian_hess_xa(sol.lam)
     display = lxa[:, p_slots].T @ x_comp
     return report("hatta_reduction", "separable-constraint-reduction",
-                  matrix_mismatch(display, omega_ref), IDENTITY_TOL, rows=rows.tolist())
+                  matrix_mismatch(display, omega_ref), IDENTITY_TOL, rows=rows)

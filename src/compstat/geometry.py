@@ -77,6 +77,22 @@ def build_isovectors(grad_stack: np.ndarray,
     )
 
 
+def require_null_property(rows: np.ndarray, grad_stack: np.ndarray) -> np.ndarray:
+    """The null-property residuals of `rows` against `grad_stack`; raises
+    NullPropertyError when a row's residual exceeds NULL_TOL per unit row
+    norm (at least 1)."""
+    residuals = null_property_residuals(rows, grad_stack)
+    if residuals.size:
+        worst = np.unravel_index(np.argmax(residuals), residuals.shape)
+        scale = np.linalg.norm(rows[worst[0]])
+        if residuals[worst] > NULL_TOL * max(1.0, scale):
+            raise NullPropertyError(
+                f"row {worst[0]} fails the null property against target {worst[1]} "
+                f"(residual {residuals[worst]:.3e})",
+                row=int(worst[0]), target=int(worst[1]))
+    return residuals
+
+
 def prescribe_isovectors(rows: np.ndarray, grad_stack: np.ndarray,
                          annihilates_objective: bool = False) -> IsovectorSet:
     """Accept user- or recipe-supplied rows after verifying the null property.
@@ -92,15 +108,7 @@ def prescribe_isovectors(rows: np.ndarray, grad_stack: np.ndarray,
     if rows.shape[1] != grad_stack.shape[1]:
         raise DimensionError(
             f"rows have {rows.shape[1]} components but gradients have {grad_stack.shape[1]}")
-    residuals = null_property_residuals(rows, grad_stack)
-    if residuals.size:
-        worst = np.unravel_index(np.argmax(residuals), residuals.shape)
-        scale = np.linalg.norm(rows[worst[0]])
-        if residuals[worst] > NULL_TOL * max(1.0, scale):
-            raise NullPropertyError(
-                f"row {worst[0]} fails the null property against target {worst[1]} "
-                f"(residual {residuals[worst]:.3e})",
-                row=int(worst[0]), target=int(worst[1]))
+    residuals = require_null_property(rows, grad_stack)
     redundant = False
     if rows.shape[0] > 1:
         svals = np.linalg.svd(rows, compute_uv=False)

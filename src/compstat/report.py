@@ -9,14 +9,17 @@ Every JSON document the CLI prints is rendered by `encode_json` in the
 layout of `json.dumps` with an indent of two spaces.  orjson renders a
 document in one piece, its floats in orjson's own shortest round-trip
 spelling, which reads `1e-7`, `1e16` and `0.00001` where `float.__repr__`
-reads `1e-07`, `1e+16` and `1e-05`.  orjson writes a NaN or an infinity as
-`null`, so every float and float array that enters a document goes through
-`json_floats`.  It tests finiteness once per array and marks a value that
-holds a NaN or an infinity with a type orjson refuses.  `json.dumps` itself
-renders a document, with `NaN`, `Infinity` and `-Infinity`, when orjson
-refuses it (such a marked value, NumPy scalars, ints beyond 64 bits) or
-when its text holds a non-ASCII or DEL character (orjson leaves them
-unescaped).
+reads `1e-07`, `1e+16` and `1e-05`.  Every float and float array that
+enters a report goes through `json_floats`, which hands a finite array to
+orjson as a read-only, C-contiguous float64 NumPy array (orjson writes its
+elements as it writes floats, without a list of Python floats in between)
+and a 0-d array or a number as a float.  orjson writes a NaN or an
+infinity as `null`, so `json_floats` tests finiteness once per value and
+marks one that holds a NaN or an infinity with a type orjson refuses.
+`json.dumps` itself renders a document, with `NaN`, `Infinity` and
+`-Infinity`, when orjson refuses it (such a marked value, ints beyond 64
+bits) or when its text holds a non-ASCII or DEL character (orjson leaves
+them unescaped); float arrays become lists of floats for it.
 A document can be rendered nested at a depth, so that a part of a larger
 document is rendered where it is computed and the parts are joined as text.
 """
@@ -39,17 +42,25 @@ SCHEMA_VERSION = "2"
 
 
 def json_floats(values):
-    """`values` as JSON data: None stays None, a number becomes a float, and
-    an array or a list of floats becomes (nested) lists of floats.  Finiteness
-    is tested once per value; one that holds a NaN or an infinity comes back
-    as a `_NonFiniteFloat` or a `_NonFiniteList`, which orjson refuses, so
-    that `json.dumps` renders its document (see the module docstring)."""
+    """`values` as JSON data: None stays None, a number or a 0-d array
+    becomes a float, and any other array or (nested) list of floats becomes
+    a read-only, C-contiguous float64 array of its own, a copy that aliases
+    no array of the pipeline.  orjson refuses a 0-d, Fortran-ordered or
+    strided array, and its whole document would then go to `json.dumps`.
+    Finiteness is tested once per value; one that holds a NaN or an infinity
+    comes back as a `_NonFiniteFloat` or a `_NonFiniteList`, which orjson
+    refuses, so that `json.dumps` renders its document (see the module
+    docstring)."""
     if values is None:
         return None
     if isinstance(values, (np.ndarray, list, tuple)):
-        array = np.asarray(values, dtype=float)
-        data = array.tolist()
-        return data if np.isfinite(array).all() else _NonFiniteList(data)
+        array = np.array(values, dtype=float, order="C")
+        if array.ndim:
+            if not np.isfinite(array).all():
+                return _NonFiniteList(array.tolist())
+            array.setflags(write=False)
+            return array
+        values = array
     value = float(values)
     return value if math.isfinite(value) else _NonFiniteFloat(value)
 
@@ -179,7 +190,7 @@ def matrices_to_csv(report_dict: dict) -> dict:
         header = "," + ",".join(mat["col_labels"]) if mat["col_labels"] else ""
         lines = [header] if header else []
         for label, row in zip(mat["row_labels"] or [""] * len(mat["rows"]), mat["rows"]):
-            lines.append(",".join([str(label)] + [repr(v) for v in row]))
+            lines.append(",".join([str(label)] + [repr(float(v)) for v in row]))
         out[item["recipe"]] = "\n".join(lines) + "\n"
     return out
 
@@ -188,26 +199,37 @@ def encode_json(obj, depth: int = 0) -> str:
     """`obj` in the layout of `json.dumps(obj, indent=2)`, every line after
     the first indented `depth` levels further, without a final newline.
 
-    Lists and tuples, dicts with str keys, str, int, float, bool and None
-    are accepted; anything else raises TypeError.  orjson renders the
-    document, floats in its own shortest round-trip spelling; `json.dumps`
-    renders it instead, exactly as it would, when orjson refuses it or its
-    text holds a non-ASCII or DEL character (see the module docstring).
-    orjson writes a NaN or an infinity that has not come through
-    `json_floats` as `null`.  orjson also renders some types `json.dumps`
-    rejects (dataclasses, datetimes, UUIDs, enums); the program passes none
-    of them.
+    Lists and tuples, dicts with str keys, str, int, float, bool, None and
+    float64 arrays are accepted; anything else raises TypeError.  orjson
+    renders the document, floats in its own shortest round-trip spelling
+    and a float64 array as the lists of its `tolist()`; `json.dumps`
+    renders it instead, exactly as it would render the document with each
+    array replaced by its `tolist()`, when orjson refuses it or its text
+    holds a non-ASCII or DEL character (see the module docstring).  orjson
+    writes a NaN or an infinity that has not come through `json_floats` as
+    `null`.  orjson also renders some types `json.dumps` rejects: NumPy
+    scalars (a float64 bit-exact, a float32 in float32's own shortest
+    spelling), other NumPy arrays, dataclasses, datetimes, UUIDs and enums;
+    `json_floats` and `_jsonable` turn every NumPy scalar the program
+    emits into a Python number, and it passes none of the others.
     """
     try:
-        text = orjson.dumps(
-            obj, option=orjson.OPT_INDENT_2 | orjson.OPT_PASSTHROUGH_SUBCLASS).decode()
+        text = orjson.dumps(obj, option=orjson.OPT_INDENT_2 | orjson.OPT_PASSTHROUGH_SUBCLASS
+                            | orjson.OPT_SERIALIZE_NUMPY).decode()
     except TypeError:
         if not _str_keys(obj):            # json.dumps would turn them into str
             raise TypeError("dict keys must be str") from None
         text = None
     if text is None or not text.isascii() or "\x7f" in text:
-        text = json.dumps(obj, indent=2)
+        text = json.dumps(obj, indent=2, default=_float_array_list)
     return text.replace("\n", "\n" + "  " * depth) if depth else text
+
+
+def _float_array_list(value):
+    """A float64 array as the lists of `json.dumps`; TypeError otherwise."""
+    if isinstance(value, np.ndarray) and value.dtype == np.float64:
+        return value.tolist()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _str_keys(obj) -> bool:

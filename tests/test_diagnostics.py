@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from compstat import csm
+from compstat import csm, diagnostics
 from compstat.benchmarks import get_benchmark
 from compstat.benchmarks.profit import augmented_run
 from compstat.diagnostics import (check_envelope, check_hatta_reduction,
@@ -150,6 +150,23 @@ def test_hatta_rows_coincide_with_compensation_rows_for_linear_budget():
     rows = np.asarray(rep.details["rows"])
     expected = np.hstack([np.eye(2), run.sol.x.reshape(-1, 1)])
     assert rows == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("basis", ["prescribed", "nullspace"])
+def test_hatta_compares_against_main_recipe_built_on_its_own_rows(basis, monkeypatch):
+    # the demand rows are the prescribed directions themselves, so their
+    # main recipe is reused; null-space directions differ and it is built again
+    entry = get_benchmark("slutsky_hicks")
+    run = entry.prepare("analytic", basis=basis)
+    omega = csm.build_omega(entry.model, run.sol, run.sens, run.iso)
+    rebuilt = check_hatta_reduction(entry.model, run.sol, run.sens)
+    builds = []
+    monkeypatch.setattr(diagnostics, "build_omega",
+                        lambda *args: builds.append(args) or csm.build_omega(*args))
+    rep = check_hatta_reduction(entry.model, run.sol, run.sens, run.iso, omega)
+    assert len(builds) == (basis == "nullspace")
+    assert rep.passed and rep.residual == rebuilt.residual
+    assert np.array_equal(rep.details["rows"], rebuilt.details["rows"])
 
 
 def test_hatta_reduction_portfolio_matches_block_recipe():

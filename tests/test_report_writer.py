@@ -6,8 +6,11 @@ token in both texts is respelled as `repr(float(token))`, and each number
 token of the rendered text parses to the bit-identical float (an int token
 stays the same int token).  Strings, keys and layout are compared byte for
 byte.  A document that falls back to `json.dumps` (non-finite values,
-non-ASCII or DEL characters, NumPy scalars, ints beyond 64 bits) is
-byte-equal to `json.dumps`.
+non-ASCII or DEL characters, ints beyond 64 bits) is byte-equal to
+`json.dumps`.  Reports carry float arrays, so `json.dumps` is given a
+`default=` that turns a float64 array into its `tolist()` and refuses
+anything else.  A float array from `json_floats` renders byte for byte as
+the list of its `tolist()`, whatever its shape and memory layout.
 """
 
 import json
@@ -58,6 +61,17 @@ def written(obj) -> str:
     return encode_json(obj) + "\n"
 
 
+def _lists(value):
+    """The oracles' `default=` of `json.dumps`: a float64 array as its lists."""
+    if isinstance(value, np.ndarray) and value.dtype == np.float64:
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not a float64 array")
+
+
+def dumps(obj) -> str:
+    return json.dumps(obj, indent=2, default=_lists)
+
+
 def _respelled(text: str) -> str:
     """`text` with each number token spelled as `repr(float(token))`."""
     return _TOKEN.sub(lambda m: m[0] if m[0][0] == '"' else repr(float(m[0])), text)
@@ -77,12 +91,12 @@ def _assert_same_document(text: str, expected: str):
 
 def _assert_renders_as_dumps(obj):
     text = encode_json(obj)
-    _assert_same_document(text, json.dumps(obj, indent=2))
+    _assert_same_document(text, dumps(obj))
     assert encode_json(obj, 2) == text.replace("\n", "\n    ")
 
 
 def _assert_falls_back(obj):
-    expected = json.dumps(obj, indent=2)
+    expected = dumps(obj)
     assert written(obj) == expected + "\n"
     assert encode_json(obj, 2) == expected.replace("\n", "\n    ")
 
@@ -99,7 +113,7 @@ def test_edge_documents_fall_back_byte_for_byte():
 
 
 def test_writer_rejects_unsupported_types():
-    for obj in ([object()], {"k": np.int64(1)}, {(1, 2): 0.0}, {1: 0.0}):
+    for obj in ([object()], {(1, 2): 0.0}, {1: 0.0}):
         with pytest.raises(TypeError):
             written(obj)
 
@@ -138,7 +152,7 @@ def rendered(monkeypatch):
 def _assert_cli_rendered(calls, out: str):
     assert calls
     for obj, depth, text in calls:
-        expected = json.dumps(obj, indent=2).replace("\n", "\n" + "  " * depth)
+        expected = dumps(obj).replace("\n", "\n" + "  " * depth)
         _assert_same_document(text, expected)
         assert text in out
     _assert_same_document(out, _canonical(out))
@@ -251,9 +265,8 @@ def test_nonfinite_deep_in_matrix_takes_walker(value, walker_calls):
 @pytest.mark.parametrize("obj", [
     {"café": "ünï ☃", "x": [1e-7]},              # non-ASCII key and value
     {"del": "a\x7fb", "x": [1e16]},                # DEL
-    {"x": [0.5, np.float64(1e-7), 2.0]},          # NumPy float element
     {"x": [2 ** 64, 1e16]},                        # int beyond 64 bits
-], ids=["non-ascii", "del", "np-float64", "int-2**64"])
+], ids=["non-ascii", "del", "int-2**64"])
 def test_fallback_documents_take_walker(obj, walker_calls):
     _assert_falls_back(obj)
     assert walker_calls
@@ -273,13 +286,95 @@ def test_finite_ascii_report_skips_walker(no_walker):
 
 
 def test_finite_ascii_edge_cases_skip_walker(no_walker):
-    walked = ("nan", "infinities", "large int", "floats around nan", "numpy floats",
-              "numpy scalar", "café ☃ \x00\t\"\\", "strings", "rows")
+    walked = ("nan", "infinities", "large int", "floats around nan",
+              "café ☃ \x00\t\"\\", "strings", "rows")
     doc = {key: value for key, value in EDGE.items() if key not in walked}
     doc["ascii"] = "".join(map(chr, range(0x7f)))    # every escape but DEL
     doc["max int"] = [2 ** 64 - 1, -2 ** 63]
     _assert_renders_as_dumps(doc)
     _assert_renders_as_dumps([doc, [doc]])
+
+
+@pytest.mark.parametrize("obj, expected", [
+    ({"x": [0.5, np.float64(1e-7), 2.0], "y": np.float64(-2.5e-300)},
+     {"x": [0.5, 1e-7, 2.0], "y": -2.5e-300}),
+    ({"k": np.int64(1), "m": [np.int64(-2 ** 63)]}, {"k": 1, "m": [-2 ** 63]}),
+], ids=["np-float64", "np-int64"])
+def test_numpy_scalars_render_as_python_numbers(obj, expected, no_walker):
+    assert encode_json(obj) == encode_json(expected)
+
+
+# A float array from json_floats is rendered by orjson from the array itself;
+# its text must be the text of the array's tolist(), byte for byte, for every
+# shape, memory layout and value.
+
+SHAPES = [(0,), (3, 0), (0, 3), (1,), (), (40, 41), (80, 81)]
+SPECIALS = [-0.0, 5e-324, 2.5e-310, -1e-308, 1e-7, 1e16, -1e16]
+
+
+def _layouts(array: np.ndarray) -> dict:
+    """`array` C-ordered, Fortran-ordered, strided and read-only."""
+    strided = np.empty(array.shape[:-1] + (2 * array.shape[-1],) if array.ndim else ())
+    if array.ndim:
+        strided[..., ::2] = array
+        strided = strided[..., ::2]
+    else:
+        strided[()] = array
+    readonly = array.copy()
+    readonly.flags.writeable = False
+    # both functions return at least 1-d arrays
+    return {"C": np.ascontiguousarray(array).reshape(array.shape),
+            "F": np.asfortranarray(array).reshape(array.shape),
+            "strided": strided, "read-only": readonly}
+
+
+def _filled(shape, seed: int) -> np.ndarray:
+    """An array of `shape` holding the special and boundary values, then
+    normally distributed values of spread magnitude."""
+    rng = np.random.default_rng(seed)
+    size = int(np.prod(shape))
+    pool = SPECIALS + BOUNDARIES + [-v for v in BOUNDARIES]
+    values = rng.normal(size=size) * 10.0 ** rng.uniform(-8, 17, size)
+    values[:min(size, len(pool))] = pool[:size]
+    return values.reshape(shape)
+
+
+def _assert_renders_as_its_lists(array: np.ndarray):
+    data = json_floats(array)
+    assert encode_json({"r": data}) == encode_json({"r": array.tolist()})
+    if array.ndim:
+        assert data.dtype == np.float64 and data.flags.c_contiguous
+        assert not data.flags.writeable and not np.shares_memory(data, array)
+    else:
+        assert type(data) is float
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided", "read-only"])
+@pytest.mark.parametrize("shape", SHAPES, ids=str)
+def test_json_floats_array_renders_as_its_lists(shape, layout, no_walker):
+    _assert_renders_as_its_lists(_layouts(_filled(shape, len(shape)))[layout])
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided", "read-only"])
+def test_random_float_arrays_render_as_their_lists(layout, no_walker):
+    values = np.array(_random_floats())
+    values = values[:values.size // 37 * 37]
+    _assert_renders_as_its_lists(_layouts(values)[layout])
+    _assert_renders_as_its_lists(_layouts(values.reshape(-1, 37))[layout])
+
+
+@pytest.mark.parametrize("extra", [{"nan": float("nan")}, {"café": "☃"}, {"big": 2 ** 64}],
+                         ids=["nan", "non-ascii", "int-2**64"])
+def test_fallback_document_with_arrays_equals_dumps_of_lists(extra, walker_calls):
+    array = _filled((40, 41), 5)
+    for laid_out in _layouts(array).values():
+        doc = {"r": json_floats(laid_out), "v": json_floats(laid_out[0])}
+        doc.update({k: json_floats(v) if isinstance(v, float) else v
+                    for k, v in extra.items()})
+        expected = json.dumps({"r": array.tolist(), "v": array[0].tolist(), **extra},
+                              indent=2)
+        assert encode_json(doc) == expected
+    assert walker_calls
 
 
 # A NaN or an infinity is marked where a producer turns numbers into JSON
@@ -344,5 +439,5 @@ def test_nonfinite_sweep_report_renders_as_dumps(capsys, rendered):
     nonfinite = [(obj, text) for obj, _, text in rendered if "NaN" in text]
     assert nonfinite
     for obj, text in nonfinite:
-        assert text == json.dumps(obj, indent=2).replace("\n", "\n    ")
+        assert text == dumps(obj).replace("\n", "\n    ")
     _assert_cli_rendered(rendered, out)

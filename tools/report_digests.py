@@ -27,7 +27,8 @@ basis; `--tol`; 3-point sweeps, sweeps into failing parameter ranges,
 points without an interior optimum and points outside a closed form's or
 a derivative's domain; points and a sweep whose reports hold NaN and
 infinities; a 64-point sweep; generated demand models with
-analytic derivatives (n = 40, 80) and finite differences only (n = 4, 8);
+analytic derivatives (n = 40, 80; at n = 40 also with the null-space basis
+and in CSV and table formats) and finite differences only (n = 4, 8);
 catalog entries with some derivatives registered and the rest left to
 finite differences (the factories of `_VARIANTS`); `verify-all`;
 `list-models`; and configuration errors, among them values that do not
@@ -143,6 +144,10 @@ def invocations(benchmark_names, get_benchmark) -> list:
         for factory in ("demand_40", "demand_80", "demandfd_4", "demandfd_8"):
             runs.append((["analyze", "--model", f"perfbench.inputs:{factory}_{seed}_0"],
                          factory == "demand_40"))
+    demand = ["analyze", "--model", "perfbench.inputs:demand_40_201_0"]
+    runs += [(demand + ["--basis", "nullspace"], False),
+             (demand + ["--format", "csv"], False),
+             (demand + ["--format", "table"], False)]
     for factory in _VARIANT_FACTORIES:
         for method in ("ift", "fd"):
             runs.append((["analyze", "--model", f"digest_variants:{factory}",
