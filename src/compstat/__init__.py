@@ -12,7 +12,7 @@ oracles; the `compstat` CLI drives everything end to end.
 from .csm import (CsmResult, SpectralRelation, build_omega, build_omega_a1,
                   build_omega_a2, build_omega_b, build_omega_quadratic,
                   build_silberberg, build_universal, from_matrix,
-                  reparameterize_csm, spectral_relation, transform_csm)
+                  spectral_relation, transform_csm)
 from .diagnostics import (CheckReport, check_envelope, check_hatta_reduction,
                           check_invariance, check_rank_bound, check_semidefinite)
 from .geometry import (IsovectorSet, build_isovectors, gcd_apply,
@@ -37,8 +37,7 @@ __all__ = [
     "one_term_compensation", "gcd_apply", "verify_conformance",
     "CsmResult", "SpectralRelation", "build_omega", "build_omega_quadratic",
     "build_omega_a1", "build_omega_a2", "build_omega_b", "build_silberberg",
-    "build_universal", "transform_csm", "reparameterize_csm",
-    "spectral_relation", "from_matrix",
+    "build_universal", "transform_csm", "spectral_relation", "from_matrix",
     "CheckReport", "check_envelope", "check_invariance", "check_semidefinite",
     "check_rank_bound", "check_hatta_reduction",
     "__version__",

@@ -10,7 +10,7 @@ import numpy as np
 
 from ..csm import build_omega, estimate_rank
 from ..diagnostics import (ROUNDING_TOL, check_invariance, matrix_mismatch,
-                           min_eig_violation, report)
+                           min_eig_violation, report, spectrum_violation)
 from ..errors import DomainError
 from ..geometry import prescribe_isovectors
 from ..model import InvarianceGenerator, ProblemModel
@@ -102,9 +102,10 @@ def _check_sigma_closed_form(run: BenchRun):
 
 def _check_sigma_semidefinite(run: BenchRun):
     sigma = substitution_matrix(run)
+    eig = np.linalg.eigvalsh(0.5 * (sigma + sigma.T))
     return report("sigma_negative_semidefinite", "negative-semidefinite",
-                  min_eig_violation(sigma, "negative"), ROUNDING_TOL,
-                  eigenvalues=np.linalg.eigvalsh(0.5 * (sigma + sigma.T)).tolist())
+                  spectrum_violation(eig, "negative"), ROUNDING_TOL,
+                  eigenvalues=eig.tolist())
 
 
 def _check_sigma_symmetry(run: BenchRun):

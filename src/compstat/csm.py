@@ -17,8 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import (AssemblyError, CompstatError, ConfigurationError,
-                     ConstraintQualificationError, DimensionError, DomainError,
-                     TransformationError)
+                     ConstraintQualificationError, DimensionError, DomainError)
 from .geometry import IsovectorSet
 from .model import ProblemModel
 from .sensitivity import SensitivityBundle
@@ -28,7 +27,6 @@ RANK_TOL = 1e-7
 SYMMETRY_TOL = 1e-8
 TANGENT_TOL = 1e-8        # the Silberberg matrix's tangent-restricted eigenvalue test
 SINGULAR_RTOL = 1e-12     # relative singular-value floor of a Gram matrix or a transform
-MAP_RTOL = 1e-10          # relative singular-value floor of a reparameterization's map
 
 POSITIVE = "positive_semidefinite_expected"
 NEGATIVE = "negative_semidefinite_expected"
@@ -289,58 +287,6 @@ def transform_csm(csm: CsmResult, T: np.ndarray) -> CsmResult:
                      labels=tuple(f"t{i + 1}" for i in range(T.shape[0])),
                      transform_kind=kind,
                      note=f"from recipe {csm.recipe}")
-
-
-def _resolve_jacobian(spec, dim: int, kind: str) -> np.ndarray:
-    """Accept None (identity), an explicit Jacobian matrix, or a pair
-    (callable new -> old, new_point) differentiated in place."""
-    from . import fd as _fd
-    if spec is None:
-        return np.eye(dim)
-    if isinstance(spec, tuple) and len(spec) == 2 and callable(spec[0]):
-        fn, point = spec
-        return _fd.jacobian(lambda v: np.asarray(fn(v), dtype=float),
-                            np.asarray(point, dtype=float))
-    jac = np.asarray(spec, dtype=float)
-    if jac.shape != (dim, dim):
-        raise DimensionError(f"{kind} Jacobian must be {dim}x{dim}, got {jac.shape}")
-    return jac
-
-
-def reparameterize_csm(model: ProblemModel, sol: SolutionPoint, sens: SensitivityBundle,
-                       iso: IsovectorSet, decision_map=None,
-                       parameter_map=None) -> CsmResult:
-    """Matrix after a smooth change of decision variables and parameters.
-
-    Maps are given in the forward direction (old = map(new)), either as
-    Jacobian matrices evaluated at the point or as (callable, new_point)
-    pairs.  The coefficient tensor of the main recipe is transformed with
-    both Jacobians and contracted against the transformed solution Jacobian;
-    the chain rule makes the result numerically equal to the untransformed
-    matrix, which is exactly the coordinate-freedom statement being checked.
-    A singular map Jacobian is an error: the transformation is not a valid
-    change of coordinates there.
-    """
-    _require_directions(model, iso)
-    d_jac = _resolve_jacobian(decision_map, model.M, "decision")
-    p_jac = _resolve_jacobian(parameter_map, model.N, "parameter")
-    for name, jac in (("decision", d_jac), ("parameter", p_jac)):
-        svals = np.linalg.svd(jac, compute_uv=False)
-        if svals[-1] <= MAP_RTOL * max(svals[0], 1.0):
-            raise TransformationError(
-                f"{name} map has a singular Jacobian at the point; "
-                "the coordinate change is invalid there")
-    T, x_semi, lxa = _compensated_blocks(model, sol, sens, iso)
-    coeff_left = lxa @ T.T                    # coefficient of dx/da in the main recipe
-    new_left = d_jac.T @ coeff_left           # M x A
-    new_right = T @ np.linalg.inv(p_jac).T    # A x N
-    new_x_jac = np.linalg.solve(d_jac, sens.x_jac) @ p_jac
-    omega_new = new_left.T @ new_x_jac @ new_right.T
-    return _finalize(
-        omega_new, "transformed", POSITIVE,
-        labels=tuple(f"d{alpha + 1}" for alpha in range(iso.count)),
-        transform_kind="reparameterization",
-        note="coefficient tensor realized as the recipe coefficient of dx/da")
 
 
 def spectral_relation(csm: CsmResult, hessian_L: np.ndarray, sens: SensitivityBundle,

@@ -62,9 +62,5 @@ class ConstraintQualificationError(CompstatError):
     """The constraint-gradient Gram matrix is singular."""
 
 
-class TransformationError(CompstatError):
-    """A variable or parameter change has a singular Jacobian."""
-
-
 class DimensionError(CompstatError):
     """Incompatible matrix or vector shapes."""

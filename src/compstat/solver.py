@@ -24,13 +24,12 @@ RANK_RTOL = 1e-10       # relative singular-value floor of the constraint gradie
 class SolverConfig:
     tol: float = 1e-10
     max_iter: int = 100
-    cross_check_newton: bool = True
 
     def stencil(self) -> "SolverConfig":
-        """The configuration of the re-solves inside a finite-difference
-        stencil: tightened to at most 1e-12 and without the Newton
-        cross-check of a closed form; every other field is kept."""
-        return replace(self, tol=min(self.tol, 1e-12), cross_check_newton=False)
+        """The configuration of the Newton re-solves inside a
+        finite-difference stencil: tightened to at most 1e-12; every other
+        field is kept."""
+        return replace(self, tol=min(self.tol, 1e-12))
 
 
 @dataclass(frozen=True)
@@ -206,12 +205,9 @@ def solve_interior(model: ProblemModel, a, x0=None,
         lam = np.asarray(lam, dtype=float)
         blocks = Blocks(model, x, a)
         residual = float(np.max(np.abs(_kkt_residual(blocks, lam))))
-        discrepancy = None
-        if config.cross_check_newton:
-            start = x if x0 is None else np.asarray(x0, dtype=float)
-            newton = newton_solve(model, a, start, config)
-            if newton.converged:
-                discrepancy = float(np.max(np.abs(newton.x - x)))
+        start = x if x0 is None else np.asarray(x0, dtype=float)
+        newton = newton_solve(model, a, start, config)
+        discrepancy = float(np.max(np.abs(newton.x - x))) if newton.converged else None
         return SolutionPoint(
             a=a, x=x, lam=lam,
             kkt_residual=residual,

@@ -6,9 +6,9 @@ import pytest
 from compstat import csm
 from compstat.benchmarks import all_benchmarks, get_benchmark
 from compstat.benchmarks.profit import production_gradient
-from compstat.benchmarks.slutsky import demand_model, substitution_matrix
-from compstat.errors import (AssemblyError, ConfigurationError, DomainError,
-                             TransformationError)
+from compstat.benchmarks.slutsky import (demand_model, reduced_substitution,
+                                        substitution_matrix)
+from compstat.errors import AssemblyError, ConfigurationError, DomainError
 from compstat.geometry import build_isovectors
 from compstat.model import Blocks
 from compstat.sensitivity import decision_jacobian_ift
@@ -246,35 +246,18 @@ def test_transform_identity_and_classification():
     assert contracted.eigenvalues.min() >= -1e-12
 
 
-def test_reparameterize_identity_is_noop():
-    run = prepare("slutsky_hicks")
-    omega = csm.build_omega(run.model, run.sol, run.sens, run.iso)
-    again = csm.reparameterize_csm(run.model, run.sol, run.sens, run.iso)
-    assert again.matrix == pytest.approx(omega.matrix, abs=1e-12)
-
-
-def test_reparameterize_income_scaled_prices():
-    # new parameters (p/m, m): the coefficient tensor transforms against the
-    # solution Jacobian so the matrix is invariant; the income-scaled
-    # substitution form is checked against its own construction
+def test_reduced_substitution_is_income_scaled_sigma():
+    # in the parameters (p/m, m) the substitution block is m times the
+    # plain one: the degree-zero homogeneity of demand
     run = prepare("slutsky_hicks", "analytic")
     m_val = run.sol.a[2]
-    p_jac = np.array([[m_val, 0.0, run.sol.a[0] / m_val],
-                      [0.0, m_val, run.sol.a[1] / m_val],
-                      [0.0, 0.0, 1.0]])       # d(old p, m)/d(new p~, m)
-    omega = csm.build_omega(run.model, run.sol, run.sens, run.iso)
-    moved = csm.reparameterize_csm(run.model, run.sol, run.sens, run.iso,
-                                   parameter_map=p_jac)
-    assert moved.matrix == pytest.approx(omega.matrix, abs=1e-10)
-    from compstat.benchmarks.slutsky import reduced_substitution
-    sigma_tilde = reduced_substitution(run)
-    assert sigma_tilde == pytest.approx(m_val * substitution_matrix(run), abs=1e-10)
+    assert reduced_substitution(run) == pytest.approx(
+        m_val * substitution_matrix(run), abs=1e-10)
 
 
-def test_reparameterize_ratio_decision_map_links_blocks():
-    # ratio decision variables x/F: the map Jacobian equals the congruence
-    # family member divided by the output level, and it turns singular
-    # exactly at zero profit
+def test_ratio_decision_map_is_a_congruence_family_member():
+    # the Jacobian of the ratio decisions x/F, times the output level F, is
+    # the congruence family member I - (x/F) w^T / p at the solution
     run = prepare("profit_cd")
     m_dim = run.model.M
     F_val = Blocks(run.model, run.sol.x, run.sol.a).fa[m_dim]
@@ -283,17 +266,6 @@ def test_reparameterize_ratio_decision_map_links_blocks():
     w, p = run.sol.a[:m_dim], run.sol.a[m_dim]
     delta = np.eye(m_dim) - np.outer(run.sol.x / F_val, w) / p
     assert d_new_old * F_val == pytest.approx(delta, abs=1e-10)
-    omega = csm.build_omega(run.model, run.sol, run.sens, run.iso)
-    moved = csm.reparameterize_csm(run.model, run.sol, run.sens, run.iso,
-                                   decision_map=np.linalg.inv(d_new_old))
-    assert moved.matrix == pytest.approx(omega.matrix, abs=1e-8)
-
-
-def test_reparameterize_rejects_singular_map():
-    run = prepare("slutsky_hicks")
-    with pytest.raises(TransformationError):
-        csm.reparameterize_csm(run.model, run.sol, run.sens, run.iso,
-                               decision_map=np.array([[1.0, 1.0], [1.0, 1.0]]))
 
 
 def test_spectral_relation_on_unconstrained_profit():

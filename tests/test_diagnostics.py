@@ -214,5 +214,4 @@ def test_envelope_resolves_with_the_callers_solver_settings(monkeypatch):
     rep = check_envelope(model, sol, iso, decision_jacobian_ift(model, sol),
                          solver_config=config)
     assert rep.passed
-    assert seen and all(cfg == SolverConfig(
-        tol=1e-12, max_iter=57, cross_check_newton=False) for cfg in seen)
+    assert seen and all(cfg == SolverConfig(tol=1e-12, max_iter=57) for cfg in seen)

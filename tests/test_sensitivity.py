@@ -155,8 +155,8 @@ def test_fd_resolves_with_the_callers_solver_settings(monkeypatch):
     bundle = decision_jacobian_fd(model, np.array([1.0, 2.0]), config, x0=np.array([0.5]))
     # x = (p / 2w)^2: dx/dw = -2 and dx/dp = 1 at (w, p) = (1, 2)
     assert bundle.x_jac == pytest.approx(np.array([[-2.0, 1.0]]), abs=1e-5)
-    assert len(seen) == 1 + 2 * model.N and all(cfg == SolverConfig(
-        tol=1e-12, max_iter=57, cross_check_newton=False) for cfg in seen)
+    assert len(seen) == 1 + 2 * model.N and all(
+        cfg == SolverConfig(tol=1e-12, max_iter=57) for cfg in seen)
 
 
 def test_non_finite_bordered_system_raises_a_typed_error():

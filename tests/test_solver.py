@@ -169,8 +169,7 @@ def test_second_order_necessary_condition_on_benchmarks():
 
 def test_stencil_config_tightens_tol_and_keeps_every_other_field():
     config = SolverConfig(tol=1e-8, max_iter=7)
-    assert config.stencil() == SolverConfig(
-        tol=1e-12, max_iter=7, cross_check_newton=False)
+    assert config.stencil() == SolverConfig(tol=1e-12, max_iter=7)
     assert SolverConfig(tol=1e-14).stencil().tol == 1e-14
 
 
