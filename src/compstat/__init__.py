@@ -9,33 +9,28 @@ comparative-statics matrices (`csm`), and verify the structural claims
 oracles; the `compstat` CLI drives everything end to end.
 """
 
-from .csm import (CsmResult, SpectralRelation, build_omega, build_omega_a1,
-                  build_omega_a2, build_omega_b, build_omega_quadratic,
-                  build_silberberg, build_universal, from_matrix,
-                  spectral_relation, transform_csm)
+from .csm import (CsmResult, build_omega, build_omega_a1, build_omega_a2,
+                  build_omega_b, build_omega_quadratic, build_silberberg,
+                  build_universal, from_matrix, spectral_relation,
+                  transform_csm)
 from .diagnostics import (CheckReport, check_envelope, check_hatta_reduction,
                           check_invariance, check_rank_bound, check_semidefinite)
 from .geometry import (IsovectorSet, build_isovectors, gcd_apply,
-                       one_term_compensation, prescribe_isovectors,
-                       verify_conformance)
-from .model import (Blocks, InvarianceGenerator, ProblemModel, augment_with_scale,
-                    evaluate_lagrangian, numeric_gradient, verify_generator)
+                       prescribe_isovectors, verify_conformance)
+from .model import Blocks, InvarianceGenerator, ProblemModel, augment_with_scale
 from .sensitivity import (SensitivityBundle, decision_jacobian_fd,
                           decision_jacobian_ift)
-from .solver import (SolutionPoint, SolverConfig, newton_solve,
-                     recover_multipliers, solve_interior)
+from .solver import SolutionPoint, SolverConfig, newton_solve, solve_interior
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ProblemModel", "Blocks", "InvarianceGenerator", "evaluate_lagrangian",
-    "numeric_gradient", "augment_with_scale", "verify_generator",
+    "ProblemModel", "Blocks", "InvarianceGenerator", "augment_with_scale",
     "SolutionPoint", "SolverConfig", "solve_interior", "newton_solve",
-    "recover_multipliers",
     "SensitivityBundle", "decision_jacobian_fd", "decision_jacobian_ift",
     "IsovectorSet", "build_isovectors", "prescribe_isovectors",
-    "one_term_compensation", "gcd_apply", "verify_conformance",
-    "CsmResult", "SpectralRelation", "build_omega", "build_omega_quadratic",
+    "gcd_apply", "verify_conformance",
+    "CsmResult", "build_omega", "build_omega_quadratic",
     "build_omega_a1", "build_omega_a2", "build_omega_b", "build_silberberg",
     "build_universal", "transform_csm", "spectral_relation", "from_matrix",
     "CheckReport", "check_envelope", "check_invariance", "check_semidefinite",

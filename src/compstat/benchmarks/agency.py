@@ -106,14 +106,10 @@ def contract_model(m_dim: int, name="principal_agent") -> ProblemModel:
             out[iS1 if which == 0 else iS2] = a[iS1 if which == 0 else iS2]
             return out
 
-        responses = [lambda g: 0.0, lambda g: 0.0]
-        responses[which] = lambda g: g
         return InvarianceGenerator(
             name=f"effort_{which + 1}_block_scale",
             X_map=lambda x: np.zeros(m_dim),
             A_map=a_map,
-            response_f=(lambda f: f) if which == 0 else (lambda f: 0.0),
-            response_g=tuple(responses),
         )
 
     names = (tuple(f"P1_{i + 1}" for i in range(m_dim))

@@ -71,7 +71,6 @@ def multi_output_model(c_list=None, a_list=None, name="multi_output_profit") -> 
         name="price_scale",
         X_map=lambda x: np.zeros(m_dim),
         A_map=lambda a: a,
-        response_f=lambda f: f,
     )
     model = ProblemModel(
         name=name, M=m_dim, N=m_dim + g_dim,
@@ -265,16 +264,12 @@ def cost_constrained_model(c_list=None, a_list=None,
         X_map=lambda x: np.zeros(m_dim),
         A_map=lambda a: np.concatenate(
             [np.zeros(m_dim), a[m_dim:iC], [0.0, 0.0]]),
-        response_f=lambda f: f,
-        response_g=(lambda g: 0.0,),
     )
     cost_homog = InvarianceGenerator(
         name="input_price_cost_scale",
         X_map=lambda x: np.zeros(m_dim),
         A_map=lambda a: np.concatenate(
             [a[:m_dim], np.zeros(g_dim), [a[iC], 0.0]]),
-        response_f=lambda f: 0.0,
-        response_g=(lambda g: g,),
     )
     model = ProblemModel(
         name=name, M=m_dim, N=n_dim,

@@ -130,17 +130,10 @@ def principal_model(m_dim: int, name="efficient_portfolio") -> ProblemModel:
             for s in slots:
                 out[s] = a[s]
             return out
-        responses = [lambda g: 0.0, lambda g: 0.0]
-        if iT in slots:
-            responses[0] = lambda g: g
-        if iR in slots:
-            responses[1] = lambda g: g
         return InvarianceGenerator(
             name=f"scale_{name_suffix}",
             X_map=lambda x: np.zeros(m_dim),
             A_map=a_map,
-            response_f=(lambda f: f) if slots[0] < m_dim else (lambda f: 0.0),
-            response_g=tuple(responses),
         )
 
     gens = (

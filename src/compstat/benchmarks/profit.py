@@ -72,7 +72,6 @@ def cd_profit_model(gamma=(1.0 / 3.0, 1.0 / 3.0), F0=1.0,
         name="price_scale",
         X_map=lambda x: np.zeros(m_dim),
         A_map=lambda a: a,
-        response_f=lambda f: f,
     )
     return ProblemModel(
         name=name, M=m_dim, N=m_dim + 1,

@@ -43,8 +43,6 @@ def demand_model(gamma, name="slutsky_hicks") -> ProblemModel:
         name="price_income_scale",
         X_map=lambda x: np.zeros(m_dim),
         A_map=lambda a: a,
-        response_f=lambda f: 0.0,
-        response_g=(lambda g: g,),
     )
     return ProblemModel(
         name=name, M=m_dim, N=m_dim + 1,

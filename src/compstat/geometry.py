@@ -17,7 +17,6 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DimensionError, EmptyTangentError, NullPropertyError
-from .model import Blocks, ProblemModel
 
 RANK_RTOL = 1e-10
 NULL_TOL = 1e-8           # a prescribed row's null-property residual, per unit row norm
@@ -29,7 +28,7 @@ class IsovectorSet:
     vectors: np.ndarray          # A x N, one direction per row
     annihilates_objective: bool
     null_residuals: np.ndarray   # A x C, residual of row alpha against target c
-    basis_kind: str              # "nullspace" | "prescribed" | "one_term"
+    basis_kind: str              # "nullspace" | "prescribed"
     redundant: bool = False
 
     @property
@@ -122,45 +121,6 @@ def prescribe_isovectors(rows: np.ndarray, grad_stack: np.ndarray,
         null_residuals=residuals,
         basis_kind="prescribed",
         redundant=redundant,
-    )
-
-
-def one_term_compensation(model: ProblemModel, x, a, target: str = "objective",
-                          comp_index: int = -1) -> IsovectorSet:
-    """Pair every parameter direction with a single compensating parameter.
-
-    For target gradient d and compensating slot c, row alpha (alpha != c)
-    has d_c in position alpha and -d_alpha in position c, so each row
-    annihilates the target by construction.  A zero compensating entry is
-    still emitted but flagged degenerate via a warning.
-    """
-    if target == "objective":
-        grad = Blocks(model, x, a).fa
-        annihilates = True
-    elif target.startswith("constraint:"):
-        grad = Blocks(model, x, a).Ga[int(target.split(":", 1)[1])]
-        annihilates = False
-    else:
-        raise DimensionError(f"unknown compensation target {target!r}")
-    comp = comp_index % model.N
-    if grad[comp] == 0.0:
-        warnings.warn(
-            f"compensating parameter {comp} has zero target gradient; "
-            "the emitted directions are degenerate", stacklevel=2)
-    rows = []
-    for alpha in range(model.N):
-        if alpha == comp:
-            continue
-        row = np.zeros(model.N)
-        row[alpha] = grad[comp]
-        row[comp] = -grad[alpha]
-        rows.append(row)
-    rows = np.vstack(rows)
-    return IsovectorSet(
-        vectors=rows,
-        annihilates_objective=annihilates,
-        null_residuals=null_property_residuals(rows, grad.reshape(1, -1)),
-        basis_kind="one_term",
     )
 
 

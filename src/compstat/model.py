@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -27,16 +27,17 @@ MatrixEvaluator = Callable[[np.ndarray, np.ndarray], np.ndarray]
 class InvarianceGenerator:
     """First-order symmetry of a model: the operator X(x).d/dx + A(a).d/da.
 
-    When the operator maps the objective to response_f(f) and each constraint
-    to response_g[k](g_k) with response_g[k](0) = 0, the decision functions
-    inherit the invariance X(x(a)) = sum_mu A_mu(a) dx/da_mu.
+    Its hypothesis is declared, not checked: the operator maps the objective
+    to a function of f alone and each constraint g_k to a function of g_k
+    that vanishes at g_k = 0 (in the catalog, f or 0 and g_k or 0).  The
+    decision functions then inherit the invariance
+    X(x(a)) = sum_mu A_mu(a) dx/da_mu, which `diagnostics.check_invariance`
+    tests at a solution.
     """
 
     name: str
     X_map: Callable[[np.ndarray], np.ndarray]
     A_map: Callable[[np.ndarray], np.ndarray]
-    response_f: Optional[Callable[[float], float]] = None
-    response_g: Optional[Sequence[Callable[[float], float]]] = None
 
 
 @dataclass(frozen=True)
@@ -221,54 +222,6 @@ def _weighted(first, terms, lam):
     return first
 
 
-def evaluate_lagrangian(model: ProblemModel, x, a, lam) -> float:
-    """f(x, a) + sum_k lam_k g_k(x, a)."""
-    lam = np.asarray(lam, dtype=float)
-    if lam.shape != (model.K,):
-        raise ConfigurationError(
-            f"model {model.name!r}: expected {model.K} multipliers, got shape {lam.shape}")
-    blocks = Blocks(model, x, a)
-    return float(_weighted(blocks.f, blocks.g, lam))
-
-
-@dataclass(frozen=True)
-class GradientEval:
-    """A requested gradient plus, when analytic data produced it, the residual
-    of a spot check against the central-difference stencil."""
-
-    vector: np.ndarray
-    fd_residual: Optional[float] = None
-
-
-def numeric_gradient(model: ProblemModel, which: str, wrt: str, x, a) -> GradientEval:
-    """Gradient of the objective or of constraint k with respect to x or a.
-
-    `which` is "objective" or "constraint:<k>".  Analytic gradients take
-    precedence; the finite-difference value is then used only for the
-    recorded cross-check residual.
-    """
-    if wrt not in ("x", "a"):
-        raise ConfigurationError(f"unknown differentiation target {wrt!r}")
-    if which == "objective":
-        k = None
-    elif which.startswith("constraint:"):
-        k = int(which.split(":", 1)[1])
-        if not 0 <= k < model.K:
-            raise ConfigurationError(f"constraint index {k} out of range for {model.name!r}")
-    else:
-        raise ConfigurationError(f"unknown gradient request {which!r}")
-
-    kind = "grad_" + wrt
-    x = np.asarray(x, dtype=float)
-    a = np.asarray(a, dtype=float)
-    fd_vec = _stencil(model, kind, k, x, a)
-    analytic = _registered(model, kind, k)
-    if analytic is None:
-        return GradientEval(vector=fd_vec)
-    vec = np.asarray(analytic(x, a), dtype=float)
-    return GradientEval(vector=vec, fd_residual=float(np.max(np.abs(vec - fd_vec))))
-
-
 def augment_with_scale(model: ProblemModel, scale_name: str = "s") -> ProblemModel:
     """Append a positive scale parameter s and replace f by s*f.
 
@@ -352,24 +305,3 @@ def augment_with_scale(model: ProblemModel, scale_name: str = "s") -> ProblemMod
         separable_kappa=None,
     )
 
-
-def verify_generator(model: ProblemModel, gen: InvarianceGenerator,
-                     points: Sequence[tuple], tol: float = 1e-6) -> float:
-    """Max residual of the generator's response identities over sample points."""
-    worst = 0.0
-    for x, a in points:
-        blocks = Blocks(model, x, a)
-        X = np.asarray(gen.X_map(blocks.x), dtype=float)
-        A = np.asarray(gen.A_map(blocks.a), dtype=float)
-        jf = X @ blocks.fx + A @ blocks.fa
-        if gen.response_f is not None:
-            worst = max(worst, abs(jf - gen.response_f(blocks.f)))
-        if gen.response_g is not None:
-            for k in range(model.K):
-                jg = X @ blocks.Gx[k] + A @ blocks.Ga[k]
-                worst = max(worst, abs(jg - gen.response_g[k](blocks.g[k])))
-    if worst > tol:
-        raise ConfigurationError(
-            f"invariance generator {gen.name!r} fails its response identities "
-            f"(residual {worst:.3e} > {tol:.1e})")
-    return worst

@@ -99,7 +99,7 @@ def sensitivity_dict(sens: SensitivityBundle, parameter_names, decision_names) -
     return {
         "method": sens.method,
         "step": json_floats(sens.step),
-        "cross_check_residual": json_floats(sens.cross_check_residual),
+        "cross_check_residual": None,   # always null; schema "2" keeps the key
         "x_jac": labeled_matrix(sens.x_jac, decision_names, parameter_names),
         "lam_jac": labeled_matrix(sens.lam_jac,
                                   [f"lam{k + 1}" for k in range(sens.lam_jac.shape[0])],

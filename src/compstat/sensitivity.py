@@ -26,15 +26,6 @@ class SensitivityBundle:
     lam_jac: np.ndarray          # K x N
     method: str                  # "fd" | "ift" | "analytic"
     step: Optional[float] = None
-    cross_check_residual: Optional[float] = None
-
-
-def constraint_identity_residual(model: ProblemModel, sol: SolutionPoint,
-                                 sens: SensitivityBundle) -> float:
-    """Max violation of d/da_mu g_k(x(a), a) = 0 across (k, mu)."""
-    if model.K == 0:
-        return 0.0
-    return float(np.max(np.abs(sol.blocks.Ga + sol.blocks.Gx @ sens.x_jac)))
 
 
 def decision_jacobian_fd(model: ProblemModel, a, config: SolverConfig = SolverConfig(),
@@ -116,12 +107,3 @@ def decision_jacobian_analytic(model: ProblemModel, sol: SolutionPoint,
         lam_jac = decision_jacobian_ift(model, sol).lam_jac
     return SensitivityBundle(x_jac=x_jac, lam_jac=lam_jac, method="analytic")
 
-
-def cross_checked(model: ProblemModel, sol: SolutionPoint,
-                  config: SolverConfig = SolverConfig()) -> SensitivityBundle:
-    """IFT bundle carrying the max-norm disagreement with the FD route."""
-    ift = decision_jacobian_ift(model, sol)
-    fd_bundle = decision_jacobian_fd(model, sol.a, config, x0=sol.x)
-    residual = float(np.max(np.abs(ift.x_jac - fd_bundle.x_jac))) if model.N else 0.0
-    return SensitivityBundle(x_jac=ift.x_jac, lam_jac=ift.lam_jac, method="ift",
-                             cross_check_residual=residual)

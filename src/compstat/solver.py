@@ -45,21 +45,12 @@ class SolutionPoint:
     newton_discrepancy: Optional[float] = None
 
 
-def recover_multipliers(model: ProblemModel, x, a):
-    """Least-squares multipliers from grad_x f = -sum_k lam_k grad_x g_k.
-
-    Returns (lam, residual) where the residual is the norm of the component
-    of grad_x f outside the span of the constraint gradients; it vanishes
-    exactly at a first-order point.
-    """
-    return _multipliers(Blocks(model, x, a))
-
-
-def _multipliers(blocks: Blocks):
-    fx = blocks.fx
+def _multipliers(blocks: Blocks) -> np.ndarray:
+    """Least-squares multipliers from grad_x f = -sum_k lam_k grad_x g_k;
+    raises when the constraint gradients are linearly dependent."""
     if blocks.model.K == 0:
-        return np.zeros(0), float(np.linalg.norm(fx))
-    Gx = blocks.Gx  # K x M
+        return np.zeros(0)
+    fx, Gx = blocks.fx, blocks.Gx  # M, K x M
     if not (np.isfinite(fx).all() and np.isfinite(Gx).all()):
         raise EvaluationError(
             f"non-finite objective or constraint x-gradient of {blocks.model.name!r}")
@@ -69,8 +60,7 @@ def _multipliers(blocks: Blocks):
             f"constraint gradients of {blocks.model.name!r} are linearly dependent "
             f"(singular values {svals})")
     lam, *_ = np.linalg.lstsq(Gx.T, -fx, rcond=None)
-    residual = float(np.linalg.norm(fx + Gx.T @ lam))
-    return lam, residual
+    return lam
 
 
 def _kkt_residual(blocks: Blocks, lam) -> np.ndarray:
@@ -99,7 +89,7 @@ def newton_solve(model: ProblemModel, a, x0, config: SolverConfig = SolverConfig
     a = np.asarray(a, dtype=float)
     x = np.asarray(x0, dtype=float).copy()
     blocks = Blocks(model, x, a)
-    lam, _ = _multipliers(blocks)
+    lam = _multipliers(blocks)
     res = _kkt_residual(blocks, lam)
     res_norm = float(np.max(np.abs(res)))
     iterations = 0

@@ -3,11 +3,9 @@ import pytest
 
 from compstat.benchmarks import get_benchmark
 from compstat.benchmarks.profit import cd_profit_model
-from compstat.benchmarks.slutsky import demand_model
 from compstat.errors import EmptyTangentError, NullPropertyError
 from compstat.geometry import (build_isovectors, conformance_tolerance, gcd_apply,
-                               one_term_compensation, prescribe_isovectors,
-                               verify_conformance)
+                               prescribe_isovectors, verify_conformance)
 from compstat.model import Blocks, augment_with_scale
 from compstat.sensitivity import decision_jacobian_ift
 from compstat.solver import solve_interior
@@ -88,65 +86,6 @@ def test_dependent_rows_accepted_with_redundancy_warning():
     with pytest.warns(UserWarning, match="redundant"):
         iso = prescribe_isovectors(rows, stack)
     assert iso.redundant
-
-
-def test_one_term_compensation_profit_rows():
-    # price-compensated input directions: output level on the own slot and
-    # the input quantity on the output-price slot
-    model = cd_profit_model()
-    a = np.array([1.0, 1.0, 2.0])
-    sol = solve_interior(model, a)
-    iso = one_term_compensation(model, sol.x, a, target="objective", comp_index=2)
-    f_level = Blocks(model, sol.x, a).fa[2]
-    assert iso.basis_kind == "one_term"
-    assert iso.count == 2
-    assert iso.vectors[0] == pytest.approx([f_level, 0.0, sol.x[0]])
-    assert iso.vectors[1] == pytest.approx([0.0, f_level, sol.x[1]])
-    assert np.max(iso.null_residuals) < 1e-14
-
-
-def test_one_term_compensation_scale_augmented():
-    aug = augment_with_scale(cd_profit_model())
-    a = np.array([1.0, 1.0, 2.0, 1.0])
-    sol = solve_interior(aug, a)
-    iso = one_term_compensation(aug, sol.x, a, target="objective", comp_index=-1)
-    grad = Blocks(aug, sol.x, a).fa
-    # row alpha: (objective scale-derivative) e_alpha - (objective
-    # alpha-derivative) e_scale
-    for alpha in range(3):
-        expected = np.zeros(4)
-        expected[alpha] = grad[3]
-        expected[3] = -grad[alpha]
-        assert iso.vectors[alpha] == pytest.approx(expected)
-
-
-def test_one_term_compensation_recovers_budget_rows():
-    # single linear constraint: compensating every price through the budget
-    # level reproduces the classic substitution rows exactly
-    from compstat.benchmarks import get_benchmark
-    from compstat.csm import build_omega
-    entry = get_benchmark("slutsky_hicks")
-    run = entry.prepare("analytic")
-    iso = one_term_compensation(run.model, run.sol.x, run.sol.a,
-                                target="constraint:0", comp_index=2)
-    assert iso.vectors == pytest.approx(
-        np.hstack([np.eye(2), run.sol.x.reshape(-1, 1)]))
-    omega_one_term = build_omega(run.model, run.sol, run.sens, iso)
-    omega_prescribed = build_omega(run.model, run.sol, run.sens, run.iso)
-    assert omega_one_term.matrix == pytest.approx(omega_prescribed.matrix,
-                                                  abs=1e-12)
-
-
-def test_one_term_compensation_degenerate_flag():
-    model = demand_model(np.array([0.5, 0.5]))
-    x = np.array([0.5, 0.5])
-    a = np.array([1.0, 1.0, 1.0])
-    # the objective has a vanishing parameter gradient: compensation through
-    # any slot is degenerate but still emitted
-    with pytest.warns(UserWarning, match="degenerate"):
-        iso = one_term_compensation(model, x, a, target="objective", comp_index=2)
-    assert iso.count == 2
-    assert np.max(np.abs(iso.vectors)) == 0.0
 
 
 def test_gcd_apply_identity_and_demand_matrix():

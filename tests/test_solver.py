@@ -8,10 +8,9 @@ from compstat.benchmarks import all_benchmarks
 from compstat.benchmarks.slutsky import demand_model
 from compstat.errors import (DomainError, EvaluationError, NonConvergenceError,
                              RankDeficiencyError)
-from compstat.model import Blocks, ProblemModel
+from compstat.model import ProblemModel
 from compstat.solver import (SolverConfig, _symmetric_step, newton_solve,
-                             projected_hessian_extremes, recover_multipliers,
-                             solve_interior)
+                             projected_hessian_extremes, solve_interior)
 
 from conftest import sqrt_profit_model
 
@@ -42,17 +41,6 @@ def test_analytic_solution_is_authoritative_with_newton_cross_check():
     assert sol.newton_discrepancy < 1e-9
 
 
-def test_recover_multipliers_unconstrained_residual_is_gradient_norm():
-    model = sqrt_profit_model()
-    lam, residual = recover_multipliers(model, np.array([4.0]), np.array([1.0, 2.0]))
-    assert lam.size == 0
-    grad = Blocks(model, np.array([4.0]), np.array([1.0, 2.0])).fx
-    assert residual == pytest.approx(float(np.linalg.norm(grad)), rel=1e-9)
-    # at the optimum the residual vanishes
-    _, at_optimum = recover_multipliers(model, np.array([1.0]), np.array([1.0, 2.0]))
-    assert at_optimum < 1e-9
-
-
 @pytest.mark.parametrize("field, block", [
     ("grad_x_constraints", lambda x, a: np.array([np.inf, 1.0])),
     ("hess_xx_objective", lambda x, a: np.full((2, 2), np.nan)),
@@ -68,11 +56,12 @@ def test_non_finite_blocks_raise_a_typed_error_before_lapack(field, block):
 
 
 def test_recover_multipliers_log_utility():
+    # started at the optimum, Newton takes no step: lam is the least-squares
+    # recovery from grad_x f = -lam grad_x g
     model = demand_model(np.array([0.5, 0.5]))
-    lam, residual = recover_multipliers(model, np.array([0.5, 0.5]),
-                                        np.array([1.0, 1.0, 1.0]))
-    assert lam == pytest.approx([1.0], abs=1e-12)
-    assert residual < 1e-12
+    sol = newton_solve(model, np.array([1.0, 1.0, 1.0]), np.array([0.5, 0.5]))
+    assert sol.iterations == 0
+    assert sol.lam == pytest.approx([1.0], abs=1e-12)
 
 
 def test_recover_multipliers_rank_deficient_gradients():
@@ -83,7 +72,7 @@ def test_recover_multipliers_rank_deficient_gradients():
         constraints=(lambda x, a: float(x[0] + x[1] + x[2] - a[0]),) * 2,
     )
     with pytest.raises(RankDeficiencyError):
-        recover_multipliers(dup, np.array([0.5, 0.5, 0.5]), np.ones(3))
+        newton_solve(dup, np.ones(3), np.array([0.5, 0.5, 0.5]))
 
 
 def test_constraint_count_must_stay_below_dimensions():
