@@ -25,10 +25,11 @@ def _budget(m_dim: int) -> LinearBudget:
 def demand_model(gamma, name="slutsky_hicks") -> ProblemModel:
     gamma = np.asarray(gamma, dtype=float)
     m_dim = gamma.size
-    shares = gamma / gamma.sum()
+    total = gamma.sum()
+    shares = gamma / total
 
     def utility(x, a):
-        if np.any(x <= 0):
+        if (x <= 0).any():
             return float("nan")
         return float(gamma @ np.log(x))
 
@@ -37,7 +38,7 @@ def demand_model(gamma, name="slutsky_hicks") -> ProblemModel:
         if np.count_nonzero(p) < m_dim or m == 0:
             raise DomainError("demand needs nonzero prices and income; got "
                               f"p = {p.tolist()}, m = {float(m)!r}")
-        return shares * m / p, np.array([gamma.sum() / m])
+        return shares * m / p, np.array([total / m])
 
     homogeneity = InvarianceGenerator(
         name="price_income_scale",

@@ -18,7 +18,7 @@ from .csm import CsmResult, build_omega, from_matrix
 from .errors import CompstatError
 from .geometry import (IsovectorSet, conformance_tolerance, gcd_apply,
                        prescribe_isovectors, require_null_property, verify_conformance)
-from .model import Blocks, InvarianceGenerator, ProblemModel
+from .model import InvarianceGenerator, ProblemModel, _block, _decisions
 from .sensitivity import SensitivityBundle
 from .solver import (SolutionPoint, SolverConfig, newton_solve,
                      projected_hessian_extremes)
@@ -69,20 +69,26 @@ def check_envelope(model: ProblemModel, sol: SolutionPoint, iso: IsovectorSet,
     must match the partial effect on the objective with decisions frozen;
     when the rows also annihilate the objective, both must vanish.
 
-    Without a closed form, the value at a +/- h t comes from a Newton
-    re-solve started at the tangent prediction x +/- h (dx/da) t of `sens`
-    (the Euler predictor of continuation), not at x: it is already within
-    O(h^2) of the root and usually needs one step or none.  The start
+    Row t takes the central difference of the value at a +/- h t, with
+    h = STEP_FIRST max(1, max|a|) / max|t|.  With a closed form, a row costs
+    two closed-form values: `analytic_solution` and then the objective at
+    each point; `sens` is not read.  Without one, it costs two Newton
+    re-solves, each started at the tangent prediction x +/- h (dx/da) t of
+    `sens` (the Euler predictor of continuation), not at x: it is already
+    within O(h^2) of the root and usually needs one step or none.  The start
     moves only where Newton begins; the re-solve still converges to the
-    stencil tolerance of `solver_config.stencil()` or the check is skipped.
+    stencil tolerance of `solver_config.stencil()`.  A point that cannot be
+    evaluated, or a re-solve that does not converge, skips the check.
     """
-    a = sol.a
+    a, vectors = sol.a, iso.vectors
+    closed_form = model.analytic_solution
     stencil_config = solver_config.stencil()
 
-    def value_at(b, x_start):
-        if model.analytic_solution is not None:
-            x, _ = model.analytic_solution(b)
-            return Blocks(model, x, b).f
+    def closed_form_value(b):
+        x, _ = closed_form(b)
+        return _block(model, "value", None, _decisions(model, x), b)
+
+    def resolved_value(b, x_start):
         point = newton_solve(model, b, x_start, stencil_config)
         if not point.converged:
             raise CompstatError("stencil solve did not converge")
@@ -90,24 +96,29 @@ def check_envelope(model: ProblemModel, sol: SolutionPoint, iso: IsovectorSet,
 
     fa = sol.blocks.fa
     scale = max(1.0, float(np.max(np.abs(a))))
-    v_dir = np.empty(iso.count)
-    f_dir = np.empty(iso.count)
+    steps = fd.STEP_FIRST * scale / np.maximum(np.max(np.abs(vectors), axis=1), 1e-12)
+    shifts = steps[:, None] * vectors
+    v_plus, v_minus, f_dir = np.empty(iso.count), np.empty(iso.count), np.empty(iso.count)
     for alpha in range(iso.count):
-        t = iso.vectors[alpha]
-        t_scale = max(float(np.max(np.abs(t))), 1e-12)
-        h = fd.STEP_FIRST * scale / t_scale
-        dx = h * (sens.x_jac @ t)
-        # a fresh array per stencil point: OpenBLAS dot products round by
-        # operand alignment, so rows of one stacked array of points could
-        # move the last bit of a model value
+        t, shift = vectors[alpha], shifts[alpha]
+        # a fresh array per stencil point, and one dot product per row:
+        # OpenBLAS rounds dot products by operand alignment, so rows of one
+        # stacked array of points could move the last bit of a model value
         try:
-            v_plus = value_at(a + h * t, sol.x + dx)
-            v_minus = value_at(a - h * t, sol.x - dx)
+            if closed_form is not None:
+                v_plus[alpha] = closed_form_value(a + shift)
+                v_minus[alpha] = closed_form_value(a - shift)
+            else:
+                dx = steps[alpha] * (sens.x_jac @ t)
+                v_plus[alpha] = resolved_value(a + shift, sol.x + dx)
+                v_minus[alpha] = resolved_value(a - shift, sol.x - dx)
         except CompstatError as exc:
+            failure = ("point could not be evaluated" if closed_form is not None
+                       else "did not converge")
             return _skipped("envelope", "envelope-identity",
-                            f"stencil did not converge along direction {alpha}: {exc}")
-        v_dir[alpha] = (v_plus - v_minus) / (2.0 * h)
+                            f"stencil {failure} along direction {alpha}: {exc}")
         f_dir[alpha] = float(t @ fa)
+    v_dir = (v_plus - v_minus) / (2.0 * steps)
     residual = float(np.max(np.abs(v_dir - f_dir))) if iso.count else 0.0
     if iso.annihilates_objective:
         residual = max(residual, float(np.max(np.abs(v_dir))) if iso.count else 0.0)
@@ -240,10 +251,8 @@ def check_hatta_reduction(model: ProblemModel, sol: SolutionPoint,
     p_slots = [mu for mu in range(model.N) if mu not in kappa]
     k_grads = -ga[:, p_slots]                       # K x len(p_slots), dk_l/dp
     rows = np.zeros((len(p_slots), model.N))
-    for idx, mu in enumerate(p_slots):
-        rows[idx, mu] = 1.0
-        for l in range(model.K):
-            rows[idx, kappa[l]] = k_grads[l, idx]
+    rows[np.arange(len(p_slots)), p_slots] = 1.0
+    rows[:, list(kappa)] = k_grads.T
     if (omega is not None and iso is not None and iso.basis_kind == "prescribed"
             and not iso.redundant and np.array_equal(rows, iso.vectors)):
         require_null_property(rows, ga)

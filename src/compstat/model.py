@@ -139,6 +139,16 @@ def _block(model: ProblemModel, kind: str, k: Optional[int], x, a):
     return value
 
 
+def _decisions(model: ProblemModel, x) -> np.ndarray:
+    """`x` as a float array of the model's M decision values; raises on any
+    other shape."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (model.M,):
+        raise ConfigurationError(
+            f"model {model.name!r}: expected {model.M} decision values, got shape {x.shape}")
+    return x
+
+
 def _read_only(array: np.ndarray) -> np.ndarray:
     view = array.view()
     view.setflags(write=False)
@@ -194,10 +204,7 @@ class Blocks:
 
     def __post_init__(self):
         model = self.model
-        x, a = np.asarray(self.x, dtype=float), np.asarray(self.a, dtype=float)
-        if x.shape != (model.M,):
-            raise ConfigurationError(
-                f"model {model.name!r}: expected {model.M} decision values, got shape {x.shape}")
+        x, a = _decisions(model, self.x), np.asarray(self.a, dtype=float)
         if a.shape != (model.N,):
             raise ConfigurationError(
                 f"model {model.name!r}: expected {model.N} parameter values, got shape {a.shape}")

@@ -54,12 +54,12 @@ def _multipliers(blocks: Blocks) -> np.ndarray:
     if not (np.isfinite(fx).all() and np.isfinite(Gx).all()):
         raise EvaluationError(
             f"non-finite objective or constraint x-gradient of {blocks.model.name!r}")
-    svals = np.linalg.svd(Gx, compute_uv=False)
+    # one SVD-based LAPACK call: lstsq also returns the singular values of Gx
+    lam, _, _, svals = np.linalg.lstsq(Gx.T, -fx, rcond=None)
     if svals[-1] <= RANK_RTOL * svals[0]:
         raise RankDeficiencyError(
             f"constraint gradients of {blocks.model.name!r} are linearly dependent "
             f"(singular values {svals})")
-    lam, *_ = np.linalg.lstsq(Gx.T, -fx, rcond=None)
     return lam
 
 

@@ -3,9 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from compstat import csm, diagnostics
-from compstat.benchmarks import get_benchmark
+from compstat import csm, diagnostics, fd
+from compstat.benchmarks import benchmark_names, get_benchmark
 from compstat.benchmarks.profit import augmented_run
+from compstat.benchmarks.slutsky import register_slutsky_hicks
 from compstat.diagnostics import (check_envelope, check_hatta_reduction,
                                   check_invariance, check_rank_bound,
                                   check_semidefinite)
@@ -60,7 +61,99 @@ def test_envelope_skips_on_stencil_failure():
     rep = check_envelope(crippled, run.sol, run.iso, run.sens,
                          solver_config=SolverConfig(max_iter=0))
     assert rep.verdict == "skipped"
-    assert "reason" in rep.details
+    assert rep.details["reason"].startswith("stencil did not converge along direction 0")
+
+
+def _envelope_rows_per_point(model, sol, iso, sens, solver_config=SolverConfig()):
+    """Reference envelope rows: each step taken row by row, and each stencil
+    value read from a `Blocks` built at the point (the closed form's) or from
+    a Newton re-solve started at the tangent prediction."""
+    a = sol.a
+    stencil_config = solver_config.stencil()
+
+    def value_at(b, x_start):
+        if model.analytic_solution is not None:
+            x, _ = model.analytic_solution(b)
+            return Blocks(model, x, b).f
+        point = newton_solve(model, b, x_start, stencil_config)
+        assert point.converged
+        return point.blocks.f
+
+    fa = sol.blocks.fa
+    scale = max(1.0, float(np.max(np.abs(a))))
+    v_dir, f_dir = np.empty(iso.count), np.empty(iso.count)
+    for alpha in range(iso.count):
+        t = iso.vectors[alpha]
+        h = fd.STEP_FIRST * scale / max(float(np.max(np.abs(t))), 1e-12)
+        dx = h * (sens.x_jac @ t)
+        v_plus = value_at(a + h * t, sol.x + dx)
+        v_minus = value_at(a - h * t, sol.x - dx)
+        v_dir[alpha] = (v_plus - v_minus) / (2.0 * h)
+        f_dir[alpha] = float(t @ fa)
+    residual = float(np.max(np.abs(v_dir - f_dir))) if iso.count else 0.0
+    if iso.annihilates_objective:
+        residual = max(residual, float(np.max(np.abs(v_dir))) if iso.count else 0.0)
+    return v_dir, f_dir, residual
+
+
+def _demand_40():
+    rng = np.random.default_rng(40)
+    gamma, prices = rng.uniform(0.5, 2.0, 40), rng.uniform(0.5, 2.0, 40)
+    entry = register_slutsky_hicks(gamma, np.append(prices, 40.0))
+    # Newton's cross-check starts at the budget-feasible equal-expenditure bundle
+    return dataclasses.replace(entry, x0=1.0 / prices)
+
+
+@pytest.mark.parametrize("basis", ["prescribed", "nullspace"])
+@pytest.mark.parametrize("name", [*benchmark_names(), "demand_40"])
+def test_envelope_rows_match_the_per_point_reference_bit_for_bit(name, basis):
+    entry = _demand_40() if name == "demand_40" else get_benchmark(name)
+    run = entry.prepare("analytic", basis=basis)
+    rep = check_envelope(entry.model, run.sol, run.iso, run.sens)
+    v_dir, f_dir, residual = _envelope_rows_per_point(entry.model, run.sol, run.iso,
+                                                      run.sens)
+    assert rep.verdict != "skipped"
+    assert np.array_equal(rep.details["value_directional"], v_dir)
+    assert np.array_equal(rep.details["objective_directional"], f_dir)
+    assert rep.residual == residual
+
+
+def test_closed_form_envelope_skips_on_a_wrong_decision_shape(slutsky_entry, slutsky_run):
+    run = slutsky_run
+    model = dataclasses.replace(slutsky_entry.model,
+                                analytic_solution=lambda b: (np.ones(3), np.ones(1)))
+    rep = check_envelope(model, run.sol, run.iso, run.sens)
+    assert rep.verdict == "skipped"
+    assert rep.details["reason"] == (
+        "stencil point could not be evaluated along direction 0: model 'slutsky_hicks': "
+        "expected 2 decision values, got shape (3,)")
+
+
+def test_closed_form_envelope_skips_on_a_non_finite_objective(slutsky_entry, slutsky_run):
+    run, objective = slutsky_run, slutsky_entry.model.objective
+    model = dataclasses.replace(
+        slutsky_entry.model,
+        objective=lambda x, b: objective(x, b) if np.array_equal(b, run.sol.a) else np.nan)
+    rep = check_envelope(model, run.sol, run.iso, run.sens)
+    assert rep.verdict == "skipped"
+    assert rep.details["reason"].startswith(
+        "stencil point could not be evaluated along direction 0: objective of")
+
+
+@pytest.mark.parametrize("name", ["slutsky_hicks", "profit_cd", "efficient_portfolio"])
+def test_closed_form_envelope_does_not_read_the_sensitivities(name):
+    entry = get_benchmark(name)
+    run = entry.prepare("analytic")
+    assert entry.model.analytic_solution is not None
+    blind = dataclasses.replace(run.sens, x_jac=np.full_like(run.sens.x_jac, np.nan))
+    rep = check_envelope(entry.model, run.sol, run.iso, run.sens)
+    blind_rep = check_envelope(entry.model, run.sol, run.iso, blind)
+    assert rep.passed and blind_rep.passed
+    assert np.array_equal(blind_rep.details["value_directional"],
+                          rep.details["value_directional"])
+    assert np.array_equal(blind_rep.details["objective_directional"],
+                          rep.details["objective_directional"])
+    assert blind_rep.residual == rep.residual
 
 
 @pytest.mark.parametrize("name, most_iterations", [
