@@ -3,12 +3,13 @@ in speed.
 
     python3 tools/bench_pairs.py PARENT CHANGE --out BENCH_<n>.json
                                  [--workloads demand_large,catalog,sweep]
-                                 [--seeds 61-70] [--seconds S]
+                                 [--seeds 61-70]
 
 For each workload and seed it runs `perfbench/run.py --trace 0` once in
-PARENT and once in CHANGE, one run at a time, each in its own checkout; the
-side that goes first alternates from seed to seed, so that a drift of the
-host's speed does not favour one side.  Then it runs `--trace 1` once per
+PARENT and once in CHANGE, one run at a time, each in its own checkout and
+for the `run_seconds` that `BENCHMARK.json` sets; the side that goes first
+alternates from seed to seed, so that a drift of the host's speed does not
+favour one side.  Then it runs `--trace 1` once per
 side on the first seed, whose per-layer counts depend only on the seed.
 
 It writes to `--out`, per workload and end-to-end metric, the median and the
@@ -35,20 +36,16 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))
 
 from perfbench.run import COUNTED  # noqa: E402
+from perfbench.spread import seeds_of  # noqa: E402
 
 TIMEOUT_S = 300
 SIDES = ("parent", "change")
 
 
-def seeds_of(text: str) -> list:
-    first, _, last = text.partition("-")
-    return list(range(int(first), int(last or first) + 1))
-
-
-def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def run(checkout: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", repr(seconds), "--trace", str(trace)],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True, timeout=TIMEOUT_S)
     if proc.returncode != 0:
         raise SystemExit(f"{checkout}: {workload} seed {seed} failed:\n{proc.stderr[-2000:]}")
@@ -81,12 +78,13 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--workloads", default=",".join(w["name"] for w in spec["workloads"]))
     parser.add_argument("--seeds", type=seeds_of, default=seeds_of("61-70"))
-    parser.add_argument("--seconds", type=float, default=spec["run_seconds"])
     args = parser.parse_args(argv)
     if len(args.seeds) < 2:
         parser.error("at least two seeds are needed for quartiles")
 
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    sources = {side: source_of(checkouts[side]) for side in SIDES}
+    seconds = spec["run_seconds"]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     runs, end_to_end, per_layer = {}, {}, {}
     for workload in args.workloads.split(","):
@@ -95,7 +93,7 @@ def main(argv=None) -> int:
             order = SIDES if index % 2 == 0 else SIDES[::-1]
             pair = {"seed": seed, "first": order[0]}
             for side in order:
-                result = run(checkouts[side], workload, seed, args.seconds, 0)
+                result = run(checkouts[side], workload, seed, seconds, 0)
                 pair[side] = {name: result["metrics"][name]["value"] for name in better}
                 pair[side]["failed"] = result["failed"]
             runs[workload].append(pair)
@@ -111,7 +109,7 @@ def main(argv=None) -> int:
             row.update(better=direction, change_wins=wins, pairs=len(args.seeds),
                        median_ratio=row["change"]["median"] / row["parent"]["median"])
             end_to_end[workload][name] = row
-        traced = {side: run(checkouts[side], workload, args.seeds[0], args.seconds, 1)
+        traced = {side: run(checkouts[side], workload, args.seeds[0], seconds, 1)
                   for side in SIDES}
         values = {side: {name: metric["value"] for name, metric in
                          traced[side]["metrics"].items()} for side in SIDES}
@@ -127,8 +125,7 @@ def main(argv=None) -> int:
                  "from one --trace 1 run per side on the first seed.",
         "hardware": f"{platform.machine()}, {os.cpu_count()} CPUs; "
                     f"Python {platform.python_version()}",
-        "parent": source_of(checkouts["parent"]), "change": source_of(checkouts["change"]),
-        "seconds": args.seconds, "seeds": args.seeds,
+        **sources, "seconds": seconds, "seeds": args.seeds,
         "end_to_end": end_to_end, "per_layer": per_layer, "runs": runs,
     }, indent=2) + "\n", encoding="utf-8")
 
