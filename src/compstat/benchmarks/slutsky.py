@@ -206,7 +206,8 @@ def register_slutsky_hicks(gamma=(0.5, 0.5), default_point=(1.0, 1.0, 1.0)) -> B
     return BenchmarkEntry(
         name="slutsky_hicks", model=model,
         default_point=default_point,
-        x0=np.full(gamma.size, default_point[gamma.size] / gamma.size),
+        # equal expenditure m / n on every good: a start on the budget
+        x0=default_point[gamma.size] / (gamma.size * default_point[:gamma.size]),
         isovector_recipe=compensation_rows,
         property_suite=suite,
         analytic_x_jac=x_jac, analytic_lam_jac=lam_jac,

@@ -1,9 +1,11 @@
 """Parameter Jacobians of the solution: dx/da and dlam/da.
 
 Two routes are provided.  The implicit-function route factorizes the
-bordered matrix [L_xx, G_x^T; G_x, 0] once and solves one right-hand side
-per parameter; it is the default.  The re-solve finite-difference route is
-slower but fully independent and serves as the acceptance oracle.
+bordered matrix [L_xx, G_x^T; G_x, 0] once by Bunch-Kaufman, the
+factorization Newton's steps also use (`solver.solve_bordered`), and solves
+one right-hand side per parameter; it is the default.  The re-solve
+finite-difference route is slower but fully independent and serves as the
+acceptance oracle.
 """
 
 from __future__ import annotations
@@ -12,12 +14,12 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
 
 from . import fd
-from .errors import CompstatError, DegeneracyError, EvaluationError, SensitivityError
+from .errors import CompstatError, DegeneracyError, SensitivityError
 from .model import ProblemModel
-from .solver import SolutionPoint, SolverConfig, bordered_matrix, newton_solve
+from .solver import (SolutionPoint, SolverConfig, bordered_matrix, newton_solve,
+                     solve_bordered)
 
 
 @dataclass(frozen=True)
@@ -83,15 +85,8 @@ def decision_jacobian_ift(model: ProblemModel, sol: SolutionPoint) -> Sensitivit
     blocks, M = sol.blocks, model.M
     bordered = bordered_matrix(blocks.lagrangian_hess_xx(sol.lam), blocks.Gx)
     rhs = -np.vstack([blocks.lagrangian_hess_xa(sol.lam), blocks.Ga])
-    try:
-        lu, piv = scipy.linalg.lu_factor(bordered)
-    except scipy.linalg.LinAlgError as exc:
-        raise DegeneracyError(
-            f"singular bordered matrix for {model.name!r}") from exc
-    except ValueError as exc:           # scipy's check of non-finite input
-        raise EvaluationError(f"non-finite bordered system for {model.name!r}") from exc
-    solution = scipy.linalg.lu_solve((lu, piv), rhs)
-    if not np.all(np.isfinite(solution)):
+    solution, _ = solve_bordered(bordered, rhs, f"bordered system for {model.name!r}")
+    if solution is None:
         raise DegeneracyError(f"singular bordered matrix for {model.name!r}")
     return SensitivityBundle(x_jac=solution[:M, :], lam_jac=solution[M:, :], method="ift")
 

@@ -6,6 +6,7 @@ root gives the decision functions x(a) and multipliers lam(a).
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -18,6 +19,7 @@ from .model import Blocks, ProblemModel
 
 MAX_BACKTRACKS = 30     # step halvings per Newton iteration
 RANK_RTOL = 1e-10       # relative singular-value floor of the constraint gradients
+EPS = np.finfo(float).eps  # rcond floor below which a Newton step warns
 
 
 @dataclass(frozen=True)
@@ -68,9 +70,11 @@ def _kkt_residual(blocks: Blocks, lam) -> np.ndarray:
 
 
 def bordered_matrix(Lxx: np.ndarray, Gx: np.ndarray) -> np.ndarray:
-    """The bordered matrix [L_xx, G_x^T; G_x, 0]; L_xx itself when G_x has
-    no rows (no constraints)."""
+    """The bordered matrix [L_xx, G_x^T; G_x, 0], with L_xx symmetrized as
+    0.5 (L_xx + L_xx^T); that symmetrized L_xx itself when G_x has no rows
+    (no constraints).  An exactly symmetric L_xx keeps its bits."""
     M, K = Lxx.shape[0], Gx.shape[0]
+    Lxx = 0.5 * (Lxx + Lxx.T)
     if K == 0:
         return Lxx
     mat = np.zeros((M + K, M + K))
@@ -78,6 +82,28 @@ def bordered_matrix(Lxx: np.ndarray, Gx: np.ndarray) -> np.ndarray:
     mat[:M, M:] = Gx.T
     mat[M:, :M] = Gx
     return mat
+
+
+def solve_bordered(mat: np.ndarray, rhs: np.ndarray, label: str):
+    """(solution, rcond) of the symmetric system mat @ solution = rhs from
+    one Bunch-Kaufman factorization: dsytrf (with the workspace
+    dsytrf_lwork recommends), dsycon and dsytrs.  Only the upper triangle
+    of `mat` is read.  rcond is LAPACK's estimate of the reciprocal 1-norm
+    condition number.  The solution is None when `mat` is singular: an
+    exactly zero pivot or a non-finite solution.  Raises an
+    EvaluationError naming `label` when `mat` or `rhs` is not finite."""
+    if not (np.isfinite(mat).all() and np.isfinite(rhs).all()):
+        raise EvaluationError(f"non-finite {label}")
+    lapack = scipy.linalg.lapack
+    lwork, _ = lapack.dsytrf_lwork(mat.shape[0])
+    factor, pivots, info = lapack.dsytrf(mat, lwork=int(lwork))
+    if info != 0:
+        return None, 0.0
+    rcond, _ = lapack.dsycon(factor, pivots, lapack.dlange("1", mat))
+    solution, _ = lapack.dsytrs(factor, pivots, rhs)
+    if not np.isfinite(solution).all():
+        return None, rcond
+    return solution, rcond
 
 
 def newton_solve(model: ProblemModel, a, x0, config: SolverConfig = SolverConfig()):
@@ -95,19 +121,13 @@ def newton_solve(model: ProblemModel, a, x0, config: SolverConfig = SolverConfig
     iterations = 0
     while res_norm > config.tol and iterations < config.max_iter:
         mat = bordered_matrix(blocks.lagrangian_hess_xx(lam), blocks.Gx)
-        step = _symmetric_step(mat, -res)
-        try:
-            if step is None:
-                step = scipy.linalg.solve(mat, -res)
-        except scipy.linalg.LinAlgError as exc:
-            raise RankDeficiencyError(
-                f"singular Newton system for {model.name!r} at iteration {iterations}") from exc
-        except ValueError as exc:       # scipy's check of non-finite input
-            raise EvaluationError(
-                f"non-finite Newton system for {model.name!r} at iteration {iterations}") from exc
-        if not np.all(np.isfinite(step)):
-            raise RankDeficiencyError(
-                f"non-finite Newton step for {model.name!r} at iteration {iterations}")
+        label = f"Newton system for {model.name!r} at iteration {iterations}"
+        step, rcond = solve_bordered(mat, -res, label)
+        if step is None:
+            raise RankDeficiencyError(f"singular {label}")
+        if not rcond >= EPS:        # no iteration number: a repeat is shown once
+            warnings.warn(f"ill-conditioned Newton system for {model.name!r} "
+                          f"(rcond = {rcond!r})", scipy.linalg.LinAlgWarning)
         scale = 1.0
         for _ in range(MAX_BACKTRACKS + 1):
             x_try = x + scale * step[:model.M]
@@ -135,46 +155,6 @@ def newton_solve(model: ProblemModel, a, x0, config: SolverConfig = SolverConfig
         source="newton",
         blocks=blocks,
     )
-
-
-def _symmetric_step(mat: np.ndarray, rhs: np.ndarray) -> Optional[np.ndarray]:
-    """The solution of mat @ step = rhs by the Bunch-Kaufman route
-    (dsytrf, dsycon, dsytrs) for the matrices that `scipy.linalg.solve`
-    itself factors that way: exactly symmetric, not tridiagonal (n >= 3),
-    and not positive definite.  Bit for bit what `scipy.linalg.solve`
-    returns, without its per-call validation and structure detection.
-
-    None for every other matrix, for a failed factorization, for a
-    reciprocal condition estimate below machine epsilon or NaN, and for a
-    non-finite solution: the caller then runs `scipy.linalg.solve`, which
-    raises, warns or reports non-finite input as it always has.  The
-    workspace is the one `dsytrf_lwork` recommends, as scipy's; the default
-    minimal one blocks differently for n > 64.
-    """
-    lapack = scipy.linalg.lapack
-    if not np.array_equal(mat, mat.T) or _tridiagonal(mat):
-        return None
-    if lapack.dpotrf(mat, clean=0)[1] == 0:
-        return None
-    lwork, _ = lapack.dsytrf_lwork(mat.shape[0])
-    factor, pivots, info = lapack.dsytrf(mat, lwork=int(lwork))
-    if info != 0:
-        return None
-    rcond, info = lapack.dsycon(factor, pivots, lapack.dlange("1", mat))
-    if info != 0 or not rcond >= np.finfo(float).eps:
-        return None
-    step, info = lapack.dsytrs(factor, pivots, rhs)
-    if info != 0 or not np.isfinite(step).all():
-        return None
-    return step
-
-
-def _tridiagonal(mat: np.ndarray) -> bool:
-    """Whether `scipy.linalg.solve` detects `mat` as tridiagonal and solves
-    it by its banded route: n >= 3 and nothing beyond the first
-    off-diagonals (rows are scanned until one has an entry there)."""
-    n = mat.shape[0]
-    return n >= 3 and not any(mat[i, i + 2:].any() for i in range(n - 2))
 
 
 def solve_interior(model: ProblemModel, a, x0=None,

@@ -99,9 +99,15 @@ def _envelope_rows_per_point(model, sol, iso, sens, solver_config=SolverConfig()
 def _demand_40():
     rng = np.random.default_rng(40)
     gamma, prices = rng.uniform(0.5, 2.0, 40), rng.uniform(0.5, 2.0, 40)
-    entry = register_slutsky_hicks(gamma, np.append(prices, 40.0))
-    # Newton's cross-check starts at the budget-feasible equal-expenditure bundle
-    return dataclasses.replace(entry, x0=1.0 / prices)
+    return register_slutsky_hicks(gamma, np.append(prices, 40.0))
+
+
+def test_demand_40_newton_cross_check_converges_from_the_registered_start():
+    # the registered start spends m / n on every good, so it is on the budget
+    # whatever the prices, and the Newton cross-check converges
+    entry = _demand_40()
+    assert entry.x0 @ entry.default_point[:40] == pytest.approx(40.0)
+    assert entry.prepare("analytic").sol.newton_discrepancy is not None
 
 
 @pytest.mark.parametrize("basis", ["prescribed", "nullspace"])

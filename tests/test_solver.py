@@ -6,11 +6,12 @@ import scipy.linalg
 
 from compstat.benchmarks import all_benchmarks
 from compstat.benchmarks.slutsky import demand_model
-from compstat.errors import (DomainError, EvaluationError, NonConvergenceError,
-                             RankDeficiencyError)
+from compstat.errors import (DegeneracyError, DomainError, EvaluationError,
+                             NonConvergenceError, RankDeficiencyError)
 from compstat.model import ProblemModel
-from compstat.solver import (SolverConfig, _symmetric_step, newton_solve,
-                             projected_hessian_extremes, solve_interior)
+from compstat.sensitivity import decision_jacobian_ift
+from compstat.solver import (SolverConfig, newton_solve, projected_hessian_extremes,
+                             solve_bordered, solve_interior)
 
 from conftest import sqrt_profit_model
 
@@ -46,8 +47,8 @@ def test_analytic_solution_is_authoritative_with_newton_cross_check():
     ("hess_xx_objective", lambda x, a: np.full((2, 2), np.nan)),
 ])
 def test_non_finite_blocks_raise_a_typed_error_before_lapack(field, block):
-    # neither np.linalg.svd and lstsq nor the input check of
-    # scipy.linalg.solve may see a non-finite block
+    # neither np.linalg.svd and lstsq nor LAPACK's factorization of the
+    # Newton system may see a non-finite block
     model = demand_model(np.array([0.5, 0.5]))
     value = (block,) if field.endswith("constraints") else block
     broken = dataclasses.replace(model, **{field: value})
@@ -162,40 +163,92 @@ def test_stencil_config_tightens_tol_and_keeps_every_other_field():
     assert SolverConfig(tol=1e-14).stencil().tol == 1e-14
 
 
+def _upper_mirrored(mat):
+    """The exactly symmetric matrix with the upper triangle of `mat`."""
+    return np.triu(mat) + np.triu(mat, 1).T
+
+
 def _indefinite(n, rng):
     """A dense, exactly symmetric matrix with eigenvalues of both signs."""
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     eig = rng.uniform(0.5, 2.0, size=n) * np.where(np.arange(n) % 2, -1.0, 1.0)
-    mat = q @ np.diag(eig) @ q.T
-    return np.triu(mat) + np.triu(mat, 1).T
+    return _upper_mirrored(q @ np.diag(eig) @ q.T)
 
 
-@pytest.mark.parametrize("n", list(range(2, 13)) + [63, 64, 65, 81])
-def test_symmetric_step_equals_scipy_solve_bit_for_bit(n):
+def _tridiagonal(n):
+    """Symmetric indefinite tridiagonal: alternating diagonal, unit off-diagonals."""
+    return (np.diag(np.where(np.arange(n) % 2, -2.0, 3.0))
+            + np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1))
+
+
+BACKWARD_C = 16     # backward-error bound in units of eps * ||A|| * ||s||
+
+
+@pytest.mark.parametrize("kind, n", [("indefinite", n) for n in [*range(2, 13), 63, 64, 65, 81]]
+                         + [("positive definite", 6), ("tridiagonal", 9)])
+def test_bordered_solve_has_a_small_backward_error(kind, n):
     rng = np.random.default_rng(n)
     for _ in range(5):
-        mat, rhs = _indefinite(n, rng), rng.standard_normal(n)
-        step = _symmetric_step(mat, rhs)
-        assert step is not None
-        assert np.array_equal(step, scipy.linalg.solve(mat, rhs))
+        mat = _indefinite(n, rng)
+        if kind == "positive definite":
+            mat = _upper_mirrored(mat @ mat)
+        elif kind == "tridiagonal":
+            mat = _tridiagonal(n)
+        rhs = rng.standard_normal(n)
+        step, rcond = solve_bordered(mat, rhs, "test system")
+        assert rcond > 0.0
+        residual = np.max(np.abs(mat @ step - rhs))
+        bound = (BACKWARD_C * np.finfo(float).eps
+                 * np.max(np.sum(np.abs(mat), axis=1)) * np.max(np.abs(step)))
+        assert residual <= bound
 
 
 def _ill_conditioned():
     """Symmetric indefinite 2 x 2 with reciprocal condition about 1e-17."""
     q = np.array([[0.6, 0.8], [-0.8, 0.6]])
-    mat = q @ np.diag([1.0, -1e-17]) @ q.T
-    return np.triu(mat) + np.triu(mat, 1).T
+    return _upper_mirrored(q @ np.diag([1.0, -1e-17]) @ q.T)
 
 
-@pytest.mark.parametrize("kind, mat", [
-    ("not symmetric", np.array([[1.0, 2.0, 0.5], [0.0, -1.0, 3.0], [0.5, 3.0, 0.0]])),
-    ("positive definite", np.array([[4.0, 1.0, 0.5], [1.0, 3.0, 1.0], [0.5, 1.0, 2.0]])),
-    ("tridiagonal", np.array([[1.0, 2.0, 0.0], [2.0, -1.0, 3.0], [0.0, 3.0, 0.0]])),
-    ("singular", np.array([[1.0, 2.0], [2.0, 4.0]])),
-    ("rcond below eps", _ill_conditioned()),
-])
-def test_symmetric_step_leaves_other_matrices_to_scipy(kind, mat):
-    assert _symmetric_step(mat, np.ones(mat.shape[0])) is None
+def _singular_model():
+    """Objective a1 x1 under x1 + x2 = a2: the bordered matrix
+    [[0, 0, 1], [0, 0, 1], [1, 1, 0]] is singular; with a1 = 0 every
+    feasible point is stationary."""
+    return ProblemModel(
+        name="flat", M=2, N=2,
+        objective=lambda x, a: float(a[0] * x[0]),
+        constraints=(lambda x, a: float(x[0] + x[1] - a[1]),),
+        grad_x_objective=lambda x, a: np.array([a[0], 0.0]),
+        hess_xx_objective=lambda x, a: np.zeros((2, 2)))
+
+
+def test_singular_bordered_system_raises_the_callers_error():
+    flat = _singular_model()
+    with pytest.raises(RankDeficiencyError, match="singular Newton system"):
+        newton_solve(flat, np.array([1.0, 1.0]), np.array([0.2, 0.3]))
+    sol = newton_solve(flat, np.array([0.0, 1.0]), np.array([0.5, 0.5]))
+    assert sol.converged and sol.iterations == 0
+    with pytest.raises(DegeneracyError, match="singular bordered matrix"):
+        decision_jacobian_ift(flat, sol)
+
+
+def test_asymmetric_hessian_gets_the_step_of_its_symmetrized_form():
+    # a registered Hessian one ulp off symmetric: Bunch-Kaufman reads one
+    # triangle, so the step must be the one of 0.5 (H + H^T), whichever
+    # triangle carries the rounding (condition about 100, so the ulp shows)
+    sym = np.array([[-2.0, 1.9, 0.1], [1.9, -1.9, 0.2], [0.1, 0.2, -3.0]])
+    off = sym.copy()
+    off[0, 1] = np.nextafter(off[0, 1], 1.0)
+
+    def model(hess):
+        return ProblemModel(name="ulp", M=3, N=3,
+                            objective=lambda x, a: float(a @ x + 0.5 * x @ hess @ x),
+                            grad_x_objective=lambda x, a: a + hess @ x,
+                            hess_xx_objective=lambda x, a: hess)
+
+    a, x0 = np.array([1.0, 2.0, 3.0]), np.zeros(3)
+    steps = [newton_solve(model(hess), a, x0, SolverConfig(max_iter=1)).x
+             for hess in (off, off.T, 0.5 * (off + off.T))]
+    assert np.array_equal(steps[0], steps[2]) and np.array_equal(steps[1], steps[2])
 
 
 def test_ill_conditioned_newton_step_still_warns():
