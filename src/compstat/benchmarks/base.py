@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
+from ..csm import CsmResult, TangentVerdict, build_omega, from_matrix
+from ..diagnostics import (IDENTITY_TOL, SEMIDEFINITE_TOL, STENCIL_TOL,
+                           check_conformance, check_hatta_reduction, check_invariance,
+                           check_rank_bound, check_semidefinite, matrix_mismatch, report)
 from ..errors import NonConvergenceError
 from ..geometry import IsovectorSet, build_isovectors
 from ..model import BLOCK_FIELDS, ProblemModel
@@ -77,6 +82,78 @@ class BenchRun:
     iso: Optional[IsovectorSet]         # None when the solve did not converge
     pipeline: str                    # "analytic" | "numeric"
     timings: dict = field(default_factory=dict)   # stage -> wall seconds
+
+    @functools.cached_property
+    def omega_eq7(self) -> CsmResult:
+        """The main compensated matrix on the run's directions, built once."""
+        return build_omega(self.model, self.sol, self.sens, self.iso)
+
+    @functools.cached_property
+    def derived(self) -> dict:
+        """The entry's derived matrices, name -> (CsmResult, expected sign),
+        built once; rows are labeled by decision when there are M of them."""
+        if self.entry.derived_matrices is None:
+            return {}
+        model, out = self.model, {}
+        for name, (matrix, sign) in self.entry.derived_matrices(self).items():
+            labels = (model.decision_names if matrix.shape[0] == model.M else
+                      tuple(f"r{i + 1}" for i in range(matrix.shape[0])))
+            out[name] = (from_matrix(matrix, f"derived:{name}",
+                                     f"{sign}_semidefinite_expected", labels=labels), sign)
+        return out
+
+
+def generic_checks(run: BenchRun, recipes: dict,
+                   tangent_verdict: Optional[TangentVerdict] = None) -> list:
+    """The checks every model must pass, on a prepared run and the recipes
+    built on it (name -> CsmResult; `tangent_verdict` is the verdict of
+    "silberberg_S" when that recipe is among them), in report order:
+    invariance per generator, then per recipe its semidefiniteness and rank
+    bound (the Silberberg matrix: its tangent verdict), the expected sign of
+    each derived matrix, conformance when there are constraints, coherence
+    of the other recipes with "omega_eq7", and the separable-constraint
+    reduction when the model declares its slots.
+
+    Invariance is held to IDENTITY_TOL, or to STENCIL_TOL when the decision
+    Jacobian comes from central differences."""
+    model, sol, sens, iso = run.model, run.sol, run.sens, run.iso
+    invariance_tol = STENCIL_TOL if sens.method == "fd" else IDENTITY_TOL
+    checks = [check_invariance(model, gen, sol, sens, tol=invariance_tol)
+              for gen in model.invariance_generators]
+    for recipe, result in recipes.items():
+        if recipe == "silberberg_S":
+            # semidefinite only subject to constraints: test on the tangent
+            # subspace of the parameter-space constraint gradients
+            checks.append(report(
+                "semidefinite[silberberg_S|tangent]", "tangent-restricted-semidefinite",
+                tangent_verdict.residual, SEMIDEFINITE_TOL,
+                subspace_dim=tangent_verdict.subspace_dim))
+            continue
+        checks.append(check_semidefinite(result, "positive", tol=SEMIDEFINITE_TOL,
+                                         symmetry_tol=SEMIDEFINITE_TOL,
+                                         name=f"semidefinite[{recipe}]"))
+        checks.append(check_rank_bound(result, model.M, model.K,
+                                       name=f"rank_bound[{recipe}]"))
+    for name, (result, sign) in run.derived.items():
+        checks.append(check_semidefinite(result, sign, tol=SEMIDEFINITE_TOL,
+                                         symmetry_tol=SEMIDEFINITE_TOL,
+                                         name=f"semidefinite[derived:{name}]"))
+    if model.K:
+        checks.append(check_conformance(sol, sens, iso))
+    omega = recipes.get("omega_eq7")
+    if omega is not None:
+        for other, sandwich in (("omega_quadratic", False), ("silberberg_S", True),
+                                ("universal_U", True)):
+            if other not in recipes:
+                continue
+            mat = recipes[other].matrix
+            if sandwich:
+                mat = iso.vectors @ mat @ iso.vectors.T
+            checks.append(report(f"coherence[{other}]", "recipe-cross-identity",
+                                 matrix_mismatch(mat, omega.matrix), IDENTITY_TOL))
+    if model.separable_kappa is not None:
+        checks.append(check_hatta_reduction(model, sol, sens, iso, omega))
+    return checks
 
 
 @dataclass(frozen=True)
@@ -151,9 +228,11 @@ class BenchmarkEntry:
 
     def run_suite(self, pipeline: str = "analytic",
                   config: SolverConfig = SolverConfig()) -> list:
+        """The generic checks on "omega_eq7", then the model's own oracles."""
         run = self.prepare(pipeline, config=config)
         if not run.sol.converged:
             raise NonConvergenceError(
                 f"the {run.pipeline} solve of {self.name!r} did not converge")
-        return [fn(run) for _, fn in self.property_suite]
+        return (generic_checks(run, {"omega_eq7": run.omega_eq7})
+                + [fn(run) for _, fn in self.property_suite])
 

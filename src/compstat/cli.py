@@ -31,9 +31,8 @@ import numpy as np
 
 from . import csm as csm_mod
 from .benchmarks import BenchmarkEntry, benchmark_names, get_benchmark
-from .diagnostics import (IDENTITY_TOL, ROUNDING_TOL, STENCIL_TOL, check_conformance,
-                          check_envelope, check_hatta_reduction, check_invariance,
-                          check_rank_bound, check_semidefinite, matrix_mismatch, report)
+from .benchmarks.base import generic_checks
+from .diagnostics import check_envelope
 from .errors import CompstatError, ConfigurationError
 from .report import (SCHEMA_VERSION, check_dict, csm_dict, encode_json, isovector_dict,
                      json_floats, matrices_to_csv, run_report, sensitivity_dict,
@@ -59,15 +58,11 @@ class RunConfig:
     solver_tol: float = 1e-10
     solver_max_iter: int = 100
     fd_step: Optional[float] = None
-    check_tol: float = 1e-7
-    envelope_tol: float = STENCIL_TOL
     out: Optional[str] = None
     format: str = "json"
 
     def validate(self):
         for name, value in (("solver.tol", self.solver_tol),
-                            ("checks.tol", self.check_tol),
-                            ("checks.envelope_tol", self.envelope_tol),
                             ("sensitivity.step", self.fd_step)):
             if value is not None and not (math.isfinite(value) and value > 0):
                 raise ConfigurationError(f"{name} must be finite and positive, got {value!r}")
@@ -92,7 +87,6 @@ class RunConfig:
             "basis": self.basis, "sensitivity.method": self.method,
             "csm.recipes": list(self.recipes),
             "solver.tol": self.solver_tol, "solver.max_iter": self.solver_max_iter,
-            "checks.tol": self.check_tol, "checks.envelope_tol": self.envelope_tol,
             "format": self.format,
         }
 
@@ -152,8 +146,6 @@ _KEYS = {
     "sensitivity.step": ("fd_step", float, None),
     "solver.tol": ("solver_tol", float, "tol"),
     "solver.max_iter": ("solver_max_iter", int, None),
-    "checks.tol": ("check_tol", float, None),
-    "checks.envelope_tol": ("envelope_tol", float, None),
     "out": ("out", str, "out"),
     "format": ("format", str, "format"),
 }
@@ -226,18 +218,20 @@ def resolve_points(entry: BenchmarkEntry, cfg: RunConfig) -> list:
 
 
 _RECIPE_BUILDERS = {
-    "omega_eq7": lambda m, s, se, iso: csm_mod.build_omega(m, s, se, iso),
-    "omega_quadratic": lambda m, s, se, iso: csm_mod.build_omega_quadratic(m, s, se, iso),
-    "omega_A1": lambda m, s, se, iso: csm_mod.build_omega_a1(m, s, se),
-    "omega_A2": lambda m, s, se, iso: csm_mod.build_omega_a2(m, s, se),
-    "omega_B": lambda m, s, se, iso: csm_mod.build_omega_b(m, s, se, iso),
-    # (matrix, tangent verdict); run_point checks the verdict
-    "silberberg_S": lambda m, s, se, iso: csm_mod.build_silberberg(m, s, se),
-    "universal_U": lambda m, s, se, iso: csm_mod.build_universal(m, s, se),
+    "omega_eq7": lambda r: r.omega_eq7,
+    "omega_quadratic": lambda r: csm_mod.build_omega_quadratic(r.model, r.sol, r.sens, r.iso),
+    "omega_A1": lambda r: csm_mod.build_omega_a1(r.model, r.sol, r.sens),
+    "omega_A2": lambda r: csm_mod.build_omega_a2(r.model, r.sol, r.sens),
+    "omega_B": lambda r: csm_mod.build_omega_b(r.model, r.sol, r.sens, r.iso),
+    # (matrix, tangent verdict); generic_checks checks the verdict
+    "silberberg_S": lambda r: csm_mod.build_silberberg(r.model, r.sol, r.sens),
+    "universal_U": lambda r: csm_mod.build_universal(r.model, r.sol, r.sens),
 }
 
 
 def run_point(entry: BenchmarkEntry, a: np.ndarray, cfg: RunConfig) -> dict:
+    """One report: the envelope check, which re-solves the model, and the
+    generic checks on the recipes of `cfg`."""
     model = entry.model
     errors = []
     solver_cfg = SolverConfig(tol=cfg.solver_tol, max_iter=cfg.solver_max_iter)
@@ -258,63 +252,18 @@ def run_point(entry: BenchmarkEntry, a: np.ndarray, cfg: RunConfig) -> dict:
     tangent_verdict = None
     for recipe in cfg.recipes:
         try:
-            built = _RECIPE_BUILDERS[recipe](model, sol, sens, iso)
+            built = _RECIPE_BUILDERS[recipe](run)
             if recipe == "silberberg_S":
                 built, tangent_verdict = built
             results[recipe] = built
         except CompstatError as exc:
             errors.append({"stage": f"csm:{recipe}", "message": str(exc)})
-    derived = {}
-    if entry.derived_matrices is not None:
-        for name, (matrix, sign) in entry.derived_matrices(run).items():
-            labels = (model.decision_names
-                      if matrix.shape[0] == model.M else
-                      tuple(f"r{i + 1}" for i in range(matrix.shape[0])))
-            derived[name] = (csm_mod.from_matrix(
-                matrix, f"derived:{name}", f"{sign}_semidefinite_expected",
-                labels=labels), sign)
+    derived = run.derived
     timings["csm_s"] = time.perf_counter() - tick
 
     tick = time.perf_counter()
-    checks = []
-    checks.append(check_envelope(model, sol, iso, sens, solver_config=solver_cfg,
-                                 tol=cfg.envelope_tol))
-    for gen in model.invariance_generators:
-        checks.append(check_invariance(model, gen, sol, sens, tol=cfg.envelope_tol))
-    for recipe, result in results.items():
-        if recipe == "silberberg_S":
-            # semidefinite only subject to constraints: test on the tangent
-            # subspace of the parameter-space constraint gradients
-            checks.append(report(
-                "semidefinite[silberberg_S|tangent]", "tangent-restricted-semidefinite",
-                tangent_verdict.residual, cfg.check_tol,
-                subspace_dim=tangent_verdict.subspace_dim))
-            continue
-        checks.append(check_semidefinite(
-            result, "positive", tol=cfg.check_tol,
-            symmetry_tol=max(cfg.check_tol, ROUNDING_TOL), name=f"semidefinite[{recipe}]"))
-        checks.append(check_rank_bound(result, model.M, model.K,
-                                       name=f"rank_bound[{recipe}]"))
-    for name, (result, sign) in derived.items():
-        checks.append(check_semidefinite(
-            result, sign, tol=max(cfg.check_tol, 1e-7),
-            symmetry_tol=max(cfg.check_tol, 1e-7),
-            name=f"semidefinite[derived:{name}]"))
-    if model.K:
-        checks.append(check_conformance(sol, sens, iso))
-    if "omega_eq7" in results:
-        ref = results["omega_eq7"].matrix
-        for other, transform in (("omega_quadratic", None),
-                                 ("silberberg_S", "sandwich"),
-                                 ("universal_U", "sandwich")):
-            if other not in results:
-                continue
-            mat = results[other].matrix
-            if transform == "sandwich":
-                mat = iso.vectors @ mat @ iso.vectors.T
-            checks.append(report(f"coherence[{other}]", "recipe-cross-identity",
-                                 matrix_mismatch(mat, ref), IDENTITY_TOL))
-    checks.append(check_hatta_reduction(model, sol, sens, iso, results.get("omega_eq7")))
+    checks = [check_envelope(model, sol, iso, sens, solver_config=solver_cfg)]
+    checks += generic_checks(run, results, tangent_verdict)
     timings["checks_s"] = time.perf_counter() - tick
 
     return run_report(
@@ -487,7 +436,8 @@ def _warn_again(caught: list) -> None:
 
 
 def cmd_verify_all(only=(), tol_override: Optional[float] = None):
-    """Every benchmark's property suite under both derivative pipelines."""
+    """Every benchmark's generic checks and property suite under both
+    derivative pipelines (`BenchmarkEntry.run_suite`)."""
     if tol_override is not None and not (math.isfinite(tol_override) and tol_override > 0):
         raise ConfigurationError(f"--tol must be finite and positive, got {tol_override!r}")
     for name in only:

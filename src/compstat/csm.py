@@ -24,7 +24,6 @@ from .sensitivity import SensitivityBundle
 from .solver import SolutionPoint, tangent_extremes
 
 RANK_TOL = 1e-7
-SYMMETRY_TOL = 1e-8
 TANGENT_TOL = 1e-8        # the Silberberg matrix's tangent-restricted eigenvalue test
 SINGULAR_RTOL = 1e-12     # relative singular-value floor of a Gram matrix or a transform
 
@@ -41,7 +40,6 @@ class CsmResult:
     symmetry_residual: float
     rank_estimate: int
     rank_tol: float
-    symmetry_tol: float
     labels: tuple = ()
     transform_kind: Optional[str] = None
     note: Optional[str] = None
@@ -106,7 +104,7 @@ def _finalize(matrix: np.ndarray, recipe: str, sign: str, labels=(),
         matrix=matrix, recipe=recipe, sign_convention=sign,
         eigenvalues=eig, symmetry_residual=sym_res,
         rank_estimate=_rank_of_spectrum(eig),
-        rank_tol=RANK_TOL, symmetry_tol=SYMMETRY_TOL,
+        rank_tol=RANK_TOL,
         labels=tuple(labels), transform_kind=transform_kind, note=note)
 
 

@@ -31,8 +31,11 @@ ROUNDING_TOL = 1e-8   # symmetry, signs and closed forms at the solved point: th
 IDENTITY_TOL = 1e-6   # identities between matrices assembled from solved Jacobians:
                       # room for a 1e-10 Newton stop amplified by a bordered
                       # system with rcond down to 1.25e-4 (efficient_portfolio)
-STENCIL_TOL = 1e-5    # envelope and invariance: may read central differences, whose
+STENCIL_TOL = 1e-5    # envelope, and invariance on central-difference Jacobians, whose
                       # nested-stencil Hessians alone carry STEP_NESTED**2 = 1.5e-8
+SEMIDEFINITE_TOL = 1e-7   # sign and symmetry of a recipe or derived matrix, relative to
+                          # its largest eigenvalue: central-difference Jacobians leave up
+                          # to 3.3e-10 in the catalog (principal_agent omega_eq7)
 
 
 @dataclass(frozen=True)
@@ -197,6 +200,8 @@ def check_semidefinite(matrix: Union[np.ndarray, CsmResult], expected_sign: str,
 
     expected_sign is "positive" or "negative"; the eigenvalue test is
     relative to the largest eigenvalue magnitude, and a zero matrix passes.
+    The symmetry residual is held to symmetry_tol * max(1, max|eigenvalue|),
+    the bound the details report as `symmetry_tol`.
     """
     if not isinstance(matrix, CsmResult):
         matrix = from_matrix(matrix, name)
@@ -205,10 +210,10 @@ def check_semidefinite(matrix: Union[np.ndarray, CsmResult], expected_sign: str,
     sym_tol = symmetry_tol * max(1.0, top)
     rep = report(name, f"{expected_sign}-semidefinite",
                  spectrum_violation(eig, expected_sign), tol,
-                 eigenvalues=eig, symmetry_residual=sym_res)
+                 eigenvalues=eig, symmetry_residual=sym_res, symmetry_tol=sym_tol)
     if rep.passed and sym_res > sym_tol:
         return report(name, "symmetry-prerequisite", sym_res, sym_tol,
-                      eigenvalues=eig, symmetry_residual=sym_res)
+                      eigenvalues=eig, symmetry_residual=sym_res, symmetry_tol=sym_tol)
     return rep
 
 

@@ -127,7 +127,6 @@ def csm_dict(result: CsmResult) -> dict:
         "symmetry_residual": json_floats(result.symmetry_residual),
         "rank_estimate": int(result.rank_estimate),
         "rank_tol": json_floats(result.rank_tol),
-        "symmetry_tol": json_floats(result.symmetry_tol),
         "transform_kind": result.transform_kind,
         "note": result.note,
     }

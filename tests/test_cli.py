@@ -1,10 +1,11 @@
+import dataclasses
 import json
 import warnings
 
 import numpy as np
 import pytest
 
-from compstat.benchmarks import benchmark_names, get_benchmark
+from compstat.benchmarks import BenchmarkEntry, benchmark_names, get_benchmark
 from compstat.cli import (cmd_list_models, cmd_verify_all,
                           config_from_mapping, main, parse_config_file)
 from compstat.errors import ConfigurationError
@@ -88,6 +89,15 @@ def test_malformed_config_key_exits_3_without_partial_report(tmp_path, capsys):
     assert code == 3
     assert "unknown config key" in err
     assert not out_file.exists()
+
+
+@pytest.mark.parametrize("key", ["checks.tol", "checks.envelope_tol"])
+def test_removed_check_tolerance_keys_exit_3(key, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"model = slutsky_hicks\n{key} = 1e-7\n")
+    code, out, err = run_main(["analyze", "--config", str(cfg)], capsys)
+    assert (code, out) == (3, "")
+    assert "unknown config key" in err
 
 
 @pytest.mark.parametrize("config, flags", [
@@ -264,6 +274,59 @@ def test_verify_all_clean_checkout(capsys):
     assert len(names) == 9
 
 
+# claim tags of generic rows, which no model's own oracle may carry
+GENERIC_CLAIMS = ("decision-invariance", "separate-degree-zero", "per-effort-degree-zero",
+                  "constraint-conformance")
+
+
+@pytest.mark.parametrize("name", benchmark_names())
+def test_verify_all_runs_the_generic_rows_then_the_oracles(name):
+    entry = get_benchmark(name)
+    model = entry.model
+    derived = entry.derived_matrices(entry.prepare("numeric")) if entry.derived_matrices else {}
+    generic = ([f"invariance[{gen.name}]" for gen in model.invariance_generators]
+               + ["semidefinite[omega_eq7]", "rank_bound[omega_eq7]"]
+               + [f"semidefinite[derived:{d}]" for d in derived]
+               + (["conformance"] if model.K else [])
+               + (["hatta_reduction"] if model.separable_kappa is not None else []))
+    rows, code = cmd_verify_all(only=(name,))
+    assert code == 0
+    assert "skipped" not in {row["verdict"] for row in rows}
+    pipelines = ("analytic", "numeric") if entry.has_analytic else ("numeric",)
+    assert sorted({row["pipeline"] for row in rows}) == sorted(pipelines)
+    for pipeline in pipelines:
+        names = [row["check"] for row in rows if row["pipeline"] == pipeline]
+        assert len(names) == len(set(names)), pipeline
+        assert names == generic + list(entry.suite_names()), pipeline
+    assert not any(row["claim"] in GENERIC_CLAIMS for row in rows
+                   if row["check"] in entry.suite_names())
+
+
+@pytest.mark.parametrize("name", ["slutsky_hicks", "profit_cd", "multi_output_profit",
+                                  "cost_constrained_profit", "efficient_portfolio",
+                                  "principal_agent"])
+def test_verify_all_invariance_rows_fail_on_a_perturbed_decision_jacobian(
+        name, monkeypatch):
+    # column mu of dx/da scaled by 1 + 1e-3 (mu + 1): a uniform scale would
+    # leave every identity sum_mu A_mu dx/da_mu = 0 of the catalog intact
+    prepare = BenchmarkEntry.prepare
+
+    def perturbed(self, *args, **kwargs):
+        run = prepare(self, *args, **kwargs)
+        if run.sens is None:
+            return run
+        scale = 1.0 + 1e-3 * np.arange(1, run.model.N + 1)
+        return dataclasses.replace(
+            run, sens=dataclasses.replace(run.sens, x_jac=run.sens.x_jac * scale))
+
+    monkeypatch.setattr(BenchmarkEntry, "prepare", perturbed)
+    rows, code = cmd_verify_all(only=(name,))
+    invariance = [row for row in rows if row["check"].startswith("invariance[")]
+    pipelines = ("analytic", "numeric") if get_benchmark(name).has_analytic else ("numeric",)
+    assert sorted({row["pipeline"] for row in invariance}) == sorted(pipelines)
+    assert code == 1 and all(row["verdict"] == "fail" for row in invariance), invariance
+
+
 def test_verify_all_only_filter(capsys):
     rows, code = cmd_verify_all(only=("principal_agent",))
     assert code == 0
@@ -333,8 +396,7 @@ def test_report_schema_fields_are_pinned_to_version(capsys):
         "source", "newton_discrepancy"}
     assert set(payload["csm_results"][0]) == {
         "recipe", "sign_convention", "matrix", "eigenvalues",
-        "symmetry_residual", "rank_estimate", "rank_tol", "symmetry_tol",
-        "transform_kind", "note"}
+        "symmetry_residual", "rank_estimate", "rank_tol", "transform_kind", "note"}
     universal = next(item for item in payload["csm_results"]
                      if item["recipe"] == "universal_U")
     assert universal["matrix"]["row_labels"] == ["p1", "p2", "m"]

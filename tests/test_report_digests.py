@@ -24,7 +24,7 @@ def _report():
         "csm_results": [{"recipe": "omega_eq7",
                          "matrix": {"rows": [[1.5, -0.3], [-0.3, 2.25]]},
                          "eigenvalues": [1.39, 2.36], "rank_estimate": 2,
-                         "symmetry_residual": 1e-17, "symmetry_tol": 1e-8}],
+                         "symmetry_residual": 1e-17}],
         "checks": [{"name": "envelope", "verdict": "pass", "residual": 3e-11,
                     "tolerance": 1e-5,
                     "details": {"value_directional": [0.1, 0.2]}}],
@@ -91,6 +91,13 @@ def test_a_renamed_key_fails():
 def test_a_residual_may_move_by_a_tenth_of_its_tolerance(move, fails):
     old, new = _report(), _report()
     new["checks"][0]["residual"] += move          # the check's tolerance is 1e-5
+    assert _compare(old, new).failed() is fails
+
+
+@pytest.mark.parametrize("move, fails", [(1e-9, False), (5e-9, True)])
+def test_a_csm_symmetry_residual_is_judged_by_its_eigenvalue_scale(move, fails):
+    old, new = _report(), _report()
+    new["csm_results"][0]["symmetry_residual"] += move   # bound 0.1 * 1e-8 * 2.36
     assert _compare(old, new).failed() is fails
 
 

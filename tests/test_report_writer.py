@@ -398,7 +398,7 @@ PRODUCERS = {
     "csm_dict": lambda v: csm_dict(SimpleNamespace(
         recipe="omega_eq7", sign_convention="positive", matrix=np.eye(2),
         labels=("d1", "d2"), eigenvalues=np.array([1.0, v]), symmetry_residual=0.0,
-        rank_estimate=2, rank_tol=1e-10, symmetry_tol=1e-8, transform_kind=None,
+        rank_estimate=2, rank_tol=1e-10, transform_kind=None,
         note=None)),
     "check_dict": lambda v: check_dict(CheckReport("c", "fail", v, 1e-8, "claim")),
     "detail float": _detail,

@@ -37,7 +37,9 @@ how far:
     non-finite float;
   - a residual (a key naming a residual or a discrepancy) may move by
     RESIDUAL_FRACTION of its check's tolerance: its `<name>_tol` sibling, else
-    the `tolerance` of the innermost check around it, else the report's
+    for a `symmetry_residual` beside `eigenvalues` (a CSM result's) TEXT_TOL *
+    max(1, max|eigenvalue|), the scaled bound of a symmetry check, else the
+    `tolerance` of the innermost check around it, else the report's
     `solver.tol`;
   - any other float is a value (solutions, Jacobians, matrices, eigenvalues,
     directional values) and may move by VALUE_C * eps * max(1, max|field|),
@@ -220,7 +222,7 @@ def _without_timings(doc):
 # residual by a tenth of its tolerance: its verdict then stays as it was
 # unless it sat within a tenth of the tolerance.  A table does not print
 # its checks' tolerances; TEXT_TOL is diagnostics.ROUNDING_TOL, below the
-# smallest of them at default settings (checks.tol, 1e-7).
+# smallest of them (diagnostics.SEMIDEFINITE_TOL, 1e-7).
 VALUE_C = 64
 RESIDUAL_FRACTION = 0.1
 TEXT_TOL = 1e-8
@@ -286,6 +288,8 @@ class Comparison:
                 tol = old["tolerance"]
             for k in (k for k in old if k in new):
                 own = old.get(k[:-len("_residual")] + "_tol") if k.endswith("_residual") else None
+                if own is None and k == "symmetry_residual" and "eigenvalues" in old:
+                    own = TEXT_TOL * _scale(old["eigenvalues"])
                 self.document(f"{where}/{k}", old[k], new[k], k, _scale(old[k], new[k]),
                               tol if own is None else own)
         elif isinstance(old, list) and isinstance(new, list):
