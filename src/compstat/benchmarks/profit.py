@@ -31,9 +31,9 @@ def cd_production(gamma, F0):
     gamma = np.asarray(gamma, dtype=float)
 
     def value(x):
-        if np.any(x <= 0):
+        if (x <= 0).any():
             return float("nan")                # outside the technology's domain
-        return float(F0 * np.prod(x ** gamma))
+        return float(F0 * (x ** gamma).prod())
 
     def grad(x):
         level = value(x)
@@ -64,7 +64,7 @@ def cd_profit_model(gamma=(1.0 / 3.0, 1.0 / 3.0), F0=1.0,
         if w.min() <= 0 or p <= 0:
             raise DomainError("the closed form needs positive prices; got "
                               f"w = {w.tolist()}, p = {float(p)!r}")
-        level = (F0 * p**total * np.prod((gamma / w) ** gamma)) ** (1.0 / (1.0 - total))
+        level = (F0 * p**total * ((gamma / w) ** gamma).prod()) ** (1.0 / (1.0 - total))
         return p * gamma * level / w, np.zeros(0)
 
     homogeneity = InvarianceGenerator(

@@ -4,9 +4,9 @@ report emission.
 
 A sweep's points are analyzed in contiguous chunks, one per CPU this process
 may run on: the first chunk in this process, each other one in a forked
-worker that renders its reports and sends the text back.  A sweep's JSON
+worker that renders its reports and sends the bytes back.  A sweep's JSON
 reports are rendered indented for their place in the `reports` list of the
-sweep document, which `_emit_analyze` writes around them as text.  The
+sweep document, which `_emit_analyze` writes around them, unjoined.  The
 output, exit code and stderr are byte-identical to a serial run.
 
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 the solver
@@ -280,9 +280,9 @@ def run_point(entry: BenchmarkEntry, a: np.ndarray, cfg: RunConfig) -> dict:
 
 
 def cmd_analyze(cfg: RunConfig):
-    """Full pipeline at one or many parameter points: the text of each
-    point's report in `cfg.format` (joined by `_emit_analyze`) and the exit
-    code."""
+    """Full pipeline at one or many parameter points: each point's report
+    in `cfg.format` (see `_analyze_points`; written by `_emit_analyze`) and
+    the exit code."""
     if not cfg.model:
         raise ConfigurationError("no model selected; pass --model")
     entry = _load_entry(cfg.model)
@@ -299,8 +299,8 @@ def cmd_analyze(cfg: RunConfig):
 
 def _analyze_points(entry: BenchmarkEntry, cfg: RunConfig, depth: int,
                     points: list) -> list:
-    """Per point: the text of its report in `cfg.format`, JSON nested
-    `depth` levels deep; whether its solve failed; whether a check failed."""
+    """Per point: its report in `cfg.format`, JSON as bytes nested `depth`
+    levels deep; whether its solve failed; whether a check failed."""
     analyzed = []
     for a in points:
         rep = run_point(entry, a, cfg)
@@ -437,7 +437,8 @@ def _warn_again(caught: list) -> None:
 
 def cmd_verify_all(only=(), tol_override: Optional[float] = None):
     """Every benchmark's generic checks and property suite under both
-    derivative pipelines (`BenchmarkEntry.run_suite`)."""
+    derivative pipelines (`BenchmarkEntry.run_suite`); `tol_override` sets
+    every tolerance but a rank bound (a rank row's residual is a rank)."""
     if tol_override is not None and not (math.isfinite(tol_override) and tol_override > 0):
         raise ConfigurationError(f"--tol must be finite and positive, got {tol_override!r}")
     for name in only:
@@ -454,15 +455,16 @@ def cmd_verify_all(only=(), tol_override: Optional[float] = None):
         for pipeline in pipelines:
             reports = entry.run_suite(pipeline)
             for rep in reports:
-                verdict = rep.verdict
-                if tol_override is not None and rep.residual is not None:
-                    verdict = "pass" if rep.residual <= tol_override else "fail"
+                verdict, tolerance = rep.verdict, rep.tolerance
+                if tol_override is not None and rep.claim != "rank-bound":
+                    tolerance = tol_override
+                    if rep.residual is not None:
+                        verdict = "pass" if rep.residual <= tol_override else "fail"
                 rows.append({
                     "benchmark": name, "pipeline": pipeline, "check": rep.name,
                     "verdict": verdict,
                     "residual": json_floats(rep.residual),
-                    "tolerance": json_floats(
-                        tol_override if tol_override is not None else rep.tolerance),
+                    "tolerance": json_floats(tolerance),
                     "claim": rep.claim,
                 })
                 failed = failed or verdict == "fail"
@@ -483,7 +485,7 @@ def cmd_list_models(fmt: str = "table") -> str:
                 "property_suite": list(entry.suite_names()),
                 "description": entry.description,
             })
-        return encode_json(payload) + "\n"
+        return encode_json(payload).decode() + "\n"
     header = f"{'name':<26}{'M':>3}{'N':>4}{'K':>3}  {'checks':>6}  description"
     lines.append(header)
     lines.append("-" * len(header))
@@ -505,24 +507,32 @@ def _resolve_out_path(out: Optional[str]) -> Optional[str]:
 
 
 def _emit_analyze(texts, cfg: RunConfig, stream):
-    """Write the per-point report texts of `cmd_analyze` as one document.
-    A sweep's JSON texts are already indented for their place in the
-    envelope; a single report, which can be megabytes, is not copied."""
+    """Write the per-point reports of `cmd_analyze` as one document.  A
+    sweep's JSON reports are already indented for their place in the
+    envelope; no report, which can be megabytes, is copied."""
     if cfg.format == "table":
         stream.write("\n".join(texts) + "\n")
     elif cfg.format == "csv":
         stream.writelines(texts)
     elif len(texts) == 1:
-        stream.write(texts[0])
-        stream.write("\n")
+        _write_bytes(stream, (texts[0], b"\n"))
     else:
-        head = f'{{\n  "schema_version": "{SCHEMA_VERSION}",\n  "reports": [\n    '
-        stream.writelines((head, ",\n    ".join(texts), "\n  ]\n}\n"))
+        head = b'{\n  "schema_version": "%s",\n  "reports": [\n    ' % SCHEMA_VERSION.encode()
+        pieces = [head] + [piece for text in texts for piece in (text, b",\n    ")]
+        _write_bytes(stream, pieces[:-1] + [b"\n  ]\n}\n"])
+
+
+def _write_bytes(stream, pieces):
+    """Write the ASCII `pieces` to the binary buffer of `stream`, or as text if it has none."""
+    if not hasattr(stream, "buffer"):
+        return stream.writelines(piece.decode() for piece in pieces)
+    stream.flush()                        # what the text layer holds goes first
+    stream.buffer.writelines(pieces)
 
 
 def _emit_verify(rows, fmt: str, stream):
     if fmt == "json":
-        stream.write(encode_json(rows) + "\n")
+        _write_bytes(stream, (encode_json(rows), b"\n"))
         return
     lines = []
     summary = {}
@@ -571,7 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify-all", help="run every benchmark suite")
     verify.add_argument("--only", metavar="CSV", help="restrict to listed benchmarks")
-    verify.add_argument("--tol", type=float, help="override every check tolerance")
+    verify.add_argument("--tol", type=float, help="override every tolerance but rank bounds")
     verify.add_argument("--out", metavar="PATH")
     verify.add_argument("--format", choices=("table", "json"), default="table")
 

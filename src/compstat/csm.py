@@ -20,6 +20,7 @@ from .errors import (AssemblyError, CompstatError, ConfigurationError,
                      ConstraintQualificationError, DimensionError, DomainError)
 from .geometry import IsovectorSet
 from .model import ProblemModel
+from .numeric import max_abs
 from .sensitivity import SensitivityBundle
 from .solver import SolutionPoint, tangent_extremes
 
@@ -76,20 +77,14 @@ class SpectralRelation:
 
 
 def estimate_rank(matrix: np.ndarray) -> int:
-    sym = 0.5 * (matrix + matrix.T)
-    if sym.size == 0:
-        return 0
-    return _rank_of_spectrum(np.linalg.eigvalsh(sym))
+    return _rank_of_spectrum(np.linalg.eigvalsh(0.5 * (matrix + matrix.T)))
 
 
 def _rank_of_spectrum(eig: np.ndarray) -> int:
     """Number of eigenvalues above RANK_TOL times the largest magnitude."""
     if eig.size == 0:
         return 0
-    top = float(np.max(np.abs(eig)))
-    if top == 0.0:
-        return 0
-    return int(np.sum(np.abs(eig) > RANK_TOL * top))
+    return int((np.abs(eig) > RANK_TOL * max_abs(eig)).sum())
 
 
 def _finalize(matrix: np.ndarray, recipe: str, sign: str, labels=(),
@@ -97,7 +92,7 @@ def _finalize(matrix: np.ndarray, recipe: str, sign: str, labels=(),
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise DimensionError(f"recipe {recipe!r} produced a non-square matrix {matrix.shape}")
-    sym_res = float(np.max(np.abs(matrix - matrix.T))) if matrix.size else 0.0
+    sym_res = max_abs(matrix - matrix.T) if matrix.size else 0.0
     sym = 0.5 * (matrix + matrix.T)
     eig = np.linalg.eigvalsh(sym) if sym.size else np.zeros(0)
     return CsmResult(

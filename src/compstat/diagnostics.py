@@ -19,6 +19,7 @@ from .errors import CompstatError
 from .geometry import (IsovectorSet, conformance_tolerance, gcd_apply,
                        prescribe_isovectors, require_null_property, verify_conformance)
 from .model import InvarianceGenerator, ProblemModel, _block, _decisions
+from .numeric import max_abs
 from .sensitivity import SensitivityBundle
 from .solver import (SolutionPoint, SolverConfig, newton_solve,
                      projected_hessian_extremes)
@@ -98,8 +99,8 @@ def check_envelope(model: ProblemModel, sol: SolutionPoint, iso: IsovectorSet,
         return point.blocks.f
 
     fa = sol.blocks.fa
-    scale = max(1.0, float(np.max(np.abs(a))))
-    steps = fd.STEP_FIRST * scale / np.maximum(np.max(np.abs(vectors), axis=1), 1e-12)
+    scale = max(1.0, max_abs(a))
+    steps = fd.STEP_FIRST * scale / np.maximum(np.abs(vectors).max(axis=1), 1e-12)
     shifts = steps[:, None] * vectors
     v_plus, v_minus, f_dir = np.empty(iso.count), np.empty(iso.count), np.empty(iso.count)
     for alpha in range(iso.count):
@@ -122,9 +123,9 @@ def check_envelope(model: ProblemModel, sol: SolutionPoint, iso: IsovectorSet,
                             f"stencil {failure} along direction {alpha}: {exc}")
         f_dir[alpha] = float(t @ fa)
     v_dir = (v_plus - v_minus) / (2.0 * steps)
-    residual = float(np.max(np.abs(v_dir - f_dir))) if iso.count else 0.0
+    residual = max_abs(v_dir - f_dir) if iso.count else 0.0
     if iso.annihilates_objective:
-        residual = max(residual, float(np.max(np.abs(v_dir))) if iso.count else 0.0)
+        residual = max(residual, max_abs(v_dir) if iso.count else 0.0)
     min_curv, max_curv = projected_hessian_extremes(model, sol)
     return report("envelope", "envelope-identity", residual, tol,
                   value_directional=v_dir,
@@ -140,8 +141,7 @@ def check_invariance(model: ProblemModel, gen: InvarianceGenerator,
     X = np.asarray(gen.X_map(sol.x), dtype=float)
     A = np.asarray(gen.A_map(sol.a), dtype=float)
     residual_vec = X - sens.x_jac @ A
-    scale = max(1.0, float(np.max(np.abs(sol.x))))
-    residual = float(np.max(np.abs(residual_vec))) / scale
+    residual = max_abs(residual_vec) / max(1.0, max_abs(sol.x))
     return report(f"invariance[{gen.name}]", "decision-invariance", residual, tol,
                   residual_vector=residual_vec)
 
@@ -155,8 +155,7 @@ def check_conformance(sol: SolutionPoint, sens: SensitivityBundle,
     grads = sol.blocks.Gx
     table, _ = verify_conformance(x_semi, grads)
     return report("conformance", "constraint-conformance",
-                  float(np.max(np.abs(table))) if table.size else 0.0,
-                  conformance_tolerance(x_semi, grads))
+                  max_abs(table) if table.size else 0.0, conformance_tolerance(x_semi, grads))
 
 
 def spectrum_violation(eig: np.ndarray, sign: str) -> float:
@@ -173,7 +172,7 @@ def spectrum_violation(eig: np.ndarray, sign: str) -> float:
     if eig.size == 0:
         return 0.0
     bad = -float(eig[0]) if sign == "positive" else float(eig[-1])
-    return max(0.0, bad) / max(float(np.max(np.abs(eig))), 1e-9)
+    return max(0.0, bad) / max(max_abs(eig), 1e-9)
 
 
 def min_eig_violation(matrix: np.ndarray, sign: str) -> float:
@@ -185,11 +184,10 @@ def min_eig_violation(matrix: np.ndarray, sign: str) -> float:
 
 def matrix_mismatch(actual: np.ndarray, expected: np.ndarray) -> float:
     """Max-norm difference scaled by the size of the expected matrix."""
-    actual = np.asarray(actual, dtype=float)
     expected = np.asarray(expected, dtype=float)
-    scale = max(1.0, float(np.max(np.abs(expected))) if expected.size else 0.0)
-    diff = float(np.max(np.abs(actual - expected))) if expected.size else 0.0
-    return diff / scale
+    if not expected.size:
+        return 0.0
+    return max_abs(np.asarray(actual, dtype=float) - expected) / max(1.0, max_abs(expected))
 
 
 def check_semidefinite(matrix: Union[np.ndarray, CsmResult], expected_sign: str,
@@ -206,8 +204,7 @@ def check_semidefinite(matrix: Union[np.ndarray, CsmResult], expected_sign: str,
     if not isinstance(matrix, CsmResult):
         matrix = from_matrix(matrix, name)
     sym_res, eig = matrix.symmetry_residual, matrix.eigenvalues
-    top = float(np.max(np.abs(eig))) if eig.size else 0.0
-    sym_tol = symmetry_tol * max(1.0, top)
+    sym_tol = symmetry_tol * max(1.0, max_abs(eig) if eig.size else 0.0)
     rep = report(name, f"{expected_sign}-semidefinite",
                  spectrum_violation(eig, expected_sign), tol,
                  eigenvalues=eig, symmetry_residual=sym_res, symmetry_tol=sym_tol)
@@ -250,7 +247,7 @@ def check_hatta_reduction(model: ProblemModel, sol: SolutionPoint,
     for l in range(model.K):
         expected = np.zeros(model.K)
         expected[l] = 1.0
-        if np.max(np.abs(ga[l, list(kappa)] - expected)) > 1e-8:
+        if max_abs(ga[l, list(kappa)] - expected) > 1e-8:
             return _skipped("hatta_reduction", "separable-constraint-reduction",
                             f"constraint {l} is not linear-separable in its slot")
     p_slots = [mu for mu in range(model.N) if mu not in kappa]

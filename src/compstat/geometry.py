@@ -17,6 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DimensionError, EmptyTangentError, NullPropertyError
+from .numeric import max_abs
 
 RANK_RTOL = 1e-10
 NULL_TOL = 1e-8           # a prescribed row's null-property residual, per unit row norm
@@ -150,7 +151,7 @@ def verify_conformance(x_semicolon: np.ndarray, decision_grads: np.ndarray):
             f"jacobian has {x_semicolon.shape[0]} rows")
     table = decision_grads @ x_semicolon
     bound = conformance_tolerance(x_semicolon, decision_grads)
-    passed = bool(np.max(np.abs(table)) <= bound) if table.size else True
+    passed = max_abs(table) <= bound if table.size else True
     return table, passed
 
 
@@ -158,5 +159,4 @@ def conformance_tolerance(x_semicolon: np.ndarray, decision_grads: np.ndarray) -
     """The bound `verify_conformance` holds its residual table to:
     CONFORMANCE_TOL scaled by the size of the gradients and the compensated
     responses."""
-    return CONFORMANCE_TOL * max(1.0, float(np.max(np.abs(decision_grads))) *
-                                 max(1.0, float(np.max(np.abs(x_semicolon)))))
+    return CONFORMANCE_TOL * max(1.0, max_abs(decision_grads) * max(1.0, max_abs(x_semicolon)))

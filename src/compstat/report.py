@@ -5,8 +5,9 @@ floats are written in a shortest round-trip spelling, so a serialized
 report reloads bit-identically.  The schema carries an explicit version
 that must be bumped on any field change.
 
-Every JSON document the CLI prints is rendered by `encode_json` in the
-layout of `json.dumps` with an indent of two spaces.  orjson renders a
+Every JSON document the CLI prints is rendered by `encode_json`, the one
+renderer, as ASCII bytes in the layout of `json.dumps` with an indent of
+two spaces, and the CLI writes those bytes as they are.  orjson renders a
 document in one piece, its floats in orjson's own shortest round-trip
 spelling, which reads `1e-7`, `1e16` and `0.00001` where `float.__repr__`
 reads `1e-07`, `1e+16` and `1e-05`.  Every float and float array that
@@ -21,7 +22,7 @@ marks one that holds a NaN or an infinity with a type orjson refuses.
 bits) or when its text holds a non-ASCII or DEL character (orjson leaves
 them unescaped); float arrays become lists of floats for it.
 A document can be rendered nested at a depth, so that a part of a larger
-document is rendered where it is computed and the parts are joined as text.
+document is rendered where it is computed and the parts are written in turn.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ def json_floats(values):
     docstring)."""
     if values is None:
         return None
-    if isinstance(values, (np.ndarray, list, tuple)):
+    if type(values) not in (float, int, bool) and isinstance(values, (np.ndarray, list, tuple)):
         array = np.array(values, dtype=float, order="C")
         if array.ndim:
             if not np.isfinite(array).all():
@@ -144,6 +145,10 @@ def check_dict(rep: CheckReport) -> dict:
 
 
 def _jsonable(value):
+    if value is None or type(value) in (int, bool, str):   # exact types first
+        return value
+    if isinstance(value, (np.floating, float)):
+        return json_floats(value)
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -156,8 +161,6 @@ def _jsonable(value):
         return [_jsonable(v) for v in value.tolist()]
     if isinstance(value, (np.bool_, bool)):     # before int: bool is an int
         return bool(value)
-    if isinstance(value, (np.floating, float)):
-        return json_floats(value)
     if isinstance(value, (np.integer, int)):
         return int(value)
     return value
@@ -194,9 +197,9 @@ def matrices_to_csv(report_dict: dict) -> dict:
     return out
 
 
-def encode_json(obj, depth: int = 0) -> str:
+def encode_json(obj, depth: int = 0) -> bytes:
     """`obj` in the layout of `json.dumps(obj, indent=2)`, every line after
-    the first indented `depth` levels further, without a final newline.
+    the first indented `depth` levels further, as ASCII bytes without a final newline.
 
     Lists and tuples, dicts with str keys, str, int, float, bool, None and
     float64 arrays are accepted; anything else raises TypeError.  orjson
@@ -213,15 +216,15 @@ def encode_json(obj, depth: int = 0) -> str:
     emits into a Python number, and it passes none of the others.
     """
     try:
-        text = orjson.dumps(obj, option=orjson.OPT_INDENT_2 | orjson.OPT_PASSTHROUGH_SUBCLASS
-                            | orjson.OPT_SERIALIZE_NUMPY).decode()
+        data = orjson.dumps(obj, option=orjson.OPT_INDENT_2 | orjson.OPT_PASSTHROUGH_SUBCLASS
+                            | orjson.OPT_SERIALIZE_NUMPY)
     except TypeError:
         if not _str_keys(obj):            # json.dumps would turn them into str
             raise TypeError("dict keys must be str") from None
-        text = None
-    if text is None or not text.isascii() or "\x7f" in text:
-        text = json.dumps(obj, indent=2, default=_float_array_list)
-    return text.replace("\n", "\n" + "  " * depth) if depth else text
+        data = None
+    if data is None or not data.isascii() or b"\x7f" in data:
+        data = json.dumps(obj, indent=2, default=_float_array_list).encode()
+    return data.replace(b"\n", b"\n" + b"  " * depth) if depth else data
 
 
 def _float_array_list(value):

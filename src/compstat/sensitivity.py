@@ -85,7 +85,7 @@ def decision_jacobian_ift(model: ProblemModel, sol: SolutionPoint) -> Sensitivit
     blocks, M = sol.blocks, model.M
     bordered = bordered_matrix(blocks.lagrangian_hess_xx(sol.lam), blocks.Gx)
     rhs = -np.vstack([blocks.lagrangian_hess_xa(sol.lam), blocks.Ga])
-    solution, _ = solve_bordered(bordered, rhs, f"bordered system for {model.name!r}")
+    solution, _ = solve_bordered(bordered, rhs, lambda: f"bordered system for {model.name!r}")
     if solution is None:
         raise DegeneracyError(f"singular bordered matrix for {model.name!r}")
     return SensitivityBundle(x_jac=solution[:M, :], lam_jac=solution[M:, :], method="ift")

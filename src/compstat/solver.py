@@ -6,6 +6,7 @@ root gives the decision functions x(a) and multipliers lam(a).
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -16,6 +17,7 @@ import scipy.linalg
 from .errors import (CompstatError, EvaluationError, NonConvergenceError,
                      RankDeficiencyError)
 from .model import Blocks, ProblemModel
+from .numeric import max_abs
 
 MAX_BACKTRACKS = 30     # step halvings per Newton iteration
 RANK_RTOL = 1e-10       # relative singular-value floor of the constraint gradients
@@ -84,19 +86,24 @@ def bordered_matrix(Lxx: np.ndarray, Gx: np.ndarray) -> np.ndarray:
     return mat
 
 
-def solve_bordered(mat: np.ndarray, rhs: np.ndarray, label: str):
+@functools.lru_cache(maxsize=None)
+def _dsytrf_lwork(order: int) -> int:
+    """The dsytrf workspace dsytrf_lwork recommends for a matrix of `order`."""
+    return int(scipy.linalg.lapack.dsytrf_lwork(order)[0])
+
+
+def solve_bordered(mat: np.ndarray, rhs: np.ndarray, label):
     """(solution, rcond) of the symmetric system mat @ solution = rhs from
-    one Bunch-Kaufman factorization: dsytrf (with the workspace
-    dsytrf_lwork recommends), dsycon and dsytrs.  Only the upper triangle
-    of `mat` is read.  rcond is LAPACK's estimate of the reciprocal 1-norm
-    condition number.  The solution is None when `mat` is singular: an
-    exactly zero pivot or a non-finite solution.  Raises an
-    EvaluationError naming `label` when `mat` or `rhs` is not finite."""
+    one Bunch-Kaufman factorization: dsytrf (with the workspace dsytrf_lwork
+    recommends, cached per order), dsycon and dsytrs.  Only the upper
+    triangle of `mat` is read.  rcond is LAPACK's estimate of the reciprocal
+    1-norm condition number.  The solution is None when `mat` is singular:
+    an exactly zero pivot or a non-finite solution.  Raises an
+    EvaluationError naming `label()` when `mat` or `rhs` is not finite."""
     if not (np.isfinite(mat).all() and np.isfinite(rhs).all()):
-        raise EvaluationError(f"non-finite {label}")
+        raise EvaluationError(f"non-finite {label()}")
     lapack = scipy.linalg.lapack
-    lwork, _ = lapack.dsytrf_lwork(mat.shape[0])
-    factor, pivots, info = lapack.dsytrf(mat, lwork=int(lwork))
+    factor, pivots, info = lapack.dsytrf(mat, lwork=_dsytrf_lwork(mat.shape[0]))
     if info != 0:
         return None, 0.0
     rcond, _ = lapack.dsycon(factor, pivots, lapack.dlange("1", mat))
@@ -117,14 +124,16 @@ def newton_solve(model: ProblemModel, a, x0, config: SolverConfig = SolverConfig
     blocks = Blocks(model, x, a)
     lam = _multipliers(blocks)
     res = _kkt_residual(blocks, lam)
-    res_norm = float(np.max(np.abs(res)))
+    res_norm = max_abs(res)
+
+    def label():                    # built only for an error message
+        return f"Newton system for {model.name!r} at iteration {iterations}"
     iterations = 0
     while res_norm > config.tol and iterations < config.max_iter:
         mat = bordered_matrix(blocks.lagrangian_hess_xx(lam), blocks.Gx)
-        label = f"Newton system for {model.name!r} at iteration {iterations}"
         step, rcond = solve_bordered(mat, -res, label)
         if step is None:
-            raise RankDeficiencyError(f"singular {label}")
+            raise RankDeficiencyError(f"singular {label()}")
         if not rcond >= EPS:        # no iteration number: a repeat is shown once
             warnings.warn(f"ill-conditioned Newton system for {model.name!r} "
                           f"(rcond = {rcond!r})", scipy.linalg.LinAlgWarning)
@@ -135,9 +144,7 @@ def newton_solve(model: ProblemModel, a, x0, config: SolverConfig = SolverConfig
             trial = Blocks(model, x_try, a)
             try:
                 res_try = _kkt_residual(trial, lam_try)
-                norm_try = float(np.max(np.abs(res_try)))
-                if not np.isfinite(norm_try):
-                    norm_try = np.inf
+                norm_try = max_abs(res_try)     # a NaN never descends, like inf
             except (CompstatError, ArithmeticError):
                 norm_try = np.inf
             if norm_try < res_norm:
@@ -174,10 +181,10 @@ def solve_interior(model: ProblemModel, a, x0=None,
         x = np.asarray(x, dtype=float)
         lam = np.asarray(lam, dtype=float)
         blocks = Blocks(model, x, a)
-        residual = float(np.max(np.abs(_kkt_residual(blocks, lam))))
+        residual = max_abs(_kkt_residual(blocks, lam))
         start = x if x0 is None else np.asarray(x0, dtype=float)
         newton = newton_solve(model, a, start, config)
-        discrepancy = float(np.max(np.abs(newton.x - x))) if newton.converged else None
+        discrepancy = max_abs(newton.x - x) if newton.converged else None
         return SolutionPoint(
             a=a, x=x, lam=lam,
             kkt_residual=residual,

@@ -334,9 +334,29 @@ def test_verify_all_only_filter(capsys):
 
 
 def test_verify_all_tolerance_override_fails_fd_paths(capsys):
-    rows, code = cmd_verify_all(only=("slutsky_hicks",), tol_override=1e-15)
+    # slutsky_hicks failed here only on its rank rows, which --tol no longer
+    # touches; principal_agent's central-difference rows sit above 1e-15
+    rows, code = cmd_verify_all(only=("principal_agent",), tol_override=1e-15)
     assert code == 1
-    assert any(row["verdict"] == "fail" for row in rows)
+    failed = [row for row in rows if row["verdict"] == "fail"]
+    assert any(row["pipeline"] == "numeric" for row in failed)
+    assert all(row["claim"] != "rank-bound" for row in failed)
+
+
+def test_verify_all_tolerance_override_leaves_rank_rows_alone():
+    # a rank row's residual is a rank; at the parent every one read fail here
+    plain, _ = cmd_verify_all()
+    rows, _ = cmd_verify_all(tol_override=1e-12)
+    assert [(r["benchmark"], r["pipeline"], r["check"]) for r in rows] == \
+        [(r["benchmark"], r["pipeline"], r["check"]) for r in plain]
+    ranks = [(row, base) for row, base in zip(rows, plain) if row["claim"] == "rank-bound"]
+    assert len(ranks) == 16
+    for row, base in ranks:
+        assert row == base and row["verdict"] == "pass"
+    others = [row for row in rows if row["claim"] != "rank-bound"]
+    assert all(row["tolerance"] == 1e-12 for row in others)
+    assert all(row["verdict"] == ("pass" if row["residual"] <= 1e-12 else "fail")
+               for row in others)
 
 
 def test_verify_all_cli_table_output(capsys):

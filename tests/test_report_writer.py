@@ -11,8 +11,11 @@ non-ASCII or DEL characters, ints beyond 64 bits) is byte-equal to
 `default=` that turns a float64 array into its `tolist()` and refuses
 anything else.  A float array from `json_floats` renders byte for byte as
 the list of its `tolist()`, whatever its shape and memory layout.
+`encode_json` returns ASCII bytes: they are compared as bytes, and decoded
+as ASCII only for the number-token oracle.
 """
 
+import io
 import json
 import os
 import re
@@ -57,8 +60,14 @@ EDGE = {
 _TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?')
 
 
-def written(obj) -> str:
-    return encode_json(obj) + "\n"
+def written(obj) -> bytes:
+    return encode_json(obj) + b"\n"
+
+
+def _ascii(data: bytes) -> str:
+    """The text of rendered bytes, which must be ASCII."""
+    assert type(data) is bytes
+    return data.decode("ascii")
 
 
 def _lists(value):
@@ -90,15 +99,15 @@ def _assert_same_document(text: str, expected: str):
 
 
 def _assert_renders_as_dumps(obj):
-    text = encode_json(obj)
-    _assert_same_document(text, dumps(obj))
-    assert encode_json(obj, 2) == text.replace("\n", "\n    ")
+    data = encode_json(obj)
+    _assert_same_document(_ascii(data), dumps(obj))
+    assert encode_json(obj, 2) == data.replace(b"\n", b"\n    ")
 
 
 def _assert_falls_back(obj):
-    expected = dumps(obj)
-    assert written(obj) == expected + "\n"
-    assert encode_json(obj, 2) == expected.replace("\n", "\n    ")
+    expected = dumps(obj).encode("ascii")
+    assert written(obj) == expected + b"\n"
+    assert encode_json(obj, 2) == expected.replace(b"\n", b"\n    ")
 
 
 @pytest.mark.parametrize("obj", [EDGE, [EDGE, [EDGE]], 1.0, json_floats(float("nan")),
@@ -140,9 +149,9 @@ def rendered(monkeypatch):
     calls = []
 
     def spy(obj, depth=0):
-        text = encode_json(obj, depth)
-        calls.append((obj, depth, text))
-        return text
+        data = encode_json(obj, depth)
+        calls.append((obj, depth, data))
+        return data
 
     monkeypatch.setattr(cli, "encode_json", spy)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
@@ -151,10 +160,10 @@ def rendered(monkeypatch):
 
 def _assert_cli_rendered(calls, out: str):
     assert calls
-    for obj, depth, text in calls:
+    for obj, depth, data in calls:
         expected = dumps(obj).replace("\n", "\n" + "  " * depth)
-        _assert_same_document(text, expected)
-        assert text in out
+        _assert_same_document(_ascii(data), expected)
+        assert data in out.encode("ascii")
     _assert_same_document(out, _canonical(out))
 
 
@@ -179,6 +188,42 @@ def test_out_file_is_indented_dumps(tmp_path, capsys, rendered):
                  "--out", str(path)]) == 0
     _assert_cli_rendered(rendered, path.read_text(encoding="utf-8"))
     assert capsys.readouterr().out == ""
+
+
+class _Pieces(io.BytesIO):
+    """A binary stream that records each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.pieces = []
+
+    def write(self, data):
+        self.pieces.append(bytes(data))
+        return super().write(data)
+
+    def writelines(self, pieces):
+        for piece in pieces:
+            self.write(piece)
+
+
+def test_sweep_document_is_written_as_its_report_bytes(monkeypatch):
+    # each report goes to the stream's binary buffer as rendered, unjoined;
+    # a stream without one gets the same document as text
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    cfg = cli.config_from_mapping({"model": "profit_cd", "sweep": "p=1:3:5"})
+    reports, code = cli.cmd_analyze(cfg)
+    assert code == 0 and len(reports) == 5
+    assert all(type(data) is bytes for data in reports)
+    raw = _Pieces()
+    stream = io.TextIOWrapper(raw, encoding="utf-8")
+    cli._emit_analyze(reports, cfg, stream)
+    stream.flush()
+    assert max(map(len, raw.pieces)) == max(map(len, reports))
+    assert [piece for piece in raw.pieces if piece in reports] == reports
+    text = io.StringIO()
+    cli._emit_analyze(reports, cfg, text)
+    assert raw.getvalue() == text.getvalue().encode("ascii")
+    assert len(json.loads(text.getvalue())["reports"]) == 5
 
 
 def test_sweep_reports_equal_single_point_runs_in_order(capsys):
@@ -373,7 +418,7 @@ def test_fallback_document_with_arrays_equals_dumps_of_lists(extra, walker_calls
                     for k, v in extra.items()})
         expected = json.dumps({"r": array.tolist(), "v": array[0].tolist(), **extra},
                               indent=2)
-        assert encode_json(doc) == expected
+        assert encode_json(doc) == expected.encode("ascii")
     assert walker_calls
 
 
@@ -414,7 +459,7 @@ def test_nonfinite_value_renders_as_dumps_at_each_producer(producer, name):
     part = PRODUCERS[producer](value)
     _assert_falls_back(part)
     _assert_falls_back({"report": [part]})
-    assert re.findall(r"-?\b[A-Za-z]+\b", encode_json(part)).count(spelling) == 1
+    assert re.findall(rb"-?\b[A-Za-z]+\b", encode_json(part)).count(spelling.encode()) == 1
 
 
 def test_nonfinite_verify_all_rows_render_as_dumps(monkeypatch, capsys):
@@ -436,8 +481,44 @@ def test_nonfinite_sweep_report_renders_as_dumps(capsys, rendered):
     main(["analyze", "--model", "slutsky_hicks", "--method", "fd",
           "--sweep", "p1=1e307:1e308:3"])
     out = capsys.readouterr().out
-    nonfinite = [(obj, text) for obj, _, text in rendered if "NaN" in text]
+    nonfinite = [(obj, data) for obj, _, data in rendered if b"NaN" in data]
     assert nonfinite
-    for obj, text in nonfinite:
-        assert text == dumps(obj).replace("\n", "\n    ")
+    for obj, data in nonfinite:
+        assert data == dumps(obj).replace("\n", "\n    ").encode("ascii")
     _assert_cli_rendered(rendered, out)
+
+
+# Scalars take an exact-type fast path in json_floats and _jsonable; NumPy
+# scalars, float subclasses and arrays keep the isinstance route.  Either
+# way the value comes back as the Python type below, with the same bits.
+
+_F = report._NonFiniteFloat
+SCALARS = [  # value, json_floats type, _jsonable type
+    (0.1, float, float), (-0.0, float, float), (np.float64(-2.5e-300), float, float),
+    (3, float, int), (-2 ** 63, float, int), (np.int64(-7), float, int),
+    (True, float, bool), (False, float, bool), (np.bool_(True), float, bool),
+    (float("nan"), _F, _F), (float("inf"), _F, _F), (-float("inf"), _F, _F),
+    (np.float64("nan"), _F, _F), (np.float64("-inf"), _F, _F),
+    (_F(float("inf")), _F, _F), (None, type(None), type(None)),
+]
+
+
+def _bits(value):
+    return struct.pack("<d", value) if isinstance(value, float) else value
+
+
+@pytest.mark.parametrize("value, floats_type, jsonable_type", SCALARS,
+                         ids=[repr(value) for value, _, _ in SCALARS])
+def test_scalar_fast_paths_keep_types_and_values(value, floats_type, jsonable_type):
+    got = json_floats(value)
+    assert type(got) is floats_type
+    assert _bits(got) == _bits(None if value is None else float(value))
+    got = report._jsonable(value)
+    assert type(got) is jsonable_type
+    convert = {float: float, _F: float, int: int, bool: bool}
+    assert _bits(got) == _bits(None if value is None else convert[jsonable_type](value))
+
+
+@pytest.mark.parametrize("value", ["", "x", "1.5", "ünï"])
+def test_jsonable_returns_a_str_as_it_is(value):
+    assert report._jsonable(value) is value

@@ -10,8 +10,8 @@ from compstat.errors import (DegeneracyError, DomainError, EvaluationError,
                              NonConvergenceError, RankDeficiencyError)
 from compstat.model import ProblemModel
 from compstat.sensitivity import decision_jacobian_ift
-from compstat.solver import (SolverConfig, newton_solve, projected_hessian_extremes,
-                             solve_bordered, solve_interior)
+from compstat.solver import (SolverConfig, _dsytrf_lwork, newton_solve,
+                             projected_hessian_extremes, solve_bordered, solve_interior)
 
 from conftest import sqrt_profit_model
 
@@ -195,7 +195,7 @@ def test_bordered_solve_has_a_small_backward_error(kind, n):
         elif kind == "tridiagonal":
             mat = _tridiagonal(n)
         rhs = rng.standard_normal(n)
-        step, rcond = solve_bordered(mat, rhs, "test system")
+        step, rcond = solve_bordered(mat, rhs, lambda: "test system")
         assert rcond > 0.0
         residual = np.max(np.abs(mat @ step - rhs))
         bound = (BACKWARD_C * np.finfo(float).eps
@@ -259,3 +259,33 @@ def test_ill_conditioned_newton_step_still_warns():
                          hess_xx_objective=lambda x, a: -hess)
     with pytest.warns(scipy.linalg.LinAlgWarning, match="ill-conditioned"):
         newton_solve(model, np.array([1.0, 2.0]), np.zeros(2), SolverConfig(max_iter=1))
+
+
+def test_cached_dsytrf_workspace_is_the_per_call_query():
+    for order in range(1, 101):
+        lwork, info = scipy.linalg.lapack.dsytrf_lwork(order)
+        assert info == 0
+        assert _dsytrf_lwork(order) == int(lwork)
+
+
+def _quartic(finite_above: float):
+    """Objective a x - x^4 / 4, with a Hessian that reads NaN below
+    `finite_above`: Newton from x = 3 at a = 1 takes one step to 2.04."""
+    return ProblemModel(
+        name="quartic", M=1, N=1,
+        objective=lambda x, a: float(a[0] * x[0] - x[0] ** 4 / 4),
+        grad_x_objective=lambda x, a: np.array([a[0] - x[0] ** 3]),
+        hess_xx_objective=lambda x, a: np.array(
+            [[-3.0 * x[0] ** 2 if x[0] > finite_above else np.nan]]))
+
+
+def test_newton_error_messages_name_the_iteration_they_stopped_at():
+    with pytest.raises(EvaluationError) as exc:
+        newton_solve(_quartic(2.5), np.array([1.0]), np.array([3.0]))
+    assert str(exc.value) == "non-finite Newton system for 'quartic' at iteration 1"
+    with pytest.raises(EvaluationError) as exc:
+        newton_solve(_quartic(3.5), np.array([1.0]), np.array([3.0]))
+    assert str(exc.value) == "non-finite Newton system for 'quartic' at iteration 0"
+    with pytest.raises(RankDeficiencyError) as exc:
+        newton_solve(_singular_model(), np.array([1.0, 1.0]), np.array([0.2, 0.3]))
+    assert str(exc.value) == "singular Newton system for 'flat' at iteration 0"
