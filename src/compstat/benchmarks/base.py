@@ -9,10 +9,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ..csm import CsmResult, TangentVerdict, build_omega, from_matrix
+from ..csm import CsmResult, build_omega, from_matrix
 from ..diagnostics import (IDENTITY_TOL, SEMIDEFINITE_TOL, STENCIL_TOL,
                            check_conformance, check_hatta_reduction, check_invariance,
-                           check_rank_bound, check_semidefinite, matrix_mismatch, report)
+                           check_rank_bound, check_semidefinite, check_tangent_semidefinite,
+                           matrix_mismatch, report)
 from ..errors import NonConvergenceError
 from ..geometry import IsovectorSet, build_isovectors
 from ..model import BLOCK_FIELDS, ProblemModel
@@ -103,16 +104,14 @@ class BenchRun:
         return out
 
 
-def generic_checks(run: BenchRun, recipes: dict,
-                   tangent_verdict: Optional[TangentVerdict] = None) -> list:
+def generic_checks(run: BenchRun, recipes: dict) -> list:
     """The checks every model must pass, on a prepared run and the recipes
-    built on it (name -> CsmResult; `tangent_verdict` is the verdict of
-    "silberberg_S" when that recipe is among them), in report order:
-    invariance per generator, then per recipe its semidefiniteness and rank
-    bound (the Silberberg matrix: its tangent verdict), the expected sign of
-    each derived matrix, conformance when there are constraints, coherence
-    of the other recipes with "omega_eq7", and the separable-constraint
-    reduction when the model declares its slots.
+    built on it (name -> CsmResult), in report order: invariance per
+    generator, then per recipe its semidefiniteness and rank bound (the
+    Silberberg matrix: its semidefiniteness on the null space of G_a), the
+    expected sign of each derived matrix, conformance when there are
+    constraints, coherence of the other recipes with "omega_eq7", and the
+    separable-constraint reduction when the model declares its slots.
 
     Invariance is held to IDENTITY_TOL, or to STENCIL_TOL when the decision
     Jacobian comes from central differences."""
@@ -122,12 +121,8 @@ def generic_checks(run: BenchRun, recipes: dict,
               for gen in model.invariance_generators]
     for recipe, result in recipes.items():
         if recipe == "silberberg_S":
-            # semidefinite only subject to constraints: test on the tangent
-            # subspace of the parameter-space constraint gradients
-            checks.append(report(
-                "semidefinite[silberberg_S|tangent]", "tangent-restricted-semidefinite",
-                tangent_verdict.residual, SEMIDEFINITE_TOL,
-                subspace_dim=tangent_verdict.subspace_dim))
+            checks.append(check_tangent_semidefinite(result, sol.blocks.Ga,
+                                                     "semidefinite[silberberg_S|tangent]"))
             continue
         checks.append(check_semidefinite(result, "positive", tol=SEMIDEFINITE_TOL,
                                          symmetry_tol=SEMIDEFINITE_TOL,
@@ -186,7 +181,8 @@ class BenchmarkEntry:
         forces Newton from the registered start and the implicit-function
         route.  `method` ("analytic" | "ift" | "fd", the last with step
         `fd_step`) and `basis` ("prescribed" | "nullspace") override those
-        choices.  An unconverged solve is returned undifferentiated.
+        choices.  An unconverged solve is returned undifferentiated; a
+        converged one must pass the second-order gate `sol.bordered`.
         """
         a = np.asarray(self.default_point if a is None else a, dtype=float)
         timings = {}
@@ -202,6 +198,7 @@ class BenchmarkEntry:
                             pipeline=pipeline, timings=timings)
 
         tick = time.perf_counter()
+        sol.bordered    # the second-order gate: raises unless a strict constrained maximum
         if method is None:
             method = "analytic" if pipeline == "analytic" else "ift"
         if method == "fd":

@@ -9,8 +9,9 @@ reports are rendered indented for their place in the `reports` list of the
 sweep document, which `_emit_analyze` writes around them, unjoined.  The
 output, exit code and stderr are byte-identical to a serial run.
 
-Exit codes: 0 all checks pass, 1 at least one check failed, 2 the solver
-did not converge, 3 configuration error.
+Exit codes: 0 all checks pass, 1 at least one check failed, 2 a typed engine
+error (non-convergence, a non-finite or singular system, a point that is not
+a strict constrained maximum, ...), 3 configuration error.
 """
 
 from __future__ import annotations
@@ -223,7 +224,6 @@ _RECIPE_BUILDERS = {
     "omega_A1": lambda r: csm_mod.build_omega_a1(r.model, r.sol, r.sens),
     "omega_A2": lambda r: csm_mod.build_omega_a2(r.model, r.sol, r.sens),
     "omega_B": lambda r: csm_mod.build_omega_b(r.model, r.sol, r.sens, r.iso),
-    # (matrix, tangent verdict); generic_checks checks the verdict
     "silberberg_S": lambda r: csm_mod.build_silberberg(r.model, r.sol, r.sens),
     "universal_U": lambda r: csm_mod.build_universal(r.model, r.sol, r.sens),
 }
@@ -249,13 +249,9 @@ def run_point(entry: BenchmarkEntry, a: np.ndarray, cfg: RunConfig) -> dict:
 
     tick = time.perf_counter()
     results = {}
-    tangent_verdict = None
     for recipe in cfg.recipes:
         try:
-            built = _RECIPE_BUILDERS[recipe](run)
-            if recipe == "silberberg_S":
-                built, tangent_verdict = built
-            results[recipe] = built
+            results[recipe] = _RECIPE_BUILDERS[recipe](run)
         except CompstatError as exc:
             errors.append({"stage": f"csm:{recipe}", "message": str(exc)})
     derived = run.derived
@@ -263,7 +259,7 @@ def run_point(entry: BenchmarkEntry, a: np.ndarray, cfg: RunConfig) -> dict:
 
     tick = time.perf_counter()
     checks = [check_envelope(model, sol, iso, sens, solver_config=solver_cfg)]
-    checks += generic_checks(run, results, tangent_verdict)
+    checks += generic_checks(run, results)
     timings["checks_s"] = time.perf_counter() - tick
 
     return run_report(

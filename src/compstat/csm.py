@@ -22,10 +22,9 @@ from .geometry import IsovectorSet
 from .model import ProblemModel
 from .numeric import max_abs
 from .sensitivity import SensitivityBundle
-from .solver import SolutionPoint, tangent_extremes
+from .solver import SolutionPoint
 
 RANK_TOL = 1e-7
-TANGENT_TOL = 1e-8        # the Silberberg matrix's tangent-restricted eigenvalue test
 SINGULAR_RTOL = 1e-12     # relative singular-value floor of a Gram matrix or a transform
 
 POSITIVE = "positive_semidefinite_expected"
@@ -51,19 +50,6 @@ class CsmResult:
 
     def symmetrized(self) -> np.ndarray:
         return 0.5 * (self.matrix + self.matrix.T)
-
-
-@dataclass(frozen=True)
-class TangentVerdict:
-    """Semidefiniteness of a matrix restricted to the parameter-space
-    tangent hyperplane of the constraints.  `residual` is the most negative
-    restricted eigenvalue, as a positive number, over max(1, |largest|);
-    `passed` is `residual <= TANGENT_TOL`."""
-    min_eigenvalue: float
-    max_eigenvalue: float
-    subspace_dim: int
-    residual: float
-    passed: bool
 
 
 @dataclass(frozen=True)
@@ -210,23 +196,16 @@ def build_omega_b(model: ProblemModel, sol: SolutionPoint, sens: SensitivityBund
         note="log-objective route; constraint terms carry log-normalized multipliers")
 
 
-def build_silberberg(model: ProblemModel, sol: SolutionPoint, sens: SensitivityBundle):
+def build_silberberg(model: ProblemModel, sol: SolutionPoint,
+                     sens: SensitivityBundle) -> CsmResult:
     """Primal-dual style parameter-space matrix, semidefinite only subject to
-    the constraints.  Returns the matrix plus the verdict of the
-    tangent-restricted eigenvalue test."""
+    the constraints (`diagnostics.check_tangent_semidefinite`)."""
     s_matrix = sol.blocks.lagrangian_hess_xa(sol.lam).T @ sens.x_jac
-    ga = sol.blocks.Ga
     if model.K:
-        s_matrix = s_matrix + ga.T @ sens.lam_jac
-    result = _finalize(s_matrix, "silberberg_S", POSITIVE,
-                       labels=model.parameter_names,
-                       note="semidefinite subject to constraints; see tangent verdict")
-    min_eig, max_eig, dim = tangent_extremes(result.symmetrized(), ga)
-    residual = max(0.0, -min_eig) / max(1.0, abs(max_eig))
-    verdict = TangentVerdict(
-        min_eigenvalue=min_eig, max_eigenvalue=max_eig,
-        subspace_dim=dim, residual=residual, passed=residual <= TANGENT_TOL)
-    return result, verdict
+        s_matrix = s_matrix + sol.blocks.Ga.T @ sens.lam_jac
+    return _finalize(s_matrix, "silberberg_S", POSITIVE,
+                     labels=model.parameter_names,
+                     note="semidefinite subject to constraints; see tangent verdict")
 
 
 def build_universal(model: ProblemModel, sol: SolutionPoint,

@@ -34,7 +34,7 @@ class SensitivityError(CompstatError):
 
 
 class DegeneracyError(CompstatError):
-    """Singular bordered system when differentiating the stationarity conditions."""
+    """A singular or wrong-inertia bordered matrix at a solution."""
 
 
 class EmptyTangentError(CompstatError):

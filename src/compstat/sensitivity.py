@@ -1,11 +1,10 @@
 """Parameter Jacobians of the solution: dx/da and dlam/da.
 
-Two routes are provided.  The implicit-function route factorizes the
-bordered matrix [L_xx, G_x^T; G_x, 0] once by Bunch-Kaufman, the
-factorization Newton's steps also use (`solver.solve_bordered`), and solves
-one right-hand side per parameter; it is the default.  The re-solve
-finite-difference route is slower but fully independent and serves as the
-acceptance oracle.
+Two routes are provided.  The implicit-function route solves one right-hand
+side per parameter with the Bunch-Kaufman factor of the bordered matrix
+that the solution's second-order gate reads (`SolutionPoint.bordered`); it
+is the default.  The re-solve finite-difference route is slower but fully
+independent and serves as the acceptance oracle.
 """
 
 from __future__ import annotations
@@ -18,8 +17,7 @@ import numpy as np
 from . import fd
 from .errors import CompstatError, DegeneracyError, SensitivityError
 from .model import ProblemModel
-from .solver import (SolutionPoint, SolverConfig, bordered_matrix, newton_solve,
-                     solve_bordered)
+from .solver import SolutionPoint, SolverConfig, newton_solve
 
 
 @dataclass(frozen=True)
@@ -80,14 +78,14 @@ def decision_jacobian_ift(model: ProblemModel, sol: SolutionPoint) -> Sensitivit
     """One bordered linear system per parameter.
 
     For each mu the unknowns (dx/da_mu, dlam/da_mu) satisfy
-        L_xx dx + G_x^T dlam = -L_xa[:, mu],   G_x dx = -G_a[:, mu].
+        L_xx dx + G_x^T dlam = -L_xa[:, mu],   G_x dx = -G_a[:, mu],
+    solved with the gated factor `sol.bordered`.
     """
-    blocks, M = sol.blocks, model.M
-    bordered = bordered_matrix(blocks.lagrangian_hess_xx(sol.lam), blocks.Gx)
+    blocks, M, factor = sol.blocks, model.M, sol.bordered
     rhs = -np.vstack([blocks.lagrangian_hess_xa(sol.lam), blocks.Ga])
-    solution, _ = solve_bordered(bordered, rhs, lambda: f"bordered system for {model.name!r}")
+    solution = factor.solve(rhs, lambda: f"bordered system for {model.name!r}")
     if solution is None:
-        raise DegeneracyError(f"singular bordered matrix for {model.name!r}")
+        raise DegeneracyError(f"non-finite solution of the bordered system for {model.name!r}")
     return SensitivityBundle(x_jac=solution[:M, :], lam_jac=solution[M:, :], method="ift")
 
 

@@ -9,13 +9,13 @@ from __future__ import annotations
 import functools
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.linalg
 
-from .errors import (CompstatError, EvaluationError, NonConvergenceError,
-                     RankDeficiencyError)
+from .errors import (CompstatError, DegeneracyError, EvaluationError,
+                     NonConvergenceError, RankDeficiencyError)
 from .model import Blocks, ProblemModel
 from .numeric import max_abs
 
@@ -47,6 +47,24 @@ class SolutionPoint:
     source: str  # "newton" | "analytic"
     blocks: Blocks = field(repr=False, compare=False)   # the model's blocks at (x, a)
     newton_discrepancy: Optional[float] = None
+
+    @functools.cached_property
+    def bordered(self) -> BorderedFactor:
+        """The factor of the bordered matrix [L_xx, G_x^T; G_x, 0] at (x, lam),
+        factored once.  Raises a DegeneracyError unless its inertia is
+        (K, M, 0), that of a strict constrained maximum with full-rank G_x
+        (Gould 1985; Nocedal & Wright, Thm 16.3)."""
+        model = self.blocks.model
+        factor = factor_bordered(
+            bordered_matrix(self.blocks.lagrangian_hess_xx(self.lam), self.blocks.Gx),
+            lambda: f"bordered matrix for {model.name!r}")
+        found, expected = factor.inertia(), (model.K, model.M, 0)
+        if found != expected:
+            kind = "singular" if found[2] else "not a strict constrained maximum:"
+            raise DegeneracyError(
+                f"{kind} bordered matrix for {model.name!r} has inertia "
+                f"(positive, negative, zero) = {found}, expected {expected}")
+        return factor
 
 
 def _multipliers(blocks: Blocks) -> np.ndarray:
@@ -92,25 +110,43 @@ def _dsytrf_lwork(order: int) -> int:
     return int(scipy.linalg.lapack.dsytrf_lwork(order)[0])
 
 
-def solve_bordered(mat: np.ndarray, rhs: np.ndarray, label):
-    """(solution, rcond) of the symmetric system mat @ solution = rhs from
-    one Bunch-Kaufman factorization: dsytrf (with the workspace dsytrf_lwork
-    recommends, cached per order), dsycon and dsytrs.  Only the upper
-    triangle of `mat` is read.  rcond is LAPACK's estimate of the reciprocal
-    1-norm condition number.  The solution is None when `mat` is singular:
-    an exactly zero pivot or a non-finite solution.  Raises an
-    EvaluationError naming `label()` when `mat` or `rhs` is not finite."""
-    if not (np.isfinite(mat).all() and np.isfinite(rhs).all()):
+class BorderedFactor(NamedTuple):
+    """dsytrf's factor and pivots (upper storage) and dsycon's rcond, the
+    estimated reciprocal 1-norm condition number, of `factor_bordered`."""
+    factor: np.ndarray
+    pivots: np.ndarray
+    rcond: float
+
+    def solve(self, rhs: np.ndarray, label):
+        """dsytrs's solution of mat @ solution = rhs; None when it is not
+        finite (a singular matrix).  Raises an EvaluationError naming
+        `label()` when `rhs` is not finite."""
+        if not np.isfinite(rhs).all():
+            raise EvaluationError(f"non-finite {label()}")
+        solution, _ = scipy.linalg.lapack.dsytrs(self.factor, self.pivots, rhs)
+        return solution if np.isfinite(solution).all() else None
+
+    def inertia(self) -> tuple:
+        """(positive, negative, zero) eigenvalue counts of the matrix, those of
+        D by Sylvester's law.  Both rows of a 2 x 2 block of D carry a negative
+        pivot (adjacent blocks may carry equal ones), and the Bunch-Kaufman
+        pivot test makes its determinant negative: one eigenvalue of each
+        sign.  A row with a positive pivot is a 1 x 1 block."""
+        d = self.factor.diagonal()[self.pivots > 0]         # the 1 x 1 blocks
+        pairs = (len(self.pivots) - len(d)) // 2
+        return pairs + int((d > 0).sum()), pairs + int((d < 0).sum()), int((d == 0).sum())
+
+
+def factor_bordered(mat: np.ndarray, label) -> BorderedFactor:
+    """dsytrf (with the workspace dsytrf_lwork recommends, cached per order)
+    and dsycon of the upper triangle of the symmetric `mat`.  Raises an
+    EvaluationError naming `label()` when `mat` is not finite."""
+    if not np.isfinite(mat).all():
         raise EvaluationError(f"non-finite {label()}")
     lapack = scipy.linalg.lapack
-    factor, pivots, info = lapack.dsytrf(mat, lwork=_dsytrf_lwork(mat.shape[0]))
-    if info != 0:
-        return None, 0.0
+    factor, pivots, _ = lapack.dsytrf(mat, lwork=_dsytrf_lwork(mat.shape[0]))
     rcond, _ = lapack.dsycon(factor, pivots, lapack.dlange("1", mat))
-    solution, _ = lapack.dsytrs(factor, pivots, rhs)
-    if not np.isfinite(solution).all():
-        return None, rcond
-    return solution, rcond
+    return BorderedFactor(factor, pivots, rcond)
 
 
 def newton_solve(model: ProblemModel, a, x0, config: SolverConfig = SolverConfig()):
@@ -131,12 +167,13 @@ def newton_solve(model: ProblemModel, a, x0, config: SolverConfig = SolverConfig
     iterations = 0
     while res_norm > config.tol and iterations < config.max_iter:
         mat = bordered_matrix(blocks.lagrangian_hess_xx(lam), blocks.Gx)
-        step, rcond = solve_bordered(mat, -res, label)
+        factor = factor_bordered(mat, label)
+        step = factor.solve(-res, label)
         if step is None:
             raise RankDeficiencyError(f"singular {label()}")
-        if not rcond >= EPS:        # no iteration number: a repeat is shown once
+        if not factor.rcond >= EPS:     # no iteration number: a repeat is shown once
             warnings.warn(f"ill-conditioned Newton system for {model.name!r} "
-                          f"(rcond = {rcond!r})", scipy.linalg.LinAlgWarning)
+                          f"(rcond = {factor.rcond!r})", scipy.linalg.LinAlgWarning)
         scale = 1.0
         for _ in range(MAX_BACKTRACKS + 1):
             x_try = x + scale * step[:model.M]
@@ -198,22 +235,3 @@ def solve_interior(model: ProblemModel, a, x0=None,
         raise NonConvergenceError(
             f"model {model.name!r} has no analytic solution; an initial point is required")
     return newton_solve(model, a, x0, config)
-
-
-def projected_hessian_extremes(model: ProblemModel, sol: SolutionPoint):
-    """Eigenvalue range of the Lagrangian Hessian restricted to the
-    decision-space tangent hyperplane (second-order necessary condition:
-    the maximum must be nonpositive at a constrained maximum)."""
-    return tangent_extremes(sol.blocks.lagrangian_hess_xx(sol.lam), sol.blocks.Gx)[:2]
-
-
-def tangent_extremes(matrix: np.ndarray, grads: np.ndarray):
-    """(min, max, dim): the extreme eigenvalues of the symmetric part of `matrix`
-    on the null space of the rows of `grads` (all of space when there are
-    none) and that space's dimension; zeros when the space is empty."""
-    basis = scipy.linalg.null_space(grads) if grads.shape[0] else np.eye(matrix.shape[0])
-    if basis.shape[1] == 0:
-        return 0.0, 0.0, 0
-    restricted = basis.T @ matrix @ basis
-    eig = np.linalg.eigvalsh(0.5 * (restricted + restricted.T))
-    return float(eig[0]), float(eig[-1]), basis.shape[1]

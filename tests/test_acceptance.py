@@ -75,7 +75,7 @@ def test_criterion_04_recipe_coherence_all_benchmarks():
         omega = csm.build_omega(run.model, run.sol, run.sens, run.iso).matrix
         scale = max(np.max(np.abs(omega)), 1e-12)
         quad = csm.build_omega_quadratic(run.model, run.sol, run.sens, run.iso).matrix
-        s_mat, _ = csm.build_silberberg(run.model, run.sol, run.sens)
+        s_mat = csm.build_silberberg(run.model, run.sol, run.sens)
         u_mat = csm.build_universal(run.model, run.sol, run.sens)
         t_rows = run.iso.vectors
         for other in (quad, t_rows @ s_mat.matrix @ t_rows.T,

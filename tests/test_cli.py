@@ -242,15 +242,24 @@ def test_non_finite_parameters_exit_3_and_overflowing_blocks_are_typed(capsys):
                                    "--at", "p=1e308,1"], capsys)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and "non-finite" in err
-    # with finite-difference sensitivities the point reaches the recipes,
-    # where the overflowing Gram matrix is a recipe error of the report
+    # with finite-difference sensitivities too: the second-order gate reads
+    # the overflowing bordered matrix before any route differentiates
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        code, out, _ = run_main(["analyze", "--model", "slutsky_hicks", "--at", "p=1e308,1",
-                                 "--method", "fd"], capsys)
-    assert code == 1 and json.loads(out)["errors"] == [{
-        "stage": "csm:universal_U",
-        "message": "constraint-gradient Gram matrix of 'slutsky_hicks' is not finite"}]
+        code, out, err = run_main(["analyze", "--model", "slutsky_hicks", "--at", "p=1e308,1",
+                                   "--method", "fd"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: non-finite bordered matrix for 'slutsky_hicks'\n"
+
+
+def test_constrained_minimum_exits_2_naming_the_inertia(capsys):
+    # at p2 = -0.8 the solved point of cost_constrained_profit is a
+    # constrained minimum: every matrix would be reported with the wrong sign
+    code, out, err = run_main(["analyze", "--model", "cost_constrained_profit",
+                               "--at", "p2=-0.8"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: not a strict constrained maximum")
+    assert "inertia (positive, negative, zero) = (3, 1, 0), expected (1, 3, 0)" in err
 
 
 @pytest.mark.parametrize("flags, message", [

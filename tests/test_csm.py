@@ -2,12 +2,14 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from compstat import csm
 from compstat.benchmarks import all_benchmarks, get_benchmark
 from compstat.benchmarks.profit import production_gradient
 from compstat.benchmarks.slutsky import (demand_model, reduced_substitution,
                                         substitution_matrix)
+from compstat.diagnostics import check_tangent_semidefinite
 from compstat.errors import AssemblyError, ConfigurationError, DomainError
 from compstat.geometry import build_isovectors
 from compstat.model import Blocks
@@ -183,26 +185,31 @@ def test_silberberg_sandwich_identity_everywhere():
     for entry in all_benchmarks():
         run = entry.prepare("analytic" if entry.has_analytic else "numeric")
         omega = csm.build_omega(run.model, run.sol, run.sens, run.iso).matrix
-        s_res, verdict = csm.build_silberberg(run.model, run.sol, run.sens)
+        s_res = csm.build_silberberg(run.model, run.sol, run.sens)
         sandwich = run.iso.vectors @ s_res.matrix @ run.iso.vectors.T
         scale = max(1.0, float(np.max(np.abs(omega))))
         assert np.max(np.abs(sandwich - omega)) / scale < RECIPE_REL_TOL, entry.name
-        assert verdict.passed, entry.name
+        tangent = check_tangent_semidefinite(s_res, run.sol.blocks.Ga, "silberberg_S|tangent")
+        assert tangent.residual <= 1e-8, entry.name
 
 
 def test_silberberg_unconstrained_matches_plain_variant():
     run = prepare("profit_cd")
-    s_res, verdict = csm.build_silberberg(run.model, run.sol, run.sens)
+    s_res = csm.build_silberberg(run.model, run.sol, run.sens)
     a2 = csm.build_omega_a2(run.model, run.sol, run.sens)
     assert s_res.matrix == pytest.approx(a2.matrix, abs=1e-10)
-    assert verdict.subspace_dim == run.model.N
+    tangent = check_tangent_semidefinite(s_res, run.sol.blocks.Ga, "silberberg_S|tangent")
+    assert tangent.details["subspace_dim"] == run.model.N
 
 
 def test_silberberg_tangent_restriction_on_demand():
     run = prepare("slutsky_hicks")
-    _, verdict = csm.build_silberberg(run.model, run.sol, run.sens)
-    assert verdict.subspace_dim == run.model.N - 1
-    assert verdict.min_eigenvalue >= -1e-8
+    s_res = csm.build_silberberg(run.model, run.sol, run.sens)
+    tangent = check_tangent_semidefinite(s_res, run.sol.blocks.Ga, "silberberg_S|tangent")
+    assert tangent.details["subspace_dim"] == run.model.N - 1
+    basis = scipy.linalg.null_space(run.sol.blocks.Ga)
+    restricted = basis.T @ s_res.symmetrized() @ basis
+    assert np.linalg.eigvalsh(0.5 * (restricted + restricted.T)).min() >= -1e-8
 
 
 def test_universal_unconstrained_equals_plain_variant():

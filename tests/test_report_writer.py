@@ -15,6 +15,7 @@ the list of its `tolist()`, whatever its shape and memory layout.
 as ASCII only for the number-token oracle.
 """
 
+import dataclasses
 import io
 import json
 import os
@@ -476,10 +477,14 @@ def test_nonfinite_verify_all_rows_render_as_dumps(monkeypatch, capsys):
     assert np.array_equal([row["residual"] for row in rows], residuals, equal_nan=True)
 
 
-@pytest.mark.filterwarnings("ignore")    # overflow at parameters near 1e308
-def test_nonfinite_sweep_report_renders_as_dumps(capsys, rendered):
-    main(["analyze", "--model", "slutsky_hicks", "--method", "fd",
-          "--sweep", "p1=1e307:1e308:3"])
+def test_nonfinite_sweep_report_renders_as_dumps(monkeypatch, capsys, rendered):
+    # a derived matrix that reads NaN at the middle point of a profit_cd sweep
+    def derived(run):
+        return {"probe": (np.array([[np.nan if run.sol.a[-1] == 2.0 else 1.0]]), "positive")}
+
+    entry = dataclasses.replace(get_benchmark("profit_cd"), derived_matrices=derived)
+    monkeypatch.setattr(cli, "get_benchmark", lambda name: entry)
+    assert main(["analyze", "--model", "profit_cd", "--sweep", "p=1:3:3"]) == 1
     out = capsys.readouterr().out
     nonfinite = [(obj, data) for obj, _, data in rendered if b"NaN" in data]
     assert nonfinite

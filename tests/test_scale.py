@@ -7,6 +7,7 @@ import pytest
 from compstat import csm
 from compstat.benchmarks.slutsky import demand_model, demand_jacobian
 from compstat.benchmarks.utility import multi_budget_model
+from compstat.diagnostics import check_tangent_semidefinite
 from compstat.geometry import build_isovectors, gcd_apply, prescribe_isovectors, verify_conformance
 from compstat.model import Blocks
 from compstat.sensitivity import decision_jacobian_fd, decision_jacobian_ift
@@ -19,14 +20,15 @@ def _coherence(model, sol, sens, iso, rel_tol=1e-6):
     omega = csm.build_omega(model, sol, sens, iso).matrix
     scale = max(1.0, float(np.max(np.abs(omega))))
     quad = csm.build_omega_quadratic(model, sol, sens, iso).matrix
-    s_mat, verdict = csm.build_silberberg(model, sol, sens)
+    s_mat = csm.build_silberberg(model, sol, sens)
     u_res = csm.build_universal(model, sol, sens)
     rows = iso.vectors
     devs = [np.max(np.abs(quad - omega)),
             np.max(np.abs(rows @ s_mat.matrix @ rows.T - omega)),
             np.max(np.abs(rows @ u_res.matrix @ rows.T - omega))]
     assert max(devs) / scale < rel_tol
-    assert verdict.passed
+    tangent = check_tangent_semidefinite(s_mat, sol.blocks.Ga, "silberberg_S|tangent")
+    assert tangent.residual <= 1e-8
     eig = np.linalg.eigvalsh(0.5 * (omega + omega.T))
     assert eig.min() >= -1e-8 * max(eig.max(), 1e-12)
     assert csm.estimate_rank(omega) <= min(model.M - model.K, iso.count)

@@ -5,13 +5,15 @@ import pytest
 import scipy.linalg
 
 from compstat.benchmarks import all_benchmarks
+from compstat.benchmarks.base import BenchmarkEntry
 from compstat.benchmarks.slutsky import demand_model
 from compstat.errors import (DegeneracyError, DomainError, EvaluationError,
                              NonConvergenceError, RankDeficiencyError)
+from compstat.geometry import build_isovectors
 from compstat.model import ProblemModel
 from compstat.sensitivity import decision_jacobian_ift
-from compstat.solver import (SolverConfig, _dsytrf_lwork, newton_solve,
-                             projected_hessian_extremes, solve_bordered, solve_interior)
+from compstat.solver import (SolverConfig, _dsytrf_lwork, factor_bordered, newton_solve,
+                             solve_interior)
 
 from conftest import sqrt_profit_model
 
@@ -149,12 +151,100 @@ def test_newton_matches_analytic_from_perturbed_start(name):
     assert np.max(np.abs(sol.x - x_star)) < 1e-8
 
 
-def test_second_order_necessary_condition_on_benchmarks():
+def test_catalog_bordered_inertia_is_that_of_a_strict_maximum():
+    # the second-order sufficient condition: the bordered matrix at every
+    # catalog default has inertia (K, M, 0) on both pipelines
     for entry in all_benchmarks():
-        run = entry.prepare("numeric")
-        _, max_eig = projected_hessian_extremes(entry.model, run.sol)
-        scale = max(1.0, abs(max_eig))
-        assert max_eig <= 1e-8 * scale, entry.name
+        for pipeline in ("analytic", "numeric"):
+            run = entry.prepare(pipeline)
+            expected = (entry.model.K, entry.model.M, 0)
+            assert run.sol.bordered.inertia() == expected, (entry.name, pipeline)
+
+
+def _inertia_by_eigvalsh(mat):
+    eig = np.linalg.eigvalsh(mat)
+    return int((eig > 0).sum()), int((eig < 0).sum()), int((eig == 0).sum())
+
+
+def _symmetric_cases(rng):
+    """Seeded symmetric matrices: dense, zero-diagonal (2 x 2 pivots, often
+    adjacent blocks with equal negative pivot entries) and bordered
+    [[H, G^T], [G, 0]]."""
+    for _ in range(300):
+        n = int(rng.integers(1, 10))
+        dense = rng.standard_normal((n, n))
+        yield dense + dense.T
+        zero_diagonal = dense + dense.T
+        np.fill_diagonal(zero_diagonal, 0.0)
+        yield zero_diagonal
+        m, k = int(rng.integers(1, 8)), int(rng.integers(0, 4))
+        h = rng.standard_normal((m, m))
+        yield _upper_mirrored(np.block([[h + h.T, rng.standard_normal((k, m)).T],
+                                        [np.zeros((k, m)), np.zeros((k, k))]]))
+
+
+def test_inertia_matches_eigvalsh_sign_counts():
+    rng = np.random.default_rng(2024)
+    checked = two_by_two = repeated = 0
+    for mat in _symmetric_cases(rng):
+        eig = np.abs(np.linalg.eigvalsh(mat))
+        if eig.min() <= 1e-8 * eig.max():
+            continue                     # numerically singular: no sign to compare
+        factor = factor_bordered(mat, lambda: "test matrix")
+        assert factor.inertia() == _inertia_by_eigvalsh(mat), mat
+        checked += 1
+        negative = [int(p) for p in factor.pivots if p < 0]
+        two_by_two += bool(negative)
+        # equal negative entries in more than one block: pairing rows by
+        # pivot value would misread D
+        repeated += len(negative) > 2 * len(set(negative))
+    assert checked > 800 and two_by_two > 300 and repeated > 20
+
+
+def test_inertia_counts_an_exactly_zero_pivot():
+    factor = factor_bordered(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]]),
+                             lambda: "test matrix")
+    assert factor.inertia() == (1, 1, 1)
+    assert factor.rcond == 0.0
+    assert factor.solve(np.ones(3), lambda: "test system") is None
+
+
+def _constant_returns_entry():
+    """a3 sqrt(x1 x2) - a1 x1 - a2 x2, no derivatives registered: at
+    a = (1, 1, 2) every x1 = x2 is stationary and L_xx is singular."""
+    model = ProblemModel(
+        name="constant_returns", M=2, N=3,
+        objective=lambda x, a: float(a[2] * np.sqrt(x[0] * x[1]) - a[0] * x[0] - a[1] * x[1]))
+    return BenchmarkEntry(
+        name="constant_returns", model=model, default_point=np.array([1.0, 1.0, 2.0]),
+        x0=np.array([1.0, 1.0]),
+        isovector_recipe=lambda model, sol, sens: build_isovectors(sol.blocks.Ga))
+
+
+@pytest.mark.parametrize("method", ["ift", "analytic", "fd"])
+def test_constant_returns_is_refused_by_the_inertia_gate(method):
+    entry = _constant_returns_entry()
+    with pytest.raises(DegeneracyError, match=r"inertia .* expected \(0, 2, 0\)"):
+        entry.prepare("numeric", method=method)
+    sol = newton_solve(entry.model, entry.default_point, entry.x0)
+    assert sol.converged
+    with pytest.raises(DegeneracyError, match="not a strict constrained maximum"):
+        decision_jacobian_ift(entry.model, sol)
+
+
+def test_ift_solves_with_the_gates_factor(monkeypatch):
+    from compstat.benchmarks import get_benchmark
+    entry = get_benchmark("multi_constraint_utility")
+    sol = newton_solve(entry.model, entry.default_point, entry.x0)
+    sol.bordered
+    calls = []
+    dsytrf = scipy.linalg.lapack.dsytrf
+    monkeypatch.setattr(scipy.linalg.lapack, "dsytrf",
+                        lambda *args, **kwargs: calls.append(1) or dsytrf(*args, **kwargs))
+    sens = decision_jacobian_ift(entry.model, sol)
+    assert calls == [] and np.isfinite(sens.x_jac).all()
+    newton_solve(entry.model, entry.default_point, entry.x0 * 1.1)
+    assert calls                         # the spy sees Newton's factorizations
 
 
 def test_stencil_config_tightens_tol_and_keeps_every_other_field():
@@ -195,8 +285,9 @@ def test_bordered_solve_has_a_small_backward_error(kind, n):
         elif kind == "tridiagonal":
             mat = _tridiagonal(n)
         rhs = rng.standard_normal(n)
-        step, rcond = solve_bordered(mat, rhs, lambda: "test system")
-        assert rcond > 0.0
+        factor = factor_bordered(mat, lambda: "test matrix")
+        step = factor.solve(rhs, lambda: "test system")
+        assert factor.rcond > 0.0
         residual = np.max(np.abs(mat @ step - rhs))
         bound = (BACKWARD_C * np.finfo(float).eps
                  * np.max(np.sum(np.abs(mat), axis=1)) * np.max(np.abs(step)))
