@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from ..csm import estimate_rank
-from ..diagnostics import IDENTITY_TOL, ROUNDING_TOL, matrix_mismatch, report
+from ..diagnostics import IDENTITY_TOL, matrix_mismatch, report
 from ..errors import DomainError
 from ..geometry import prescribe_isovectors
 from ..model import InvarianceGenerator, ProblemModel
@@ -269,25 +269,6 @@ def _pa_check_h_matrix(run):
                   res if ok else max(res, 1.0), IDENTITY_TOL, rank=rank)
 
 
-def _pa_check_multiplier_signs(run):
-    lam = cost_sign_multipliers(run)
-    v_prime = 1.0 / (2.0 * np.sqrt(run.sol.x))
-    res = max(0.0, -lam[0]) + max(0.0, lam[1])
-    res = max(res, float(np.max(1.0 - lam[0] * v_prime)))
-    return report("multiplier_signs", "effort-shadow-price-signs",
-                  max(0.0, res), ROUNDING_TOL,
-                  high_effort=float(lam[0]), low_effort=float(lam[1]))
-
-
-def _pa_check_diagonal_inequalities(run):
-    d1 = np.diag(reduced_jacobian(run, 0))
-    d2 = np.diag(reduced_jacobian(run, 1))
-    res = max(float(np.max(np.maximum(-d1, 0.0))), float(np.max(np.maximum(d2, 0.0))))
-    return report("diagonal_inequalities", "own-probability-response-signs",
-                  res, IDENTITY_TOL,
-                  high_effort_diag=d1.tolist(), low_effort_diag=d2.tolist())
-
-
 def register_principal_agent(m_dim: int = 3,
                              p_high=(0.2, 0.3, 0.5), p_low=(0.5, 0.3, 0.2),
                              c_high=0.8, c_low=0.2, u_bar=1.0) -> BenchmarkEntry:
@@ -305,8 +286,6 @@ def register_principal_agent(m_dim: int = 3,
         ("block_identities", _pa_check_block_identities),
         ("reduced_operator_equality", _pa_check_reduced_operators),
         ("low_effort_matrix", _pa_check_h_matrix),
-        ("multiplier_signs", _pa_check_multiplier_signs),
-        ("diagonal_inequalities", _pa_check_diagonal_inequalities),
     )
     return BenchmarkEntry(
         name="principal_agent", model=model, default_point=default_point,

@@ -1,20 +1,18 @@
 """Allocation of a fixed goods bundle across agents at prescribed utility
 levels for all but the first.
 
-The suite is deliberately limited to the direction construction itself:
-null property against every constraint gradient and the observation that
-the endowment parameters never enter the compensation rows (decision-space
-conformance is one of the generic checks).  (Pinning down a unique point of the efficient set
-needs side conditions this catalog does not invent, so no curvature claims
-are asserted.)
+The entry has no property suite of its own: its directions are held to the
+null property when they are prescribed, and decision-space conformance is
+one of the generic checks.  (Pinning down a unique point of the efficient
+set needs side conditions this catalog does not invent, so no curvature
+claims are asserted.)
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..diagnostics import report
-from ..geometry import build_isovectors, prescribe_isovectors
+from ..geometry import prescribe_isovectors
 from ..model import ProblemModel
 from .base import BenchmarkEntry, constraint_fields
 
@@ -154,32 +152,6 @@ def _goods_count(model: ProblemModel) -> int:
     return model.N - model.K
 
 
-def _ac_check_null_property(run):
-    res = float(np.max(run.iso.null_residuals)) if run.iso.null_residuals.size else 0.0
-    return report("null_property", "constraint-null-property", res, 1e-8)
-
-
-def _ac_check_endowment_free(run):
-    n_goods = _goods_count(run.model)
-    endow_cols = run.iso.vectors[:, run.model.N - n_goods:]
-    return report("endowment_free_rows", "endowment-slot-zeros",
-                  float(np.max(np.abs(endow_cols))), 1e-14)
-
-
-def _ac_check_single_agent(run):
-    """One agent leaves only the resource equations (decisions fully pinned,
-    so no optimization model is posed); the parameter-space tangent basis
-    still has exactly one direction per taste shift."""
-    n_goods = 2
-    stack = np.hstack([np.zeros((n_goods, n_goods)), np.eye(n_goods)])
-    iso = build_isovectors(stack)
-    ok = iso.count == n_goods
-    endow_cols = iso.vectors[:, n_goods:]
-    res = float(np.max(np.abs(endow_cols)))
-    return report("single_agent_degenerate", "tangent-dimension-count",
-                  res if ok else max(res, 1.0), 1e-10, directions=iso.count)
-
-
 def register_pareto_allocation(taste=None, shifts=(0.2, 0.3),
                                endowments=(2.0, 2.0), held_utilities=(0.0,)) -> BenchmarkEntry:
     if taste is None:
@@ -190,16 +162,10 @@ def register_pareto_allocation(taste=None, shifts=(0.2, 0.3),
     default_point = np.concatenate([np.asarray(shifts, dtype=float),
                                     np.asarray(held_utilities, dtype=float),
                                     np.asarray(endowments, dtype=float)])
-    suite = (
-        ("null_property", _ac_check_null_property),
-        ("endowment_free_rows", _ac_check_endowment_free),
-        ("single_agent_degenerate", _ac_check_single_agent),
-    )
     x0 = np.tile(np.asarray(endowments, dtype=float) / n_agents, n_agents)
     return BenchmarkEntry(
         name="pareto_allocation", model=model, default_point=default_point,
         x0=x0,
         isovector_recipe=allocation_rows,
-        property_suite=suite,
         description="fixed-bundle allocation at held utility levels",
     )

@@ -137,51 +137,10 @@ def _make_suite(output_grads):
         res = max(res, min_eig_violation(w_star - w_block, "positive"))
         return report("sharpened_pair", "optimal-io-bounds", res, IDENTITY_TOL)
 
-    def check_sharpening_optimal(run):
-        w_block, m_block, _, p_block = io_blocks(run, output_grads)
-        rng = np.random.default_rng(11)
-        worst = 0.0
-        for _ in range(4):
-            u = rng.normal(size=run.model.M)
-            v_star = scipy.linalg.solve(p_block, m_block.T @ u)
-            best = -2 * u @ m_block @ v_star + v_star @ p_block @ v_star
-            bound_holds = u @ w_block @ u - best
-            worst = max(worst, bound_holds)          # u'Wu <= rhs(v*)
-            for _ in range(6):
-                v = rng.normal(size=p_block.shape[0])
-                rhs = -2 * u @ m_block @ v + v @ p_block @ v
-                worst = max(worst, best - rhs)       # v* minimizes the rhs
-        return report("sharpening_optimal", "optimal-compensator-sampling",
-                      max(0.0, worst), IDENTITY_TOL)
-
-    def check_single_output_reduction(run):
-        model1, x_jac1, (c1, a1) = multi_output_model(
-            [np.array([2.0, 1.0, 1.0])],
-            [np.array([[1.0, 0.2, 0.0], [0.2, 1.0, 0.1], [0.0, 0.1, 1.2]])],
-            name="multi_output_g1")
-        point = np.array([0.5, 0.4, 0.6, 1.0])
-        entry = BenchmarkEntry(
-            name="multi_output_g1", model=model1, default_point=point,
-            x0=model1.analytic_solution(point)[0],
-            isovector_recipe=lambda m, s, se: prescribe_isovectors(
-                np.eye(m.N), np.zeros((0, m.N))))
-        sub = entry.prepare(run.pipeline)
-        _, grads1 = _tech_functions(c1, a1)
-        w_block, m_block, _, p_block = io_blocks(sub, grads1)
-        w_star, p_star = sharpened_pair(w_block, m_block, p_block)
-        dFdp = float(p_block[0, 0])
-        w_star_scalar = w_block + np.outer(m_block[:, 0], m_block[:, 0]) / dFdp
-        res = matrix_mismatch(w_star, w_star_scalar)
-        wWw = float(m_block[:, 0] @ scipy.linalg.solve(w_block, m_block[:, 0]))
-        res = max(res, abs(float(p_star[0, 0]) - (dFdp + wWw)) / max(1.0, abs(dFdp)))
-        return report("single_output_reduction", "g1-specialization", res, IDENTITY_TOL)
-
     return (
         ("block_matrix_a2", check_block_matrix),
         ("block_symmetry", check_block_symmetry),
         ("sharpened_pair", check_sharpened_pair),
-        ("sharpening_optimal", check_sharpening_optimal),
-        ("single_output_reduction", check_single_output_reduction),
     )
 
 

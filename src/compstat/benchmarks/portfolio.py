@@ -14,7 +14,7 @@ import numpy as np
 import scipy.linalg
 
 from ..csm import estimate_rank
-from ..diagnostics import IDENTITY_TOL, ROUNDING_TOL, matrix_mismatch, min_eig_violation, report
+from ..diagnostics import IDENTITY_TOL, matrix_mismatch, min_eig_violation, report
 from ..errors import DomainError
 from ..geometry import prescribe_isovectors
 from ..model import InvarianceGenerator, ProblemModel
@@ -224,23 +224,6 @@ def _pf_check_closed_form(run):
                   multipliers=nu.tolist())
 
 
-def _pf_check_variance(run):
-    m_dim = run.model.M
-    a = run.sol.a
-    args = (a[:m_dim], a[m_dim:2 * m_dim], a[2 * m_dim:3 * m_dim], a[3 * m_dim])
-    direct = float(a[:m_dim] @ run.sol.x**2)
-    formula = portfolio_variance(*args, a[3 * m_dim + 1])
-    res = abs(direct - formula)
-    best_target, best_value = variance_minimum(*args)
-    res = max(res, abs(portfolio_variance(*args, best_target) - best_value))
-    for delta in (1e-3, 0.05):
-        res = max(res, max(0.0, best_value - portfolio_variance(*args, best_target + delta)))
-        res = max(res, max(0.0, best_value - portfolio_variance(*args, best_target - delta)))
-    return report("variance_formula", "optimal-variance-closed-form", res,
-                  ROUNDING_TOL, minimum_target=best_target,
-                  minimum_value=best_value)
-
-
 def _pf_check_csm_blocks(run):
     var_resp, sub_w, sub_r = _blocks(run)
     nu = -run.sol.lam
@@ -277,7 +260,7 @@ def _pf_check_null_vectors(run):
     return report("null_vectors", "constraint-null-vectors", worst, IDENTITY_TOL)
 
 
-def _make_original_checks(sigma, w, r):
+def _make_original_check(sigma, w, r):
     sigma = np.asarray(sigma, dtype=float)
     w = np.asarray(w, dtype=float)
     r = np.asarray(r, dtype=float)
@@ -307,25 +290,7 @@ def _make_original_checks(sigma, w, r):
                       res if rank_ok else max(res, 1.0), IDENTITY_TOL,
                       dropped=list(dropped))
 
-    def check_diagonal_trivial(run):
-        diag = np.diag([1.0, 4.0])
-        variances, vectors, W, R, dropped = principal_data(
-            diag, np.ones(2), np.array([1.0, 2.0]))
-        res = float(np.max(np.abs(vectors - np.eye(2))))
-        res = max(res, float(np.max(np.abs(variances - np.array([1.0, 4.0])))))
-        res = max(res, float(np.max(np.abs(W - 1.0))))
-        res = max(res, float(np.max(np.abs(R - np.array([1.0, 2.0])))))
-        return report("diagonal_covariance", "eigenbasis-trivial", res, 1e-12)
-
-    def check_riskless_exclusion(run):
-        singular = np.diag([1.0, 2.0, 0.0])
-        variances, vectors, W, R, dropped = principal_data(
-            singular, np.ones(3), np.array([0.05, 0.1, 0.02]))
-        ok = len(dropped) == 1 and variances.size == 2 and np.all(variances > 0)
-        return report("riskless_exclusion", "zero-variance-split-off",
-                      0.0 if ok else 1.0, 0.5, dropped=list(dropped))
-
-    return check_original, check_diagonal_trivial, check_riskless_exclusion
+    return check_original
 
 
 DEFAULT_SIGMA = np.array([
@@ -346,16 +311,13 @@ def register_efficient_portfolio(sigma=None, returns=None, target=0.09) -> Bench
     model = principal_model(variances.size)
     default_point = np.concatenate([variances, W, R, [1.0, target]])
     x_start, _ = model.analytic_solution(default_point)
-    check_original, check_diag, check_riskless = _make_original_checks(sigma, w, returns)
+    check_original = _make_original_check(sigma, w, returns)
     suite = (
         ("closed_form_solution", _pf_check_closed_form),
-        ("variance_formula", _pf_check_variance),
         ("csm_block_structure", _pf_check_csm_blocks),
         ("symmetry_relations", _pf_check_symmetry_relations),
         ("null_vectors", _pf_check_null_vectors),
         ("original_coordinates", check_original),
-        ("diagonal_covariance", check_diag),
-        ("riskless_exclusion", check_riskless),
     )
     def derived(run: BenchRun) -> dict:
         var_resp, sub_w, sub_r = _blocks(run)

@@ -12,8 +12,7 @@ import math
 
 import numpy as np
 
-from ..csm import (build_omega, build_omega_a1, build_omega_a2, estimate_rank,
-                   from_matrix, transform_csm)
+from ..csm import build_omega, build_omega_a1, build_omega_a2, from_matrix, transform_csm
 from ..diagnostics import IDENTITY_TOL, matrix_mismatch, min_eig_violation, report
 from ..errors import ConfigurationError, DomainError
 from ..geometry import build_isovectors, prescribe_isovectors
@@ -256,30 +255,6 @@ def _make_suite(gamma, F0):
         return report("supply_bound", "supply-slope-lower-bound", res,
                       IDENTITY_TOL, sigma=sigma, bound=bound)
 
-    def check_family_sampling(run):
-        rng = np.random.default_rng(7)
-        worst = 0.0
-        for _ in range(5):
-            member = family_member(run, rng.normal(size=run.model.M))
-            worst = max(worst, min_eig_violation(member.matrix, "negative"))
-        zero_member = family_member(run, np.zeros(run.model.M))
-        worst = max(worst, matrix_mismatch(zero_member.matrix, input_price_block(run)))
-        return report("family_sampling", "congruence-family-semidefinite", worst,
-                      IDENTITY_TOL)
-
-    def check_singular_transform(run):
-        m_dim = run.model.M
-        w = run.sol.a[:m_dim]
-        sing_run = run.entry.prepare(run.pipeline, a=np.append(w, float(np.sum(w))))
-        member = family_member(sing_run, np.ones(m_dim))
-        base_rank = estimate_rank(input_price_block(sing_run))
-        ok = (member.rank_estimate == base_rank - 1
-              and member.transform_kind == "singular")
-        return report("singular_transform_rank_drop", "singular-congruence-rank",
-                      0.0 if ok else 1.0, 0.5,
-                      member_rank=member.rank_estimate, base_rank=base_rank,
-                      kind=member.transform_kind)
-
     def check_log_variant(run):
         a1 = build_omega_a1(run.model, run.sol, run.sens)
         a2 = build_omega_a2(run.model, run.sol, run.sens)
@@ -297,8 +272,6 @@ def _make_suite(gamma, F0):
         ("scale_rows_csm", check_scale_rows_csm),
         ("sharpened_input_bound", check_sharpened_input_bound),
         ("supply_bound", check_supply_bound),
-        ("family_sampling", check_family_sampling),
-        ("singular_transform_rank_drop", check_singular_transform),
         ("log_variant_agreement", check_log_variant),
     )
 

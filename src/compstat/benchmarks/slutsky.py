@@ -152,21 +152,6 @@ def _check_reduced_form(run: BenchRun):
     return report("reduced_form_equivalent", "income-scaled-reduction", res, ROUNDING_TOL)
 
 
-def _check_drop_reconstruct(run: BenchRun):
-    """Dropping the last row and column loses nothing: the full matrix is
-    rebuilt from the leading block through the null vector."""
-    sigma_tilde = reduced_substitution(run)
-    m_dim = run.model.M
-    p_tilde = run.sol.a[:m_dim] / run.sol.a[m_dim]
-    lead = sigma_tilde[:m_dim - 1, :m_dim - 1]
-    rebuilt = np.zeros_like(sigma_tilde)
-    rebuilt[:m_dim - 1, :m_dim - 1] = lead
-    rebuilt[:m_dim - 1, m_dim - 1] = -lead @ p_tilde[:m_dim - 1] / p_tilde[m_dim - 1]
-    rebuilt[m_dim - 1, :] = -p_tilde[:m_dim - 1] @ rebuilt[:m_dim - 1, :] / p_tilde[m_dim - 1]
-    return report("drop_last_reconstruct", "redundant-row-reconstruction",
-                  matrix_mismatch(rebuilt, sigma_tilde), ROUNDING_TOL)
-
-
 def derived_matrices(run: BenchRun) -> dict:
     return {"substitution": (substitution_matrix(run), "negative")}
 
@@ -182,7 +167,6 @@ def register_slutsky_hicks(gamma=(0.5, 0.5), default_point=(1.0, 1.0, 1.0)) -> B
         ("sigma_price_null", _check_price_null_vector),
         ("omega_is_scaled_sigma", _check_omega_relation),
         ("reduced_form_equivalent", _check_reduced_form),
-        ("drop_last_reconstruct", _check_drop_reconstruct),
     )
     default_point = np.asarray(default_point, dtype=float)
     return BenchmarkEntry(

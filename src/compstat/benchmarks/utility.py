@@ -268,26 +268,6 @@ def _mp_make_suite(gamma, intercepts, slopes):
         return report("price_coordinate_structure", "modified-substitution-nulls",
                       res, IDENTITY_TOL)
 
-    def check_elasticity_form(run):
-        prices, x_p, x_m_price = _market_pieces(run, b)
-        sigma_p = x_p + np.outer(x_m_price, run.sol.x)
-        correction = sigma_p @ np.diag(b) @ x_p.T
-        x = run.sol.x
-        q = run.sol.a[:run.model.M]
-        m_dim = run.model.M
-        elastic = np.zeros((m_dim, m_dim))
-        for alpha in range(m_dim):
-            for beta in range(m_dim):
-                acc = 0.0
-                for g in range(m_dim):
-                    dem = (prices[g] / x[beta]) * x_p[beta, g]
-                    sup = prices[g] / ((x[g] + q[g]) * b[g])
-                    acc += (sigma_p[alpha, g] * (x[g] / (x[g] + q[g]))
-                            * (x[beta] / x[g]) * dem / sup)
-                elastic[alpha, beta] = acc
-        return report("elasticity_form", "market-share-scaling",
-                      matrix_mismatch(correction, elastic), IDENTITY_TOL)
-
     def check_modified_euler(run):
         prices, x_p, x_m_price = _market_pieces(run, b)
         x = run.sol.x
@@ -325,7 +305,6 @@ def _mp_make_suite(gamma, intercepts, slopes):
     return (
         ("g_matrix_from_recipe", check_g_matrix),
         ("price_coordinate_structure", check_g_price_structure),
-        ("elasticity_form", check_elasticity_form),
         ("modified_euler", check_modified_euler),
         ("competitive_limit", check_competitive_limit),
     )

@@ -215,15 +215,14 @@ def check_semidefinite(matrix: Union[np.ndarray, CsmResult], expected_sign: str,
 def check_tangent_semidefinite(csm: CsmResult, grads: np.ndarray,
                                name: str) -> CheckReport:
     """Positive semidefiniteness of the symmetrized matrix restricted to the
-    null space of the rows of `grads` (all of space when there are none).
-    The residual is the most negative restricted eigenvalue, as a positive
-    number, over max(1, |largest|); an empty space passes."""
+    null space of the rows of `grads` (all of space when there are none):
+    the `spectrum_violation` of the restricted spectrum; an empty space
+    passes."""
     basis = scipy.linalg.null_space(grads) if grads.shape[0] else np.eye(csm.order)
     restricted = basis.T @ csm.symmetrized() @ basis
-    eig = np.linalg.eigvalsh(0.5 * (restricted + restricted.T)) if basis.shape[1] else [0.0]
-    residual = max(0.0, -float(eig[0])) / max(1.0, abs(float(eig[-1])))
-    return report(name, "tangent-restricted-semidefinite", residual, SEMIDEFINITE_TOL,
-                  subspace_dim=basis.shape[1])
+    eig = np.linalg.eigvalsh(0.5 * (restricted + restricted.T))
+    return report(name, "tangent-restricted-semidefinite", spectrum_violation(eig, "positive"),
+                  SEMIDEFINITE_TOL, subspace_dim=basis.shape[1])
 
 
 def check_rank_bound(csm: CsmResult, M: int, K: int, A: Optional[int] = None,

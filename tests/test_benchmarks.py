@@ -144,6 +144,14 @@ def test_portfolio_riskless_mix_excluded():
     assert dropped == (0,)                   # eigenvalues sorted ascending
     assert variances == pytest.approx([1.0, 2.0])
     assert vectors.shape == (3, 2)
+    # a diagonal covariance is its own eigenbasis, with nothing dropped
+    variances, vectors, W, R, dropped = principal_data(
+        np.diag([1.0, 4.0]), np.ones(2), np.array([1.0, 2.0]))
+    assert dropped == ()
+    assert variances == pytest.approx([1.0, 4.0], abs=1e-12)
+    assert vectors == pytest.approx(np.eye(2), abs=1e-12)
+    assert W == pytest.approx([1.0, 1.0], abs=1e-12)
+    assert R == pytest.approx([1.0, 2.0], abs=1e-12)
 
 
 def test_principal_agent_rejects_nonbinding_configuration():

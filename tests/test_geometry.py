@@ -20,6 +20,11 @@ def test_nullspace_dimension_law_budget_constraint():
     assert np.max(iso.null_residuals) < 1e-14
     # rows orthonormal by construction
     assert iso.vectors @ iso.vectors.T == pytest.approx(np.eye(2), abs=1e-14)
+    # one agent's resource rows (b1, b2, omega1, omega2): a direction per
+    # taste shift, none moving an endowment
+    iso = build_isovectors(np.hstack([np.zeros((2, 2)), np.eye(2)]))
+    assert iso.count == 2
+    assert np.max(np.abs(iso.vectors[:, 2:])) < 1e-10
 
 
 def test_empty_target_stack_gives_standard_basis():
