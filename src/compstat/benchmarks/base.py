@@ -108,16 +108,20 @@ def generic_checks(run: BenchRun, recipes: dict) -> list:
     """The checks every model must pass, on a prepared run and the recipes
     built on it (name -> CsmResult), in report order: invariance per
     generator, then per recipe its semidefiniteness and rank bound (the
-    Silberberg matrix: its semidefiniteness on the null space of G_a;
-    "omega_quadratic": neither), the expected sign of each derived matrix,
-    conformance when there are constraints, coherence of the other recipes
-    with "omega_eq7", and the separable-constraint reduction when the model
+    Silberberg matrix: its semidefiniteness on the null space of G_a), the
+    expected sign of each derived matrix, conformance when there are
+    constraints, coherence of "omega_quadratic" and "universal_U" with
+    "omega_eq7", and the separable-constraint reduction when the model
     declares its slots.
 
+    A row whose verdict a recipe's construction decides is left out.
     "omega_quadratic" is -X^T L_xx X for the compensated responses X: the
     second-order gate makes L_xx negative definite on null(G_x), so its sign
     and its rank bound hold wherever conformance does, up to terms second
-    order in the conformance residual.  Its coherence row stays.
+    order in the conformance residual.  "universal_U" passes through a
+    tangent projector of rank M - K.  For the Silberberg matrix S and the
+    direction rows T, T S T^T - "omega_eq7" = (T G_a^T)(lam_jac T^T), and
+    the directions are built with T G_a^T = 0.
 
     Invariance is held to IDENTITY_TOL, or to STENCIL_TOL when the decision
     Jacobian comes from central differences."""
@@ -129,14 +133,13 @@ def generic_checks(run: BenchRun, recipes: dict) -> list:
         if recipe == "silberberg_S":
             checks.append(check_tangent_semidefinite(result, sol.blocks.Ga,
                                                      "semidefinite[silberberg_S|tangent]"))
-            continue
-        if recipe == "omega_quadratic":
-            continue
-        checks.append(check_semidefinite(result, "positive", tol=SEMIDEFINITE_TOL,
-                                         symmetry_tol=SEMIDEFINITE_TOL,
-                                         name=f"semidefinite[{recipe}]"))
-        checks.append(check_rank_bound(result, model.M, model.K,
-                                       name=f"rank_bound[{recipe}]"))
+        elif recipe != "omega_quadratic":
+            checks.append(check_semidefinite(result, "positive", tol=SEMIDEFINITE_TOL,
+                                             symmetry_tol=SEMIDEFINITE_TOL,
+                                             name=f"semidefinite[{recipe}]"))
+            if recipe != "universal_U":
+                checks.append(check_rank_bound(result, model.M, model.K,
+                                               name=f"rank_bound[{recipe}]"))
     for name, (result, sign) in run.derived.items():
         checks.append(check_semidefinite(result, sign, tol=SEMIDEFINITE_TOL,
                                          symmetry_tol=SEMIDEFINITE_TOL,
@@ -145,15 +148,13 @@ def generic_checks(run: BenchRun, recipes: dict) -> list:
         checks.append(check_conformance(sol, sens, iso))
     omega = recipes.get("omega_eq7")
     if omega is not None:
-        for other, sandwich in (("omega_quadratic", False), ("silberberg_S", True),
-                                ("universal_U", True)):
-            if other not in recipes:
-                continue
-            mat = recipes[other].matrix
-            if sandwich:
-                mat = iso.vectors @ mat @ iso.vectors.T
-            checks.append(report(f"coherence[{other}]", "recipe-cross-identity",
-                                 matrix_mismatch(mat, omega.matrix), IDENTITY_TOL))
+        for other in ("omega_quadratic", "universal_U"):
+            if other in recipes:
+                mat = recipes[other].matrix
+                if other == "universal_U":
+                    mat = iso.vectors @ mat @ iso.vectors.T
+                checks.append(report(f"coherence[{other}]", "recipe-cross-identity",
+                                     matrix_mismatch(mat, omega.matrix), IDENTITY_TOL))
     if model.separable_kappa is not None:
         checks.append(check_hatta_reduction(model, sol, sens, iso, omega))
     return checks

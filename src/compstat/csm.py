@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (AssemblyError, CompstatError, ConfigurationError,
                      ConstraintQualificationError, DimensionError, DomainError)
@@ -25,7 +24,8 @@ from .sensitivity import SensitivityBundle
 from .solver import SolutionPoint
 
 RANK_TOL = 1e-7
-SINGULAR_RTOL = 1e-12     # relative singular-value floor of a Gram matrix or a transform
+SINGULAR_RTOL = 1e-12     # relative singular-value floor of a square transform
+INDEPENDENCE_RTOL = 1e-6  # that of unit-length constraint rows, sqrt(1e-12) on their Gram
 
 POSITIVE = "positive_semidefinite_expected"
 NEGATIVE = "negative_semidefinite_expected"
@@ -212,8 +212,11 @@ def build_universal(model: ProblemModel, sol: SolutionPoint,
                     sens: SensitivityBundle) -> CsmResult:
     """Projection-based maximal matrix over the full parameter set.
 
-    Uses the decision-space projector onto the span of the constraint
-    gradients; constraint qualification (invertible Gram matrix) is required.
+    With the constraint-gradient rows scaled to unit length, D G_x = W S V^T
+    (thin SVD), the tangent projector is I - V V^T and
+    G_x^T (G_x G_x^T)^-1 G_a = V S^-1 W^T D G_a.  Constraint qualification,
+    independent rows of G_x, is required; scaling a constraint does not
+    change the verdict.
     """
     lxx = sol.blocks.lagrangian_hess_xx(sol.lam)
     lxa = sol.blocks.lagrangian_hess_xa(sol.lam)
@@ -221,19 +224,19 @@ def build_universal(model: ProblemModel, sol: SolutionPoint,
         u_matrix = sens.x_jac.T @ lxa
     else:
         gx, ga = sol.blocks.Gx, sol.blocks.Ga
-        gram = gx @ gx.T
-        if not np.isfinite(gram).all():
+        with np.errstate(over="ignore"):
+            lengths = np.linalg.norm(gx, axis=1)
+        if not (np.isfinite(lengths).all() and lengths.all()):
             raise ConstraintQualificationError(
-                f"constraint-gradient Gram matrix of {model.name!r} is not finite")
-        svals = np.linalg.svd(gram, compute_uv=False)
-        if svals[-1] <= SINGULAR_RTOL * max(svals[0], 1.0):
+                f"constraint gradients of {model.name!r} vanish or are not finite")
+        w, svals, vt = np.linalg.svd(gx / lengths[:, None], full_matrices=False)
+        if svals[-1] <= INDEPENDENCE_RTOL * svals[0]:
             raise ConstraintQualificationError(
-                f"constraint-gradient Gram matrix of {model.name!r} is singular")
-        gram_inv_gx = scipy.linalg.solve(gram, gx, assume_a="pos")
-        q_proj = gx.T @ gram_inv_gx                      # M x M projector
-        tangent = np.eye(model.M) - q_proj
-        bracket = lxa - lxx @ gx.T @ scipy.linalg.solve(gram, ga, assume_a="pos")
-        u_matrix = sens.x_jac.T @ tangent @ bracket
+                f"constraint gradients of {model.name!r} are linearly dependent "
+                f"(singular values {svals} of the unit-length rows)")
+        coeffs = (w.T @ (ga / lengths[:, None])) / svals[:, None]     # S^-1 W^T D G_a
+        bracket = lxa - (lxx @ vt.T) @ coeffs
+        u_matrix = sens.x_jac.T @ (bracket - vt.T @ (vt @ bracket))
     return _finalize(u_matrix, "universal_U", POSITIVE, labels=model.parameter_names)
 
 

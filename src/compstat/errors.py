@@ -59,7 +59,7 @@ class DomainError(CompstatError):
 
 
 class ConstraintQualificationError(CompstatError):
-    """The constraint-gradient Gram matrix is singular."""
+    """A constraint gradient vanishes or is not finite, or they are dependent."""
 
 
 class DimensionError(CompstatError):

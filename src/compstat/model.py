@@ -233,80 +233,50 @@ def augment_with_scale(model: ProblemModel, scale_name: str = "s") -> ProblemMod
     """Append a positive scale parameter s and replace f by s*f.
 
     The appended parameter defaults to 1 and leaves the decision functions
-    unchanged; constraints are untouched.
+    unchanged; constraints are untouched.  Every registered block is lifted:
+    the objective's is scaled by s, and grad_a and hess_xa gain their
+    derivative in s, which is f or f_x for the objective (the lifted block
+    stays unregistered without that partner) and 0 for a constraint.
     """
-    base_obj = model.objective
-
-    def scaled_objective(x, a):
-        return a[-1] * base_obj(x, a[:-1])
-
-    def lift_con(con):
-        return lambda x, a, _c=con: _c(x, a[:-1])
-
-    def lift_vec(fn):
-        if fn is None:
+    def lift(kind: str, k: Optional[int]):
+        fn = _registered(model, kind, k)
+        partner = {"grad_a": "value", "hess_xa": "grad_x"}.get(kind)   # d/ds s f, d/ds s f_x
+        d_s = _registered(model, partner, None) if partner and k is None else None
+        if fn is None or (partner and k is None and d_s is None):
             return None
-        return lambda x, a, _f=fn: np.asarray(_f(x, a[:-1]), dtype=float)
 
-    grad_x_obj = None
-    if model.grad_x_objective is not None:
-        grad_x_obj = lambda x, a: a[-1] * np.asarray(model.grad_x_objective(x, a[:-1]), float)
-    grad_a_obj = None
-    if model.grad_a_objective is not None:
-        grad_a_obj = lambda x, a: np.append(
-            a[-1] * np.asarray(model.grad_a_objective(x, a[:-1]), float),
-            model.objective(x, a[:-1]))
-    hess_xx_obj = None
-    if model.hess_xx_objective is not None:
-        hess_xx_obj = lambda x, a: a[-1] * np.asarray(model.hess_xx_objective(x, a[:-1]), float)
-    hess_xa_obj = None
-    if model.hess_xa_objective is not None and model.grad_x_objective is not None:
-        hess_xa_obj = lambda x, a: np.column_stack([
-            a[-1] * np.asarray(model.hess_xa_objective(x, a[:-1]), float),
-            np.asarray(model.grad_x_objective(x, a[:-1]), float)])
+        def lifted(x, a):
+            block = fn(x, a[:-1])
+            if kind != "value":
+                block = np.asarray(block, dtype=float)
+            if k is None:
+                block = a[-1] * block
+            if partner is None:
+                return block
+            last = (np.zeros(block.shape[:-1]) if d_s is None
+                    else np.asarray(d_s(x, a[:-1]), dtype=float))
+            return np.concatenate([block, last[..., None]], axis=-1)
+        return lifted
 
-    grad_x_cons = None
-    if model.grad_x_constraints is not None:
-        grad_x_cons = tuple(lift_vec(fn) for fn in model.grad_x_constraints)
-    grad_a_cons = None
-    if model.grad_a_constraints is not None:
-        grad_a_cons = tuple(
-            (lambda x, a, _f=fn: np.append(np.asarray(_f(x, a[:-1]), float), 0.0))
-            if fn is not None else None
-            for fn in model.grad_a_constraints)
-    hess_xx_cons = None
-    if model.hess_xx_constraints is not None:
-        hess_xx_cons = tuple(lift_vec(fn) for fn in model.hess_xx_constraints)
-    hess_xa_cons = None
-    if model.hess_xa_constraints is not None:
-        hess_xa_cons = tuple(
-            (lambda x, a, _f=fn: np.column_stack([
-                np.asarray(_f(x, a[:-1]), float), np.zeros(len(x))]))
-            if fn is not None else None
-            for fn in model.hess_xa_constraints)
+    fields = {}
+    for kind, (objective_field, bank_field) in BLOCK_FIELDS.items():
+        bank = getattr(model, bank_field)
+        fields[objective_field] = lift(kind, None)
+        fields[bank_field] = None if bank is None else tuple(
+            lift(kind, k) for k in range(len(bank)))
 
-    analytic_solution = None
-    if model.analytic_solution is not None:
-        def scaled_solution(a, _sol=model.analytic_solution):
-            x, lam = _sol(a[:-1])
-            return x, a[-1] * np.asarray(lam, dtype=float)
-        analytic_solution = scaled_solution
+    solution = model.analytic_solution
+
+    def scaled_solution(a):
+        x, lam = solution(a[:-1])
+        return x, a[-1] * np.asarray(lam, dtype=float)
 
     return replace(
         model,
         name=f"{model.name}+scale",
         N=model.N + 1,
-        objective=scaled_objective,
-        constraints=tuple(lift_con(c) for c in model.constraints),
-        grad_x_objective=grad_x_obj,
-        grad_a_objective=grad_a_obj,
-        grad_x_constraints=grad_x_cons,
-        grad_a_constraints=grad_a_cons,
-        hess_xx_objective=hess_xx_obj,
-        hess_xa_objective=hess_xa_obj,
-        hess_xx_constraints=hess_xx_cons,
-        hess_xa_constraints=hess_xa_cons,
-        analytic_solution=analytic_solution,
+        **fields,
+        analytic_solution=None if solution is None else scaled_solution,
         parameter_names=model.parameter_names + (scale_name,),
         invariance_generators=(),
         separable_kappa=None,

@@ -363,7 +363,6 @@ def test_rotated_directions_move_only_the_oracles_stated_on_prescribed_rows():
 FLIPS = """
 analyze cost_constrained_profit fd
   coherence[omega_quadratic]: omega_sign lam_scale lam_sign f_xx f_xa jac_cols
-  coherence[silberberg_S]: omega_sign
   coherence[universal_U]: omega_sign lam_scale lam_sign f_xa jac_cols
   conformance: jac_cols
   envelope:
@@ -371,7 +370,6 @@ analyze cost_constrained_profit fd
   invariance[input_price_cost_scale]: jac_cols
   invariance[output_price_scale]: jac_cols
   rank_bound[omega_eq7]: lam_scale lam_sign f_xa jac_cols off_null
-  rank_bound[universal_U]: lam_scale lam_sign f_xa jac_cols
   semidefinite[derived:expenditure_substitution]: jac_cols off_null
   semidefinite[derived:output_price_block]: jac_cols off_null
   semidefinite[omega_eq7]: omega_sign lam_scale lam_sign f_xa jac_cols off_null
@@ -379,7 +377,6 @@ analyze cost_constrained_profit fd
   semidefinite[universal_U]: lam_scale lam_sign f_xa jac_cols
 analyze cost_constrained_profit ift
   coherence[omega_quadratic]: omega_sign jac_cols
-  coherence[silberberg_S]: omega_sign
   coherence[universal_U]: omega_sign jac_cols
   conformance: jac_cols
   envelope:
@@ -387,7 +384,6 @@ analyze cost_constrained_profit ift
   invariance[input_price_cost_scale]: f_xa jac_cols
   invariance[output_price_scale]: f_xa jac_cols
   rank_bound[omega_eq7]: jac_cols off_null
-  rank_bound[universal_U]: jac_cols
   semidefinite[derived:expenditure_substitution]: lam_sign f_xa jac_cols off_null
   semidefinite[derived:output_price_block]: f_xa jac_cols off_null
   semidefinite[omega_eq7]: omega_sign jac_cols off_null
@@ -395,21 +391,18 @@ analyze cost_constrained_profit ift
   semidefinite[universal_U]: jac_cols
 analyze cost_constrained_profit twin
   coherence[omega_quadratic]: omega_sign jac_cols
-  coherence[silberberg_S]: omega_sign
   coherence[universal_U]: omega_sign jac_cols
   conformance: jac_cols
   hatta_reduction: omega_sign
   invariance[input_price_cost_scale]: jac_cols
   invariance[output_price_scale]: jac_cols
   rank_bound[omega_eq7]: jac_cols off_null
-  rank_bound[universal_U]: jac_cols
   semidefinite[derived:expenditure_substitution]: lam_sign jac_cols off_null
   semidefinite[omega_eq7]: omega_sign jac_cols off_null
   semidefinite[silberberg_S|tangent]: jac_cols off_null
   semidefinite[universal_U]: jac_cols
 analyze efficient_portfolio fd
   coherence[omega_quadratic]: swap_steps omega_sign lam_scale lam_sign f_xx f_xa jac_cols off_null
-  coherence[silberberg_S]: omega_sign
   coherence[universal_U]: swap_steps omega_sign lam_scale lam_sign f_xa jac_cols off_null
   conformance: jac_cols
   envelope: swap_steps f_a
@@ -418,7 +411,6 @@ analyze efficient_portfolio fd
   invariance[scale_returns]: jac_cols off_null
   invariance[scale_variances]: jac_cols off_null
   rank_bound[omega_eq7]: swap_steps lam_sign jac_cols off_null
-  rank_bound[universal_U]: lam_scale lam_sign jac_cols
   semidefinite[derived:budget_substitution]: lam_sign jac_cols off_null
   semidefinite[derived:return_substitution]: swap_steps lam_sign jac_cols off_null
   semidefinite[derived:squared_share_response]: jac_cols off_null
@@ -427,7 +419,6 @@ analyze efficient_portfolio fd
   semidefinite[universal_U]: swap_steps lam_scale lam_sign f_xa jac_cols
 analyze efficient_portfolio ift
   coherence[omega_quadratic]: omega_sign jac_cols off_null
-  coherence[silberberg_S]: omega_sign
   coherence[universal_U]: omega_sign jac_cols off_null
   conformance: jac_cols
   envelope: swap_steps f_a
@@ -436,7 +427,6 @@ analyze efficient_portfolio ift
   invariance[scale_returns]: f_xa jac_cols off_null
   invariance[scale_variances]: f_xa jac_cols off_null
   rank_bound[omega_eq7]: jac_cols off_null
-  rank_bound[universal_U]: jac_cols
   semidefinite[derived:budget_substitution]: f_xa jac_cols off_null
   semidefinite[derived:return_substitution]: f_xa jac_cols off_null
   semidefinite[derived:squared_share_response]: f_xa jac_cols off_null
@@ -445,7 +435,6 @@ analyze efficient_portfolio ift
   semidefinite[universal_U]: jac_cols
 analyze efficient_portfolio twin
   coherence[omega_quadratic]: omega_sign jac_cols off_null
-  coherence[silberberg_S]: omega_sign
   coherence[universal_U]: omega_sign jac_cols off_null
   conformance: jac_cols
   hatta_reduction: omega_sign
@@ -453,7 +442,6 @@ analyze efficient_portfolio twin
   invariance[scale_returns]: jac_cols off_null
   invariance[scale_variances]: jac_cols off_null
   rank_bound[omega_eq7]: jac_cols off_null
-  rank_bound[universal_U]: jac_cols
   semidefinite[derived:budget_substitution]: jac_cols off_null
   semidefinite[derived:return_substitution]: jac_cols off_null
   semidefinite[derived:squared_share_response]: jac_cols off_null
@@ -462,193 +450,161 @@ analyze efficient_portfolio twin
   semidefinite[universal_U]: jac_cols
 analyze market_power fd
   coherence[omega_quadratic]: omega_sign lam_scale lam_sign f_xa jac_cols
-  coherence[silberberg_S]: omega_sign
   coherence[universal_U]: omega_sign f_xa jac_cols
   conformance: jac_cols
   envelope: f_a
   hatta_reduction: omega_sign f_xa
   rank_bound[omega_eq7]: f_xa jac_cols off_null
-  rank_bound[universal_U]: lam_scale lam_sign f_xa
   semidefinite[derived:price_impact_substitution]: jac_cols off_null
   semidefinite[omega_eq7]: omega_sign lam_sign f_xa jac_cols
   semidefinite[silberberg_S|tangent]: lam_sign f_xa jac_cols
   semidefinite[universal_U]: lam_scale lam_sign f_xa jac_cols
 analyze market_power ift
   coherence[omega_quadratic]: omega_sign jac_cols
-  coherence[silberberg_S]: omega_sign
   coherence[universal_U]: omega_sign jac_cols
   conformance: jac_cols
   envelope: f_a
   hatta_reduction: omega_sign f_xa
   rank_bound[omega_eq7]: jac_cols off_null
-  rank_bound[universal_U]:
   semidefinite[derived:price_impact_substitution]: lam_sign f_xa jac_cols off_null
   semidefinite[omega_eq7]: omega_sign jac_cols
   semidefinite[silberberg_S|tangent]: jac_cols
   semidefinite[universal_U]: jac_cols
 analyze market_power twin
   coherence[omega_quadratic]: omega_sign jac_cols
-  coherence[silberberg_S]: omega_sign
   coherence[universal_U]: omega_sign jac_cols
   conformance: jac_cols
   hatta_reduction: omega_sign
   rank_bound[omega_eq7]: jac_cols off_null
-  rank_bound[universal_U]:
   semidefinite[derived:price_impact_substitution]: swap_steps lam_sign jac_cols off_null
   semidefinite[omega_eq7]: omega_sign jac_cols
   semidefinite[silberberg_S|tangent]: jac_cols
   semidefinite[universal_U]: jac_cols
 analyze multi_constraint_utility fd
   coherence[omega_quadratic]: omega_sign lam_scale lam_sign f_xx f_xa jac_cols
-  coherence[silberberg_S]: omega_sign
   coherence[universal_U]: omega_sign f_xa jac_cols
   conformance: jac_cols
   envelope: f_a
   rank_bound[omega_eq7]: swap_steps f_xa jac_cols off_null
-  rank_bound[universal_U]: lam_scale lam_sign f_xa jac_cols
   semidefinite[derived:substitution_block_1]: swap_steps jac_cols off_null
   semidefinite[omega_eq7]: swap_steps omega_sign lam_sign f_xa jac_cols off_null
   semidefinite[silberberg_S|tangent]: newton_tol swap_steps lam_sign f_xa jac_cols
   semidefinite[universal_U]: lam_scale lam_sign f_xa jac_cols
 analyze multi_constraint_utility ift
   coherence[omega_quadratic]: omega_sign jac_cols
-  coherence[silberberg_S]: omega_sign
   coherence[universal_U]: omega_sign jac_cols
   conformance: jac_cols
   envelope: f_a
   rank_bound[omega_eq7]: jac_cols off_null
-  rank_bound[universal_U]: jac_cols
   semidefinite[derived:substitution_block_1]: lam_sign f_xa jac_cols off_null
   semidefinite[omega_eq7]: omega_sign jac_cols off_null
   semidefinite[silberberg_S|tangent]: jac_cols
   semidefinite[universal_U]: jac_cols
 analyze multi_constraint_utility twin
   coherence[omega_quadratic]: omega_sign jac_cols
-  coherence[silberberg_S]: omega_sign
   coherence[universal_U]: omega_sign jac_cols
   conformance: jac_cols
   rank_bound[omega_eq7]: jac_cols off_null
-  rank_bound[universal_U]: jac_cols
   semidefinite[derived:substitution_block_1]: lam_sign jac_cols off_null
   semidefinite[omega_eq7]: omega_sign jac_cols off_null
   semidefinite[silberberg_S|tangent]: jac_cols
   semidefinite[universal_U]: jac_cols
 analyze multi_output_profit fd
   coherence[omega_quadratic]: omega_sign f_xx f_xa jac_cols
-  coherence[silberberg_S]: omega_sign
   coherence[universal_U]: omega_sign f_xa jac_cols
   envelope: f_a
   invariance[price_scale]: jac_cols
   rank_bound[omega_eq7]: f_xa jac_cols
-  rank_bound[universal_U]: f_xa jac_cols
   semidefinite[derived:io_response_block]: jac_cols
   semidefinite[omega_eq7]: omega_sign f_xa jac_cols
   semidefinite[silberberg_S|tangent]: f_xa jac_cols
   semidefinite[universal_U]: f_xa jac_cols
 analyze multi_output_profit ift
   coherence[omega_quadratic]: omega_sign jac_cols
-  coherence[silberberg_S]: omega_sign
   coherence[universal_U]: omega_sign jac_cols
   envelope: f_a
   invariance[price_scale]: f_xa jac_cols
   rank_bound[omega_eq7]: jac_cols
-  rank_bound[universal_U]: jac_cols
   semidefinite[derived:io_response_block]: f_xa jac_cols
   semidefinite[omega_eq7]: omega_sign jac_cols
   semidefinite[silberberg_S|tangent]: jac_cols
   semidefinite[universal_U]: jac_cols
 analyze multi_output_profit twin
   coherence[omega_quadratic]: omega_sign jac_cols
-  coherence[silberberg_S]: omega_sign
   coherence[universal_U]: omega_sign jac_cols
   invariance[price_scale]: jac_cols
   rank_bound[omega_eq7]: jac_cols
-  rank_bound[universal_U]: jac_cols
   semidefinite[derived:io_response_block]: unscaled_step swap_steps jac_cols
   semidefinite[omega_eq7]: omega_sign jac_cols
   semidefinite[silberberg_S|tangent]: jac_cols
   semidefinite[universal_U]: jac_cols
 analyze pareto_allocation fd
   coherence[omega_quadratic]: omega_sign lam_scale f_xx f_xa jac_cols
-  coherence[silberberg_S]: omega_sign
   coherence[universal_U]: omega_sign lam_scale f_xa jac_cols off_null
   conformance: jac_cols
   envelope: f_a
   rank_bound[omega_eq7]: lam_scale jac_cols
-  rank_bound[universal_U]: newton_tol lam_scale jac_cols
   semidefinite[omega_eq7]: omega_sign lam_scale f_xa jac_cols
   semidefinite[silberberg_S|tangent]: lam_scale jac_cols
   semidefinite[universal_U]: newton_tol lam_scale f_xa jac_cols
 analyze pareto_allocation ift
   coherence[omega_quadratic]: omega_sign jac_cols
-  coherence[silberberg_S]: omega_sign
   coherence[universal_U]: omega_sign jac_cols off_null
   conformance: jac_cols
   envelope: f_a
   rank_bound[omega_eq7]: jac_cols
-  rank_bound[universal_U]: jac_cols
   semidefinite[omega_eq7]: omega_sign jac_cols
   semidefinite[silberberg_S|tangent]: jac_cols
   semidefinite[universal_U]: jac_cols
 analyze pareto_allocation twin
   coherence[omega_quadratic]: omega_sign jac_cols
-  coherence[silberberg_S]: omega_sign
   coherence[universal_U]: omega_sign jac_cols off_null
   conformance: jac_cols
   rank_bound[omega_eq7]: jac_cols
-  rank_bound[universal_U]: jac_cols
   semidefinite[omega_eq7]: omega_sign jac_cols
   semidefinite[silberberg_S|tangent]: jac_cols
   semidefinite[universal_U]: jac_cols
 analyze principal_agent fd
   coherence[omega_quadratic]: swap_steps omega_sign lam_scale f_xx f_xa jac_cols off_null
-  coherence[silberberg_S]: omega_sign
   coherence[universal_U]: swap_steps omega_sign lam_scale f_xa jac_cols off_null
   conformance: jac_cols
   envelope: f_a
   invariance[effort_1_block_scale]: jac_cols
   invariance[effort_2_block_scale]: jac_cols
   rank_bound[omega_eq7]: swap_steps lam_scale f_xa jac_cols off_null
-  rank_bound[universal_U]: lam_scale jac_cols
   semidefinite[derived:low_effort_wage_matrix]: swap_steps jac_cols off_null
   semidefinite[omega_eq7]: swap_steps omega_sign lam_scale f_xa jac_cols off_null
   semidefinite[silberberg_S|tangent]: lam_scale jac_cols off_null
   semidefinite[universal_U]: swap_steps lam_scale f_xa jac_cols
 analyze principal_agent ift
   coherence[omega_quadratic]: omega_sign jac_cols off_null
-  coherence[silberberg_S]: omega_sign
   coherence[universal_U]: omega_sign jac_cols off_null
   conformance: jac_cols
   envelope: f_a
   invariance[effort_1_block_scale]: f_xa jac_cols off_null
   invariance[effort_2_block_scale]: f_xa jac_cols off_null
   rank_bound[omega_eq7]: jac_cols off_null
-  rank_bound[universal_U]: jac_cols
   semidefinite[derived:low_effort_wage_matrix]: f_xa jac_cols off_null
   semidefinite[omega_eq7]: omega_sign jac_cols off_null
   semidefinite[silberberg_S|tangent]: jac_cols off_null
   semidefinite[universal_U]: jac_cols
 analyze principal_agent twin
   coherence[omega_quadratic]: omega_sign jac_cols off_null
-  coherence[silberberg_S]: omega_sign
   coherence[universal_U]: omega_sign jac_cols off_null
   conformance: jac_cols
   invariance[effort_1_block_scale]: newton_tol unscaled_step jac_cols off_null
   invariance[effort_2_block_scale]: jac_cols off_null
   rank_bound[omega_eq7]: jac_cols off_null
-  rank_bound[universal_U]: jac_cols
   semidefinite[derived:low_effort_wage_matrix]: newton_tol jac_cols off_null
   semidefinite[omega_eq7]: omega_sign jac_cols off_null
   semidefinite[silberberg_S|tangent]: jac_cols off_null
   semidefinite[universal_U]: jac_cols
 analyze profit_cd fd
   coherence[omega_quadratic]: omega_sign f_xx f_xa jac_cols
-  coherence[silberberg_S]: omega_sign
   coherence[universal_U]: omega_sign f_xa jac_cols
   envelope: f_a
   invariance[price_scale]: jac_cols
   rank_bound[omega_eq7]: f_xa jac_cols
-  rank_bound[universal_U]: f_xa jac_cols
   semidefinite[derived:input_price_block]: jac_cols
   semidefinite[derived:ratio_responses]:
   semidefinite[omega_eq7]: omega_sign f_xa jac_cols
@@ -656,12 +612,10 @@ analyze profit_cd fd
   semidefinite[universal_U]: f_xa jac_cols
 analyze profit_cd ift
   coherence[omega_quadratic]: omega_sign jac_cols
-  coherence[silberberg_S]: omega_sign
   coherence[universal_U]: omega_sign jac_cols
   envelope: f_a
   invariance[price_scale]: f_xa jac_cols
   rank_bound[omega_eq7]: jac_cols
-  rank_bound[universal_U]: jac_cols
   semidefinite[derived:input_price_block]: f_xa jac_cols
   semidefinite[derived:ratio_responses]: f_xa
   semidefinite[omega_eq7]: omega_sign jac_cols
@@ -669,11 +623,9 @@ analyze profit_cd ift
   semidefinite[universal_U]: jac_cols
 analyze profit_cd twin
   coherence[omega_quadratic]: omega_sign jac_cols
-  coherence[silberberg_S]: omega_sign
   coherence[universal_U]: omega_sign jac_cols
   invariance[price_scale]: jac_cols
   rank_bound[omega_eq7]: jac_cols
-  rank_bound[universal_U]: jac_cols
   semidefinite[derived:input_price_block]: jac_cols
   semidefinite[derived:ratio_responses]: fa_stencil
   semidefinite[omega_eq7]: omega_sign jac_cols
@@ -681,41 +633,35 @@ analyze profit_cd twin
   semidefinite[universal_U]: jac_cols
 analyze slutsky_hicks fd
   coherence[omega_quadratic]: omega_sign lam_scale lam_sign f_xx f_xa jac_cols
-  coherence[silberberg_S]: omega_sign
   coherence[universal_U]: omega_sign f_xa jac_cols
   conformance: jac_cols
   envelope: f_a
   hatta_reduction: omega_sign f_xa
   invariance[price_income_scale]: jac_cols
   rank_bound[omega_eq7]: f_xa jac_cols off_null
-  rank_bound[universal_U]: f_xa
   semidefinite[derived:substitution]: jac_cols
   semidefinite[omega_eq7]: omega_sign lam_sign f_xa jac_cols
   semidefinite[silberberg_S|tangent]: lam_sign f_xa jac_cols
   semidefinite[universal_U]: lam_sign f_xa jac_cols
 analyze slutsky_hicks ift
   coherence[omega_quadratic]: omega_sign jac_cols
-  coherence[silberberg_S]: omega_sign
   coherence[universal_U]: omega_sign jac_cols
   conformance: jac_cols
   envelope: f_a
   hatta_reduction: omega_sign f_xa
   invariance[price_income_scale]: f_xa jac_cols
   rank_bound[omega_eq7]: jac_cols off_null
-  rank_bound[universal_U]:
   semidefinite[derived:substitution]: lam_sign f_xa jac_cols
   semidefinite[omega_eq7]: omega_sign jac_cols
   semidefinite[silberberg_S|tangent]: jac_cols
   semidefinite[universal_U]: jac_cols
 analyze slutsky_hicks twin
   coherence[omega_quadratic]: omega_sign jac_cols
-  coherence[silberberg_S]: omega_sign
   coherence[universal_U]: omega_sign jac_cols
   conformance: jac_cols
   hatta_reduction: omega_sign
   invariance[price_income_scale]: jac_cols
   rank_bound[omega_eq7]: jac_cols off_null
-  rank_bound[universal_U]:
   semidefinite[derived:substitution]: lam_sign jac_cols
   semidefinite[omega_eq7]: omega_sign jac_cols
   semidefinite[silberberg_S|tangent]: jac_cols

@@ -194,6 +194,33 @@ def test_fd_method_needs_no_base_solve_under_a_closed_form(capsys):
     assert any(check["verdict"] == "fail" for check in payload["checks"])
 
 
+@pytest.mark.parametrize("argv, code, recipe, error", [
+    # unit-scaled singular values 1.41 and 5.8e-7: dependent below 1e-6
+    (["principal_agent", "--at", "P1_1=100000"], 1, "universal_U", "linearly dependent"),
+    (["slutsky_hicks", "--recipes", "omega_eq7,omega_A1"], 0, "omega_A1", "requires K = 0"),
+    # only badly scaled (row lengths 1e6, 1.41 and 1.41): U is built
+    (["pareto_allocation", "--at", "b1=1e6"], 0, None, None),
+    (["principal_agent", "--at", "P1_1=1000"], 1, None, None),
+])
+def test_a_recipe_that_cannot_be_built_is_an_error_that_leaves_the_exit_code(
+        argv, code, recipe, error, capsys):
+    # the exit code is the checks' (principal_agent fails a derived-matrix
+    # row at both points)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        result = run_main(["analyze", "--model"] + argv, capsys)
+    assert result[0] == code
+    payload = json.loads(result[1])
+    rows = {chk["name"]: chk["verdict"] for chk in payload["checks"]}
+    if error is None:
+        assert payload["errors"] == []
+        assert rows["semidefinite[universal_U]"] == rows["coherence[universal_U]"] == "pass"
+    else:
+        assert [err["stage"] for err in payload["errors"]] == [f"csm:{recipe}"]
+        assert error in payload["errors"][0]["message"]
+        assert f"semidefinite[{recipe}]" not in rows
+
+
 def test_scaled_catalog_points_never_crash_untyped(capsys):
     # every parameter of every catalog model, one at a time, scaled from
     # its default value: a point may fail, but only with an exit code, and

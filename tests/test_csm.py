@@ -1,3 +1,4 @@
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,7 +11,8 @@ from compstat.benchmarks.profit import production_gradient
 from compstat.benchmarks.slutsky import (demand_model, reduced_substitution,
                                         substitution_matrix)
 from compstat.diagnostics import check_tangent_semidefinite
-from compstat.errors import AssemblyError, ConfigurationError, DomainError
+from compstat.errors import (AssemblyError, ConfigurationError,
+                             ConstraintQualificationError, DomainError)
 from compstat.geometry import build_isovectors
 from compstat.model import Blocks
 from compstat.sensitivity import decision_jacobian_ift
@@ -236,6 +238,26 @@ def test_universal_rank_on_generic_quadratic():
     sens = decision_jacobian_ift(model, sol)
     u_res = csm.build_universal(model, sol, sens)
     assert u_res.rank_estimate == min(model.M - model.K, model.N) == 3
+
+
+@pytest.mark.parametrize("gx, message", [
+    ([[1.0, 0.0, 0.0], [1.0, 1e-7, 0.0]], "linearly dependent"),    # nearly parallel
+    ([[1.0, np.nan, 0.0], [0.0, 1.0, 0.0]], "not finite"),
+    ([[1e200, 1e200, 0.0], [0.0, 1.0, 0.0]], "not finite"),         # its length overflows
+    ([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "vanish"),
+])
+def test_universal_refuses_unqualified_constraint_gradients_with_a_typed_error(gx, message):
+    # library callers may hand over any G_x: a typed error, never a LinAlgError
+    gx = np.array(gx)
+    blocks = SimpleNamespace(Gx=gx, Ga=np.ones((2, 4)),
+                             lagrangian_hess_xx=lambda lam: -np.eye(3),
+                             lagrangian_hess_xa=lambda lam: np.ones((3, 4)))
+    model = SimpleNamespace(name="guarded", K=2)
+    sol = SimpleNamespace(blocks=blocks, lam=np.zeros(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConstraintQualificationError, match=message):
+            csm.build_universal(model, sol, SimpleNamespace(x_jac=np.ones((3, 4))))
 
 
 def test_transform_identity_and_classification():

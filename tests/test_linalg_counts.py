@@ -1,0 +1,92 @@
+"""The decompositions and solves one `analyze` makes, counted exactly.
+
+Each entry point in COUNTED is wrapped in process (monkeypatch; nothing in
+`src/` counts), and `run_point` runs at the nine catalog defaults with
+`--method ift` and `--method fd`.  Only calls made through the module
+attribute are counted: numpy's and scipy's own internal calls are not.  A
+change that moves a count updates CALLS and says which count moved and why;
+
+    PYTHONPATH=src python tests/test_linalg_counts.py
+
+prints the table as observed.
+"""
+
+import numpy as np
+import pytest
+import scipy.linalg
+import scipy.linalg.lapack
+
+from compstat.benchmarks import benchmark_names, get_benchmark
+from compstat.cli import RunConfig, run_point
+
+# column -> (module, attribute) of the counted entry point
+COUNTED = {
+    "eigvalsh": (np.linalg, "eigvalsh"),
+    "eigh": (np.linalg, "eigh"),
+    "svd": (np.linalg, "svd"),
+    "null_space": (scipy.linalg, "null_space"),
+    "lstsq": (np.linalg, "lstsq"),
+    "solve": (scipy.linalg, "solve"),
+    "inv": (scipy.linalg, "inv"),
+    "dsytrf": (scipy.linalg.lapack, "dsytrf"),
+}
+
+
+def observe(monkeypatch) -> dict:
+    """(benchmark, method) -> the count of each COUNTED call, in its order."""
+    entries = [get_benchmark(name) for name in benchmark_names()]   # not counted
+    counts = {}
+
+    def counting(column, original):
+        def wrapped(*args, **kwargs):
+            counts[column] += 1
+            return original(*args, **kwargs)
+        return wrapped
+
+    for column, (module, attr) in COUNTED.items():
+        monkeypatch.setattr(module, attr, counting(column, getattr(module, attr)))
+    table = {}
+    for entry in entries:
+        for method in ("ift", "fd"):
+            counts.update(dict.fromkeys(COUNTED, 0))
+            run_point(entry, entry.default_point, RunConfig(model=entry.name, method=method))
+            table[entry.name, method] = tuple(counts.values())
+    return table
+
+
+def _table_text(table: dict) -> str:
+    return "\n".join(f"{name} {method}: {' '.join(map(str, row))}"
+                     for (name, method), row in table.items())
+
+
+def test_analyze_makes_the_pinned_linear_algebra_calls(monkeypatch):
+    assert _table_text(observe(monkeypatch)).splitlines() == CALLS.strip().splitlines()
+
+
+# per benchmark and method, the calls of one `analyze` in COUNTED's order:
+# eigvalsh eigh svd null_space lstsq solve inv dsytrf
+CALLS = """
+slutsky_hicks ift: 6 0 2 1 1 0 0 1
+slutsky_hicks fd: 6 0 2 1 1 0 0 1
+profit_cd ift: 7 0 0 0 0 0 0 5
+profit_cd fd: 7 0 0 0 0 0 0 5
+multi_output_profit ift: 6 0 1 0 0 11 0 2
+multi_output_profit fd: 6 0 1 0 0 21 0 2
+cost_constrained_profit ift: 8 0 3 1 1 0 11 2
+cost_constrained_profit fd: 8 0 3 1 1 0 25 2
+multi_constraint_utility ift: 6 0 2 1 17 0 0 19
+multi_constraint_utility fd: 6 0 2 1 38 0 0 59
+market_power ift: 6 0 2 1 7 0 0 5
+market_power fd: 6 0 2 1 16 0 0 15
+principal_agent ift: 6 0 2 1 1 13 0 4
+principal_agent fd: 6 0 2 1 1 33 0 4
+efficient_portfolio ift: 8 0 2 1 1 0 0 2
+efficient_portfolio fd: 8 0 2 1 1 0 0 2
+pareto_allocation ift: 5 0 2 1 5 0 0 9
+pareto_allocation fd: 5 0 2 1 16 0 0 29
+"""
+
+
+if __name__ == "__main__":
+    with pytest.MonkeyPatch.context() as patch:
+        print(_table_text(observe(patch)))
