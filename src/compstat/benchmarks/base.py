@@ -182,16 +182,17 @@ class BenchmarkEntry:
 
     def prepare(self, pipeline: str = "analytic", a=None,
                 config: SolverConfig = SolverConfig(), method: Optional[str] = None,
-                basis: str = "prescribed", fd_step: Optional[float] = None) -> BenchRun:
+                basis: str = "prescribed") -> BenchRun:
         """Solve, differentiate, and build directions for one parameter point.
 
         "analytic" takes the registered closed-form solution where one exists
         (Newton cross-checks it) and the registered Jacobians; "numeric"
         forces Newton from the registered start and the implicit-function
-        route.  `method` ("analytic" | "ift" | "fd", the last with step
-        `fd_step`) and `basis` ("prescribed" | "nullspace") override those
-        choices.  An unconverged solve is returned undifferentiated; a
-        converged one must pass the second-order gate `sol.bordered`.
+        route.  `method` ("analytic" | "ift" | "fd") and `basis`
+        ("prescribed" | "nullspace") override those choices.  An unconverged
+        solve is returned undifferentiated; a converged one must pass the
+        second-order gate `sol.bordered`, which also decides constraint
+        qualification.
         """
         a = np.asarray(self.default_point if a is None else a, dtype=float)
         timings = {}
@@ -207,11 +208,11 @@ class BenchmarkEntry:
                             pipeline=pipeline, timings=timings)
 
         tick = time.perf_counter()
-        sol.bordered    # the second-order gate: raises unless a strict constrained maximum
+        sol.bordered    # the second-order gate: raises unless a regular strict constrained maximum
         if method is None:
             method = "analytic" if pipeline == "analytic" else "ift"
         if method == "fd":
-            sens = decision_jacobian_fd(self.model, a, config, h=fd_step, x0=sol.x)
+            sens = decision_jacobian_fd(self.model, a, config, x0=sol.x)
         elif method == "analytic" and self.analytic_x_jac is not None:
             sens = decision_jacobian_analytic(
                 self.model, sol, self.analytic_x_jac, self.analytic_lam_jac)
@@ -227,10 +228,6 @@ class BenchmarkEntry:
         timings["isovectors_s"] = time.perf_counter() - tick
         return BenchRun(entry=self, model=self.model, sol=sol, sens=sens, iso=iso,
                         pipeline=pipeline, timings=timings)
-
-    def fd_bundle(self, a=None, config: SolverConfig = SolverConfig()) -> SensitivityBundle:
-        a = np.asarray(self.default_point if a is None else a, dtype=float)
-        return decision_jacobian_fd(self.model, a, config, x0=self.x0)
 
     def run_suite(self, pipeline: str = "analytic",
                   config: SolverConfig = SolverConfig()) -> list:

@@ -11,7 +11,7 @@ output, exit code and stderr are byte-identical to a serial run.
 
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 a typed engine
 error (non-convergence, a non-finite or singular system, a point that is not
-a strict constrained maximum, ...), 3 configuration error.
+a regular strict constrained maximum, ...), 3 configuration error.
 """
 
 from __future__ import annotations
@@ -58,15 +58,13 @@ class RunConfig:
     recipes: tuple = ("omega_eq7", "omega_quadratic", "silberberg_S", "universal_U")
     solver_tol: float = 1e-10
     solver_max_iter: int = 100
-    fd_step: Optional[float] = None
     out: Optional[str] = None
     format: str = "json"
 
     def validate(self):
-        for name, value in (("solver.tol", self.solver_tol),
-                            ("sensitivity.step", self.fd_step)):
-            if value is not None and not (math.isfinite(value) and value > 0):
-                raise ConfigurationError(f"{name} must be finite and positive, got {value!r}")
+        if not (math.isfinite(self.solver_tol) and self.solver_tol > 0):
+            raise ConfigurationError(
+                f"solver.tol must be finite and positive, got {self.solver_tol!r}")
         if not (isinstance(self.solver_max_iter, int) and self.solver_max_iter > 0):
             raise ConfigurationError(
                 f"solver.max_iter must be a positive integer, got {self.solver_max_iter!r}")
@@ -144,7 +142,6 @@ _KEYS = {
     "csm.recipes": ("recipes", _parse_names, "recipes"),
     "basis": ("basis", str, "basis"),
     "sensitivity.method": ("method", str, "method"),
-    "sensitivity.step": ("fd_step", float, None),
     "solver.tol": ("solver_tol", float, "tol"),
     "solver.max_iter": ("solver_max_iter", int, None),
     "out": ("out", str, "out"),
@@ -235,8 +232,7 @@ def run_point(entry: BenchmarkEntry, a: np.ndarray, cfg: RunConfig) -> dict:
     model = entry.model
     errors = []
     solver_cfg = SolverConfig(tol=cfg.solver_tol, max_iter=cfg.solver_max_iter)
-    run = entry.prepare("analytic", a, solver_cfg, method=cfg.method,
-                        basis=cfg.basis, fd_step=cfg.fd_step)
+    run = entry.prepare("analytic", a, solver_cfg, method=cfg.method, basis=cfg.basis)
     sol, sens, iso = run.sol, run.sens, run.iso
     timings = dict(run.timings)
     if not sol.converged:

@@ -15,8 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (AssemblyError, CompstatError, ConfigurationError,
-                     ConstraintQualificationError, DimensionError, DomainError)
+from .errors import (AssemblyError, CompstatError, ConfigurationError, DimensionError,
+                     DomainError)
 from .geometry import IsovectorSet
 from .model import ProblemModel
 from .numeric import max_abs
@@ -25,7 +25,6 @@ from .solver import SolutionPoint
 
 RANK_TOL = 1e-7
 SINGULAR_RTOL = 1e-12     # relative singular-value floor of a square transform
-INDEPENDENCE_RTOL = 1e-6  # that of unit-length constraint rows, sqrt(1e-12) on their Gram
 
 POSITIVE = "positive_semidefinite_expected"
 NEGATIVE = "negative_semidefinite_expected"
@@ -212,29 +211,18 @@ def build_universal(model: ProblemModel, sol: SolutionPoint,
                     sens: SensitivityBundle) -> CsmResult:
     """Projection-based maximal matrix over the full parameter set.
 
-    With the constraint-gradient rows scaled to unit length, D G_x = W S V^T
-    (thin SVD), the tangent projector is I - V V^T and
-    G_x^T (G_x G_x^T)^-1 G_a = V S^-1 W^T D G_a.  Constraint qualification,
-    independent rows of G_x, is required; scaling a constraint does not
-    change the verdict.
+    It reads the solution's SVD of the unit-length constraint rows,
+    D G_x = W S V^T (`SolutionPoint.constraint_svd`, which raises a
+    ConstraintQualificationError unless they are independent): the tangent
+    projector is I - V V^T and G_x^T (G_x G_x^T)^-1 G_a = V S^-1 W^T D G_a.
     """
     lxx = sol.blocks.lagrangian_hess_xx(sol.lam)
     lxa = sol.blocks.lagrangian_hess_xa(sol.lam)
     if model.K == 0:
         u_matrix = sens.x_jac.T @ lxa
     else:
-        gx, ga = sol.blocks.Gx, sol.blocks.Ga
-        with np.errstate(over="ignore"):
-            lengths = np.linalg.norm(gx, axis=1)
-        if not (np.isfinite(lengths).all() and lengths.all()):
-            raise ConstraintQualificationError(
-                f"constraint gradients of {model.name!r} vanish or are not finite")
-        w, svals, vt = np.linalg.svd(gx / lengths[:, None], full_matrices=False)
-        if svals[-1] <= INDEPENDENCE_RTOL * svals[0]:
-            raise ConstraintQualificationError(
-                f"constraint gradients of {model.name!r} are linearly dependent "
-                f"(singular values {svals} of the unit-length rows)")
-        coeffs = (w.T @ (ga / lengths[:, None])) / svals[:, None]     # S^-1 W^T D G_a
+        lengths, w, svals, vt = sol.constraint_svd
+        coeffs = (w.T @ (sol.blocks.Ga / lengths[:, None])) / svals[:, None]  # S^-1 W^T D G_a
         bracket = lxa - (lxx @ vt.T) @ coeffs
         u_matrix = sens.x_jac.T @ (bracket - vt.T @ (vt @ bracket))
     return _finalize(u_matrix, "universal_U", POSITIVE, labels=model.parameter_names)

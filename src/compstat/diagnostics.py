@@ -12,12 +12,11 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
-import scipy.linalg
 
 from . import fd
 from .csm import CsmResult, build_omega, from_matrix
 from .errors import CompstatError
-from .geometry import (IsovectorSet, conformance_tolerance, gcd_apply,
+from .geometry import (IsovectorSet, conformance_tolerance, gcd_apply, null_basis,
                        prescribe_isovectors, require_null_property, verify_conformance)
 from .model import InvarianceGenerator, ProblemModel, _block, _decisions
 from .numeric import max_abs
@@ -215,10 +214,10 @@ def check_semidefinite(matrix: Union[np.ndarray, CsmResult], expected_sign: str,
 def check_tangent_semidefinite(csm: CsmResult, grads: np.ndarray,
                                name: str) -> CheckReport:
     """Positive semidefiniteness of the symmetrized matrix restricted to the
-    null space of the rows of `grads` (all of space when there are none):
-    the `spectrum_violation` of the restricted spectrum; an empty space
+    null space of the rows of `grads` (`geometry.null_basis`): the
+    `spectrum_violation` of the restricted spectrum; an empty space
     passes."""
-    basis = scipy.linalg.null_space(grads) if grads.shape[0] else np.eye(csm.order)
+    basis = null_basis(grads)
     restricted = basis.T @ csm.symmetrized() @ basis
     eig = np.linalg.eigvalsh(0.5 * (restricted + restricted.T))
     return report(name, "tangent-restricted-semidefinite", spectrum_violation(eig, "positive"),
@@ -250,22 +249,17 @@ def check_hatta_reduction(model: ProblemModel, sol: SolutionPoint,
     if model.separable_kappa is None:
         return _skipped("hatta_reduction", "separable-constraint-reduction",
                         "model does not declare separable constraint parameters")
-    kappa = tuple(model.separable_kappa)
-    if len(kappa) != model.K:
+    kappa, ga = list(model.separable_kappa), sol.blocks.Ga
+    # on the separable slots, row l of G_a must be the unit row e_l
+    off = np.flatnonzero(np.abs(ga[:, kappa] - np.eye(model.K)).max(axis=1) > 1e-8)
+    if off.size:
         return _skipped("hatta_reduction", "separable-constraint-reduction",
-                        "separable slots do not match the constraint count")
-    ga = sol.blocks.Ga
-    for l in range(model.K):
-        expected = np.zeros(model.K)
-        expected[l] = 1.0
-        if max_abs(ga[l, list(kappa)] - expected) > 1e-8:
-            return _skipped("hatta_reduction", "separable-constraint-reduction",
-                            f"constraint {l} is not linear-separable in its slot")
+                        f"constraint {off[0]} is not linear-separable in its slot")
     p_slots = [mu for mu in range(model.N) if mu not in kappa]
     k_grads = -ga[:, p_slots]                       # K x len(p_slots), dk_l/dp
     rows = np.zeros((len(p_slots), model.N))
     rows[np.arange(len(p_slots)), p_slots] = 1.0
-    rows[:, list(kappa)] = k_grads.T
+    rows[:, kappa] = k_grads.T
     if (omega is not None and iso is not None and iso.basis_kind == "prescribed"
             and not iso.redundant and np.array_equal(rows, iso.vectors)):
         require_null_property(rows, ga)
@@ -273,7 +267,7 @@ def check_hatta_reduction(model: ProblemModel, sol: SolutionPoint,
     else:
         omega_ref = build_omega(model, sol, sens, prescribe_isovectors(rows, ga)).matrix
     # independent assembly: compensated decision columns and p-slot brackets
-    x_comp = sens.x_jac[:, p_slots] + sens.x_jac[:, list(kappa)] @ k_grads
+    x_comp = sens.x_jac[:, p_slots] + sens.x_jac[:, kappa] @ k_grads
     lxa = sol.blocks.lagrangian_hess_xa(sol.lam)
     display = lxa[:, p_slots].T @ x_comp
     return report("hatta_reduction", "separable-constraint-reduction",

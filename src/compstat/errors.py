@@ -17,10 +17,6 @@ class EvaluationError(CompstatError):
         self.coordinate = coordinate
 
 
-class RankDeficiencyError(CompstatError):
-    """Constraint gradients (or a Newton system) lost full rank."""
-
-
 class NonConvergenceError(CompstatError):
     """Iteration cap reached without meeting the solver tolerance."""
 
@@ -34,7 +30,8 @@ class SensitivityError(CompstatError):
 
 
 class DegeneracyError(CompstatError):
-    """A singular or wrong-inertia bordered matrix at a solution."""
+    """A singular bordered matrix, in a Newton step or at a solution, or a
+    solution whose bordered matrix has the wrong inertia."""
 
 
 class EmptyTangentError(CompstatError):
@@ -59,7 +56,8 @@ class DomainError(CompstatError):
 
 
 class ConstraintQualificationError(CompstatError):
-    """A constraint gradient vanishes or is not finite, or they are dependent."""
+    """At a solution, a constraint gradient vanishes or is not finite, or the
+    gradients scaled to unit length are dependent (the second-order gate)."""
 
 
 class DimensionError(CompstatError):

@@ -51,6 +51,14 @@ def null_property_residuals(rows: np.ndarray, grad_stack: np.ndarray) -> np.ndar
     return np.abs(raw) / scales
 
 
+def null_basis(grads: np.ndarray) -> np.ndarray:
+    """Orthonormal basis, one column per vector, of the null space of the
+    rows of `grads` at RANK_RTOL; the identity when there are no rows."""
+    if grads.shape[0] == 0:
+        return np.eye(grads.shape[1])
+    return scipy.linalg.null_space(grads, rcond=RANK_RTOL)
+
+
 def build_isovectors(grad_stack: np.ndarray,
                      annihilates_objective: bool = False) -> IsovectorSet:
     """Orthonormal basis of the orthogonal complement of the stacked gradients.
@@ -61,11 +69,7 @@ def build_isovectors(grad_stack: np.ndarray,
     grad_stack = np.atleast_2d(np.asarray(grad_stack, dtype=float))
     if grad_stack.size == 0:
         grad_stack = grad_stack.reshape(0, grad_stack.shape[1] if grad_stack.ndim == 2 else 0)
-    n = grad_stack.shape[1]
-    if grad_stack.shape[0] == 0:
-        vectors = np.eye(n)
-    else:
-        vectors = scipy.linalg.null_space(grad_stack, rcond=RANK_RTOL).T
+    vectors = null_basis(grad_stack).T
     if vectors.shape[0] == 0:
         raise EmptyTangentError(
             "target gradients span the whole parameter space; no tangent directions remain")

@@ -74,6 +74,11 @@ class ProblemModel:
                                tuple(f"x{i + 1}" for i in range(self.M)))
         if len(self.parameter_names) != self.N or len(self.decision_names) != self.M:
             raise ConfigurationError(f"model {self.name!r}: label counts do not match M, N")
+        kappa = self.separable_kappa
+        if kappa is not None and not (len(kappa) == len(set(kappa)) == self.K and all(
+                isinstance(slot, int) and 0 <= slot < self.N for slot in kappa)):
+            raise ConfigurationError(f"model {self.name!r}: separable_kappa {kappa!r} must "
+                                     f"hold {self.K} distinct parameter slots in range({self.N})")
 
     @property
     def K(self) -> int:

@@ -29,7 +29,7 @@ class SensitivityBundle:
 
 
 def decision_jacobian_fd(model: ProblemModel, a, config: SolverConfig = SolverConfig(),
-                         h: Optional[float] = None, x0=None) -> SensitivityBundle:
+                         x0=None) -> SensitivityBundle:
     """Central differences of re-solved solutions.  A closed form serves
     every stencil point; otherwise each is Newton warm-started from x(a),
     solved here from x0."""
@@ -59,7 +59,7 @@ def decision_jacobian_fd(model: ProblemModel, a, config: SolverConfig = SolverCo
 
     x_cols, lam_cols, steps = [], [], []
     for mu in range(model.N):
-        step = h if h is not None else fd.step_for(a[mu])
+        step = fd.step_for(a[mu])
         ap = a.copy(); ap[mu] += step
         am = a.copy(); am[mu] -= step
         xp, lp = solve_at(ap, mu)

@@ -14,13 +14,13 @@ from typing import NamedTuple, Optional
 import numpy as np
 import scipy.linalg
 
-from .errors import (CompstatError, DegeneracyError, EvaluationError,
-                     NonConvergenceError, RankDeficiencyError)
+from .errors import (CompstatError, ConstraintQualificationError, DegeneracyError,
+                     EvaluationError, NonConvergenceError)
 from .model import Blocks, ProblemModel
 from .numeric import max_abs
 
 MAX_BACKTRACKS = 30     # step halvings per Newton iteration
-RANK_RTOL = 1e-10       # relative singular-value floor of the constraint gradients
+INDEPENDENCE_RTOL = 1e-6  # relative singular-value floor of the unit-length constraint rows
 EPS = np.finfo(float).eps  # rcond floor below which a Newton step warns
 
 
@@ -49,15 +49,37 @@ class SolutionPoint:
     newton_discrepancy: Optional[float] = None
 
     @functools.cached_property
+    def constraint_svd(self) -> tuple:
+        """(lengths, W, S, V^T): the row lengths of G_x (K > 0) and the thin
+        SVD D G_x = W S V^T of its rows scaled to unit length, taken once.
+        Raises a ConstraintQualificationError when a row vanishes or is not
+        finite, or when the rows are dependent: S_min <= INDEPENDENCE_RTOL
+        S_max.  Multiplying a constraint by a constant changes no verdict."""
+        name, gx = self.blocks.model.name, self.blocks.Gx
+        with np.errstate(over="ignore"):
+            lengths = np.linalg.norm(gx, axis=1)
+        if not (np.isfinite(lengths).all() and lengths.all()):
+            raise ConstraintQualificationError(
+                f"constraint gradients of {name!r} vanish or are not finite")
+        w, svals, vt = np.linalg.svd(gx / lengths[:, None], full_matrices=False)
+        if svals[-1] <= INDEPENDENCE_RTOL * svals[0]:
+            raise ConstraintQualificationError(
+                f"constraint gradients of {name!r} are linearly dependent "
+                f"(singular values {svals} of the unit-length rows)")
+        return lengths, w, svals, vt
+
+    @functools.cached_property
     def bordered(self) -> BorderedFactor:
         """The factor of the bordered matrix [L_xx, G_x^T; G_x, 0] at (x, lam),
-        factored once.  Raises a DegeneracyError unless its inertia is
-        (K, M, 0), that of a strict constrained maximum with full-rank G_x
-        (Gould 1985; Nocedal & Wright, Thm 16.3)."""
+        factored once: the gate of a regular strict constrained maximum (Gould
+        1985; Nocedal & Wright, Thm 16.3).  It reads `constraint_svd` (K > 0),
+        then raises a DegeneracyError unless the inertia is (K, M, 0)."""
         model = self.blocks.model
         factor = factor_bordered(
             bordered_matrix(self.blocks.lagrangian_hess_xx(self.lam), self.blocks.Gx),
             lambda: f"bordered matrix for {model.name!r}")
+        if model.K:
+            self.constraint_svd
         found, expected = factor.inertia(), (model.K, model.M, 0)
         if found != expected:
             kind = "singular" if found[2] else "not a strict constrained maximum:"
@@ -68,21 +90,16 @@ class SolutionPoint:
 
 
 def _multipliers(blocks: Blocks) -> np.ndarray:
-    """Least-squares multipliers from grad_x f = -sum_k lam_k grad_x g_k;
-    raises when the constraint gradients are linearly dependent."""
+    """Minimum-norm least-squares multipliers from grad_x f = -sum_k lam_k
+    grad_x g_k, at any start point; a solution's gate decides whether the
+    constraint gradients are independent (`SolutionPoint.constraint_svd`)."""
     if blocks.model.K == 0:
         return np.zeros(0)
     fx, Gx = blocks.fx, blocks.Gx  # M, K x M
     if not (np.isfinite(fx).all() and np.isfinite(Gx).all()):
         raise EvaluationError(
             f"non-finite objective or constraint x-gradient of {blocks.model.name!r}")
-    # one SVD-based LAPACK call: lstsq also returns the singular values of Gx
-    lam, _, _, svals = np.linalg.lstsq(Gx.T, -fx, rcond=None)
-    if svals[-1] <= RANK_RTOL * svals[0]:
-        raise RankDeficiencyError(
-            f"constraint gradients of {blocks.model.name!r} are linearly dependent "
-            f"(singular values {svals})")
-    return lam
+    return np.linalg.lstsq(Gx.T, -fx, rcond=None)[0]
 
 
 def _kkt_residual(blocks: Blocks, lam) -> np.ndarray:
@@ -170,7 +187,7 @@ def newton_solve(model: ProblemModel, a, x0, config: SolverConfig = SolverConfig
         factor = factor_bordered(mat, label)
         step = factor.solve(-res, label)
         if step is None:
-            raise RankDeficiencyError(f"singular {label()}")
+            raise DegeneracyError(f"singular {label()}")
         if not factor.rcond >= EPS:     # no iteration number: a repeat is shown once
             warnings.warn(f"ill-conditioned Newton system for {model.name!r} "
                           f"(rcond = {factor.rcond!r})", scipy.linalg.LinAlgWarning)

@@ -19,7 +19,7 @@ from compstat.benchmarks.slutsky import substitution_matrix
 from compstat.diagnostics import check_envelope, check_invariance
 from compstat.geometry import build_isovectors, gcd_apply, verify_conformance
 from compstat.model import Blocks
-from compstat.sensitivity import decision_jacobian_ift
+from compstat.sensitivity import decision_jacobian_fd, decision_jacobian_ift
 from compstat.solver import newton_solve, solve_interior
 
 from conftest import generic_quadratic_instance
@@ -238,7 +238,7 @@ def test_criterion_11_method_cross_checks():
     worst = 0.0
     for entry in all_benchmarks():
         run = entry.prepare("numeric")
-        fd = entry.fd_bundle()
+        fd = decision_jacobian_fd(entry.model, entry.default_point, x0=entry.x0)
         dev = float(np.max(np.abs(run.sens.x_jac - fd.x_jac)))
         worst = max(worst, dev)
         assert dev < 1e-4, entry.name

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from compstat.benchmarks import benchmark_names, get_benchmark
 from compstat.cli import (cmd_list_models, cmd_verify_all,
@@ -90,7 +91,8 @@ def test_malformed_config_key_exits_3_without_partial_report(tmp_path, capsys):
     assert not out_file.exists()
 
 
-@pytest.mark.parametrize("key", ["checks.tol", "checks.envelope_tol"])
+# removed keys; sensitivity.step went when the stencil step became fixed
+@pytest.mark.parametrize("key", ["checks.tol", "checks.envelope_tol", "sensitivity.step"])
 def test_removed_check_tolerance_keys_exit_3(key, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"model = slutsky_hicks\n{key} = 1e-7\n")
@@ -102,7 +104,7 @@ def test_removed_check_tolerance_keys_exit_3(key, tmp_path, capsys):
 @pytest.mark.parametrize("config, flags", [
     ("solver.tol = abc", []),
     ("solver.max_iter = 1.5", []),
-    ("sensitivity.step = 0", ["--method", "fd"]),
+    ("sensitivity.step = 0", ["--method", "fd"]),    # an unknown key
     ("", ["--tol", "nan"]),
     ("", ["--tol", "inf"]),
     ("solver.max_iter = 0", []),
@@ -182,21 +184,26 @@ def test_catalog_point_without_interior_optimum_exits_2(model, at, message, caps
     assert err.startswith("error: ") and message in err
 
 
-@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
-def test_fd_method_needs_no_base_solve_under_a_closed_form(capsys):
-    # the closed form serves every stencil point, so no Newton solve runs at
-    # the base point, where the constraint gradients are nearly dependent
-    code, out, err = run_main(["analyze", "--model", "principal_agent",
-                               "--at", "P1_1=100000", "--method", "fd"], capsys)
-    assert code == 1 and "linearly dependent" not in err
-    payload = json.loads(out)
-    assert payload["sensitivity"]["method"] == "fd"
-    assert any(check["verdict"] == "fail" for check in payload["checks"])
+def test_fd_method_needs_no_base_solve_under_a_closed_form(monkeypatch, capsys):
+    # the closed form serves every stencil point, so the finite-difference
+    # route makes no Newton solve at all
+    import compstat.sensitivity as sensitivity
+    newton_solve, calls = sensitivity.newton_solve, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return newton_solve(*args, **kwargs)
+
+    monkeypatch.setattr(sensitivity, "newton_solve", counted)
+    code, out, _ = run_main(["analyze", "--model", "principal_agent", "--method", "fd"], capsys)
+    assert code == 0 and json.loads(out)["sensitivity"]["method"] == "fd"
+    assert calls == []
 
 
 @pytest.mark.parametrize("argv, code, recipe, error", [
-    # unit-scaled singular values 1.41 and 5.8e-7: dependent below 1e-6
-    (["principal_agent", "--at", "P1_1=100000"], 1, "universal_U", "linearly dependent"),
+    # unit-scaled singular values 1.41 and 5.8e-7: dependent below 1e-6, so
+    # the second-order gate refuses the point before any recipe is built
+    (["principal_agent", "--at", "P1_1=100000"], 2, None, "of the unit-length rows"),
     (["slutsky_hicks", "--recipes", "omega_eq7,omega_A1"], 0, "omega_A1", "requires K = 0"),
     # only badly scaled (row lengths 1e6, 1.41 and 1.41): U is built
     (["pareto_allocation", "--at", "b1=1e6"], 0, None, None),
@@ -205,11 +212,14 @@ def test_fd_method_needs_no_base_solve_under_a_closed_form(capsys):
 def test_a_recipe_that_cannot_be_built_is_an_error_that_leaves_the_exit_code(
         argv, code, recipe, error, capsys):
     # the exit code is the checks' (principal_agent fails a derived-matrix
-    # row at both points)
+    # row at P1_1 = 1000), unless the gate refuses the point (exit 2)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         result = run_main(["analyze", "--model"] + argv, capsys)
     assert result[0] == code
+    if code == 2:
+        assert result[1] == "" and error in result[2]
+        return
     payload = json.loads(result[1])
     rows = {chk["name"]: chk["verdict"] for chk in payload["checks"]}
     if error is None:
@@ -219,6 +229,32 @@ def test_a_recipe_that_cannot_be_built_is_an_error_that_leaves_the_exit_code(
         assert [err["stage"] for err in payload["errors"]] == [f"csm:{recipe}"]
         assert error in payload["errors"][0]["message"]
         assert f"semidefinite[{recipe}]" not in rows
+
+
+@pytest.mark.parametrize("method", ["ift", "fd", "analytic"])
+def test_nearly_dependent_constraint_gradients_exit_2_on_every_route(method, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        code, out, err = run_main(["analyze", "--model", "principal_agent",
+                                   "--at", "P1_1=100000", "--method", method], capsys)
+    assert (code, out) == (2, "")
+    assert err == ("error: constraint gradients of 'principal_agent' are linearly dependent "
+                   "(singular values [1.41421356e+00 5.77240040e-07] of the unit-length rows)\n")
+
+
+def test_badly_scaled_constraint_gradients_do_not_stop_newton(capsys):
+    # at b1 = 1e11 the raw singular values of G_x span 11 orders of magnitude
+    # while its unit-length rows are independent: Newton is not refused at
+    # its start point, and it stops unconverged on its ill-conditioned steps
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_main(["analyze", "--model", "pareto_allocation",
+                                   "--at", "b1=1e11"], capsys)
+    assert (code, err) == (2, "")
+    payload = json.loads(out)
+    assert payload["errors"] == [{"stage": "solve", "message": "solver did not converge"}]
+    assert {type(w.message) for w in caught} == {scipy.linalg.LinAlgWarning}
+    assert all("ill-conditioned Newton system" in str(w.message) for w in caught)
 
 
 def test_scaled_catalog_points_never_crash_untyped(capsys):

@@ -16,7 +16,7 @@ from compstat.errors import (AssemblyError, ConfigurationError,
 from compstat.geometry import build_isovectors
 from compstat.model import Blocks
 from compstat.sensitivity import decision_jacobian_ift
-from compstat.solver import solve_interior
+from compstat.solver import SolutionPoint, solve_interior
 
 from conftest import generic_quadratic_instance, separable_model
 
@@ -247,13 +247,15 @@ def test_universal_rank_on_generic_quadratic():
     ([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "vanish"),
 ])
 def test_universal_refuses_unqualified_constraint_gradients_with_a_typed_error(gx, message):
-    # library callers may hand over any G_x: a typed error, never a LinAlgError
+    # library callers may hand over any G_x: U reads the solution's SVD of
+    # the unit-length rows, which raises a typed error, never a LinAlgError
     gx = np.array(gx)
-    blocks = SimpleNamespace(Gx=gx, Ga=np.ones((2, 4)),
+    model = SimpleNamespace(name="guarded", K=2)
+    blocks = SimpleNamespace(model=model, Gx=gx, Ga=np.ones((2, 4)),
                              lagrangian_hess_xx=lambda lam: -np.eye(3),
                              lagrangian_hess_xa=lambda lam: np.ones((3, 4)))
-    model = SimpleNamespace(name="guarded", K=2)
-    sol = SimpleNamespace(blocks=blocks, lam=np.zeros(2))
+    sol = SolutionPoint(a=np.zeros(4), x=np.zeros(3), lam=np.zeros(2), kkt_residual=0.0,
+                        iterations=0, converged=True, source="newton", blocks=blocks)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ConstraintQualificationError, match=message):

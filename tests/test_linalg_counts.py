@@ -2,7 +2,9 @@
 
 Each entry point in COUNTED is wrapped in process (monkeypatch; nothing in
 `src/` counts), and `run_point` runs at the nine catalog defaults with
-`--method ift` and `--method fd`.  Only calls made through the module
+`--method ift` and `--method fd`, and at one constrained default with
+`--basis nullspace`, where the directions and the Silberberg matrix's
+tangent check both take `geometry.null_basis`.  Only calls made through the module
 attribute are counted: numpy's and scipy's own internal calls are not.  A
 change that moves a count updates CALLS and says which count moved and why;
 
@@ -33,7 +35,8 @@ COUNTED = {
 
 
 def observe(monkeypatch) -> dict:
-    """(benchmark, method) -> the count of each COUNTED call, in its order."""
+    """(benchmark, method[ + " " + basis]) -> the count of each COUNTED
+    call, in its order."""
     entries = [get_benchmark(name) for name in benchmark_names()]   # not counted
     counts = {}
 
@@ -45,12 +48,15 @@ def observe(monkeypatch) -> dict:
 
     for column, (module, attr) in COUNTED.items():
         monkeypatch.setattr(module, attr, counting(column, getattr(module, attr)))
+    runs = [(entry, method, "prescribed") for entry in entries for method in ("ift", "fd")]
+    runs.append((entries[0], "ift", "nullspace"))
     table = {}
-    for entry in entries:
-        for method in ("ift", "fd"):
-            counts.update(dict.fromkeys(COUNTED, 0))
-            run_point(entry, entry.default_point, RunConfig(model=entry.name, method=method))
-            table[entry.name, method] = tuple(counts.values())
+    for entry, method, basis in runs:
+        counts.update(dict.fromkeys(COUNTED, 0))
+        run_point(entry, entry.default_point,
+                  RunConfig(model=entry.name, method=method, basis=basis))
+        label = method if basis == "prescribed" else f"{method} {basis}"
+        table[entry.name, label] = tuple(counts.values())
     return table
 
 
@@ -84,6 +90,7 @@ efficient_portfolio ift: 8 0 2 1 1 0 0 2
 efficient_portfolio fd: 8 0 2 1 1 0 0 2
 pareto_allocation ift: 5 0 2 1 5 0 0 9
 pareto_allocation fd: 5 0 2 1 16 0 0 29
+slutsky_hicks ift nullspace: 7 0 2 2 1 0 0 1
 """
 
 

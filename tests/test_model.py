@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from compstat.benchmarks import all_benchmarks
+from compstat.benchmarks import all_benchmarks, get_benchmark
 from compstat.benchmarks.profit import cd_profit_model
 from compstat.benchmarks.slutsky import demand_model
 from compstat.errors import ConfigurationError, EvaluationError
@@ -129,3 +129,17 @@ def test_catalog_registered_blocks_match_engine_stencils():
                     scale = max(1.0, float(np.max(np.abs(block))))
                     gap = float(np.max(np.abs(block - stencil)))
                     assert gap / scale < 1e-5, (entry.name, kind, term, stripped is nested)
+
+
+@pytest.mark.parametrize("kappa", [(3,), (-1,), (0, 1), (2.0,), ()])
+def test_separable_slots_are_checked_when_the_model_is_built(kappa):
+    # demand over two goods: N = 3, K = 1, the budget's slot is 2.  An
+    # out-of-range slot used to raise an untyped IndexError in the Hatta
+    # check, and a negative one wrapped around to the last slot silently
+    model = demand_model(np.array([0.5, 0.5]))
+    assert (model.N, model.K, model.separable_kappa) == (3, 1, (2,))
+    with pytest.raises(ConfigurationError, match="distinct parameter slots in range"):
+        dataclasses.replace(model, separable_kappa=kappa)
+    portfolio = get_benchmark("efficient_portfolio").model       # K = 2
+    with pytest.raises(ConfigurationError, match="distinct parameter slots in range"):
+        dataclasses.replace(portfolio, separable_kappa=(portfolio.separable_kappa[0],) * 2)

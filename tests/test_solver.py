@@ -7,8 +7,8 @@ import scipy.linalg
 from compstat.benchmarks import all_benchmarks
 from compstat.benchmarks.base import BenchmarkEntry
 from compstat.benchmarks.slutsky import demand_model
-from compstat.errors import (DegeneracyError, DomainError, EvaluationError,
-                             NonConvergenceError, RankDeficiencyError)
+from compstat.errors import (ConstraintQualificationError, DegeneracyError, DomainError,
+                             EvaluationError, NonConvergenceError)
 from compstat.geometry import build_isovectors
 from compstat.model import ProblemModel
 from compstat.sensitivity import decision_jacobian_ift
@@ -68,14 +68,21 @@ def test_recover_multipliers_log_utility():
 
 
 def test_recover_multipliers_rank_deficient_gradients():
-    # two copies of one constraint: the gradient stack loses rank
+    # two copies of one constraint: the gradient stack loses rank.  Away
+    # from the maximum the Newton system is singular; at it, the multipliers
+    # are the minimum-norm ones, and the solution's gate refuses the point
     dup = ProblemModel(
         name="dup", M=3, N=3,
         objective=lambda x, a: float(-x @ x),
         constraints=(lambda x, a: float(x[0] + x[1] + x[2] - a[0]),) * 2,
     )
-    with pytest.raises(RankDeficiencyError):
+    with pytest.raises(DegeneracyError, match="singular Newton system"):
         newton_solve(dup, np.ones(3), np.array([0.5, 0.5, 0.5]))
+    sol = newton_solve(dup, np.ones(3), np.full(3, 1.0 / 3.0))
+    assert sol.converged and sol.iterations == 0
+    assert sol.lam == pytest.approx([1.0 / 3.0, 1.0 / 3.0], abs=1e-10)
+    with pytest.raises(ConstraintQualificationError, match="linearly dependent"):
+        sol.bordered
 
 
 def test_constraint_count_must_stay_below_dimensions():
@@ -90,7 +97,7 @@ def test_constraint_count_must_stay_below_dimensions():
 def test_singular_newton_system_raises():
     flat = ProblemModel(name="affine", M=1, N=1,
                         objective=lambda x, a: float(a[0] * x[0]))
-    with pytest.raises(RankDeficiencyError):
+    with pytest.raises(DegeneracyError, match="singular Newton system"):
         newton_solve(flat, np.array([1.0]), np.array([0.0]))
 
 
@@ -314,7 +321,7 @@ def _singular_model():
 
 def test_singular_bordered_system_raises_the_callers_error():
     flat = _singular_model()
-    with pytest.raises(RankDeficiencyError, match="singular Newton system"):
+    with pytest.raises(DegeneracyError, match="singular Newton system"):
         newton_solve(flat, np.array([1.0, 1.0]), np.array([0.2, 0.3]))
     sol = newton_solve(flat, np.array([0.0, 1.0]), np.array([0.5, 0.5]))
     assert sol.converged and sol.iterations == 0
@@ -377,6 +384,6 @@ def test_newton_error_messages_name_the_iteration_they_stopped_at():
     with pytest.raises(EvaluationError) as exc:
         newton_solve(_quartic(3.5), np.array([1.0]), np.array([3.0]))
     assert str(exc.value) == "non-finite Newton system for 'quartic' at iteration 0"
-    with pytest.raises(RankDeficiencyError) as exc:
+    with pytest.raises(DegeneracyError) as exc:
         newton_solve(_singular_model(), np.array([1.0, 1.0]), np.array([0.2, 0.3]))
     assert str(exc.value) == "singular Newton system for 'flat' at iteration 0"

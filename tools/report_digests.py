@@ -58,7 +58,8 @@ SUMMARY line; it exits 1 on any exact mismatch or float over its bound.
 The invocations cover every catalog model with each sensitivity method in
 each format, on stdout and with `--out`; all seven recipes; the null-space
 basis; `--tol`; 3-point sweeps, sweeps into failing parameter ranges,
-points without an interior optimum and points outside a closed form's or
+points without an interior optimum, points with nearly dependent or only
+badly scaled constraint gradients, and points outside a closed form's or
 a derivative's domain; points and a sweep whose reports hold NaN and
 infinities; a 64-point sweep; generated demand models with
 analytic derivatives (n = 40, 80; at n = 40 also with the null-space basis
@@ -163,6 +164,7 @@ def invocations(benchmark_names, get_benchmark) -> list:
                ["principal_agent", "--at", "P1_1=100000"],
                ["principal_agent", "--at", "P1_1=100000", "--method", "fd"],
                ["principal_agent", "--at", "P1_2=0.15"],
+               ["pareto_allocation", "--at", "b1=1e11"],
                ["multi_output_profit", "--at", "p2=-1"],
                ["slutsky_hicks", "--at", "m=0"],
                ["profit_cd", "--at", "w1=0"],
