@@ -182,11 +182,16 @@ class BenchmarkEntry:
 
     def prepare(self, pipeline: str = "analytic", a=None,
                 config: SolverConfig = SolverConfig(), method: Optional[str] = None,
-                basis: str = "prescribed") -> BenchRun:
+                basis: str = "prescribed", previous=None) -> BenchRun:
         """Solve, differentiate, and build directions for one parameter point.
 
         "analytic" takes the registered closed-form solution where one exists
-        (Newton cross-checks it) and the registered Jacobians; "numeric"
+        and the registered Jacobians.  Newton cross-checks the closed form
+        from the registered start, or, given `previous`, the preceding point
+        of a sweep, from the closed form's Euler prediction from there along
+        the registered `analytic_x_jac` where that is the better start (see
+        `solve_interior`); so only `newton_discrepancy` depends on the
+        neighbour.  "numeric"
         forces Newton from the registered start and the implicit-function
         route.  `method` ("analytic" | "ift" | "fd") and `basis`
         ("prescribed" | "nullspace") override those choices.  An unconverged
@@ -198,7 +203,8 @@ class BenchmarkEntry:
         timings = {}
         tick = time.perf_counter()
         if pipeline == "analytic" and self.has_analytic:
-            sol = solve_interior(self.model, a, x0=self.x0, config=config)
+            sol = solve_interior(self.model, a, x0=self.x0, config=config,
+                                 previous=previous, x_jac=self.analytic_x_jac)
         else:
             pipeline = "numeric"
             sol = newton_solve(self.model, a, self.x0, config)

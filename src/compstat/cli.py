@@ -226,13 +226,17 @@ _RECIPE_BUILDERS = {
 }
 
 
-def run_point(entry: BenchmarkEntry, a: np.ndarray, cfg: RunConfig) -> dict:
+def run_point(entry: BenchmarkEntry, a: np.ndarray, cfg: RunConfig,
+              previous: Optional[np.ndarray] = None) -> dict:
     """One report: the envelope check, which re-solves the model, and the
-    generic checks on the recipes of `cfg`."""
+    generic checks on the recipes of `cfg`.  `previous` is the preceding
+    point of a sweep, from whose prediction a closed form's cross-check may
+    start (see `BenchmarkEntry.prepare`)."""
     model = entry.model
     errors = []
     solver_cfg = SolverConfig(tol=cfg.solver_tol, max_iter=cfg.solver_max_iter)
-    run = entry.prepare("analytic", a, solver_cfg, method=cfg.method, basis=cfg.basis)
+    run = entry.prepare("analytic", a, solver_cfg, method=cfg.method, basis=cfg.basis,
+                        previous=previous)
     sol, sens, iso = run.sol, run.sens, run.iso
     timings = dict(run.timings)
     if not sol.converged:
@@ -279,10 +283,11 @@ def cmd_analyze(cfg: RunConfig):
         raise ConfigurationError("no model selected; pass --model")
     entry = _load_entry(cfg.model)
     points = resolve_points(entry, cfg)
-    # a sweep's reports sit two levels deep in its JSON document
+    # a sweep's reports sit two levels deep in its JSON document; each point
+    # goes with its predecessor on the grid, whichever chunk that falls in
     analyzed = _map_chunks(
         functools.partial(_analyze_points, entry, cfg, 0 if len(points) == 1 else 2),
-        points)
+        list(zip([None] + points[:-1], points)))
     solver_failed = any(solve for _, solve, _ in analyzed)
     checks_failed = any(check for _, _, check in analyzed)
     code = 2 if solver_failed else (1 if checks_failed else 0)
@@ -291,11 +296,12 @@ def cmd_analyze(cfg: RunConfig):
 
 def _analyze_points(entry: BenchmarkEntry, cfg: RunConfig, depth: int,
                     points: list) -> list:
-    """Per point: its report in `cfg.format`, JSON as bytes nested `depth`
-    levels deep; whether its solve failed; whether a check failed."""
+    """Per (preceding point or None, point) of `points`: the point's report
+    in `cfg.format`, JSON as bytes nested `depth` levels deep; whether its
+    solve failed; whether a check failed."""
     analyzed = []
-    for a in points:
-        rep = run_point(entry, a, cfg)
+    for previous, a in points:
+        rep = run_point(entry, a, cfg, previous)
         if cfg.format == "table":
             a = [float(v) for v in rep["solution"]["a"]]    # spelled as a list
             lines = [f"model={rep['model']} a={a} "

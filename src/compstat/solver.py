@@ -22,6 +22,7 @@ from .numeric import max_abs
 MAX_BACKTRACKS = 30     # step halvings per Newton iteration
 INDEPENDENCE_RTOL = 1e-6  # relative singular-value floor of the unit-length constraint rows
 EPS = np.finfo(float).eps  # rcond floor below which a Newton step warns
+EULER_REACH = 0.5       # largest grid step, relative to each parameter, an Euler prediction spans
 
 
 @dataclass(frozen=True)
@@ -218,8 +219,45 @@ def newton_solve(model: ProblemModel, a, x0, config: SolverConfig = SolverConfig
     )
 
 
+def _start_residual(blocks: Blocks) -> float:
+    """The max-norm KKT residual that `newton_solve` started at blocks.x begins with."""
+    return max_abs(_kkt_residual(blocks, _multipliers(blocks)))
+
+
+def _continuation_start(model: ProblemModel, a, x0, previous, x_jac, tol: float):
+    """The Euler prediction x_cf(previous) + x_jac(previous) (a - previous) of
+    the closed form x_cf at a, or x_cf(previous) without `x_jac` (Allgower &
+    Georg, *Numerical Continuation Methods*, 1990), where it is a better
+    Newton start than x0 that still leaves Newton work to do; x0 otherwise:
+    - when the step moves a parameter by more than EULER_REACH of its value
+      at `previous`, beyond where a first-order prediction is local;
+    - when the prediction cannot be evaluated, or it, the objective there
+      or its KKT residual is not finite (the residual alone does not see a
+      prediction that leaves the objective's domain);
+    - when that residual meets `tol`, or is not below x0's.
+    The prediction is a probe: its floating-point warnings are not shown,
+    and x0's are shown as Newton's start would show them."""
+    previous = np.asarray(previous, dtype=float)
+    if not (np.abs(a - previous) <= EULER_REACH * np.abs(previous)).all():
+        return x0
+    try:
+        with np.errstate(all="ignore"):
+            guess = np.asarray(model.analytic_solution(previous)[0], dtype=float)
+            if x_jac is not None:
+                guess = guess + np.asarray(x_jac(previous), dtype=float) @ (a - previous)
+            blocks = Blocks(model, guess, a)
+            blocks.f        # raises unless finite
+            norm = _start_residual(blocks)
+        if not tol < norm < _start_residual(Blocks(model, x0, a)):
+            return x0
+    except (CompstatError, ArithmeticError):
+        return x0
+    return guess
+
+
 def solve_interior(model: ProblemModel, a, x0=None,
-                   config: SolverConfig = SolverConfig()) -> SolutionPoint:
+                   config: SolverConfig = SolverConfig(), previous=None,
+                   x_jac=None) -> SolutionPoint:
     """Solution at parameter point a.
 
     A registered analytic solution is authoritative; Newton then runs as a
@@ -227,7 +265,11 @@ def solve_interior(model: ProblemModel, a, x0=None,
     The cross-check starts from the caller's `x0` when one is given (the
     catalog's start point), which keeps it independent of the closed form,
     and from the closed-form point only when `x0` is None; started there,
-    it takes no iteration and verifies nothing beyond the residual.
+    it takes no iteration and verifies nothing beyond the residual.  Given
+    `x0` and `previous`, the preceding point of a sweep, it starts from the
+    closed form's Euler prediction from `previous` along `x_jac`, the
+    registered decision Jacobian (None: no step), where `_continuation_start`
+    finds that a better start than `x0`.
     """
     a = np.asarray(a, dtype=float)
     if model.analytic_solution is not None:
@@ -237,6 +279,8 @@ def solve_interior(model: ProblemModel, a, x0=None,
         blocks = Blocks(model, x, a)
         residual = max_abs(_kkt_residual(blocks, lam))
         start = x if x0 is None else np.asarray(x0, dtype=float)
+        if x0 is not None and previous is not None:
+            start = _continuation_start(model, a, start, previous, x_jac, config.tol)
         newton = newton_solve(model, a, start, config)
         discrepancy = max_abs(newton.x - x) if newton.converged else None
         return SolutionPoint(

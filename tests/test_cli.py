@@ -1,12 +1,15 @@
+import dataclasses
 import json
+import os
 import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from compstat import cli, solver
 from compstat.benchmarks import benchmark_names, get_benchmark
-from compstat.cli import (cmd_list_models, cmd_verify_all,
+from compstat.cli import (cmd_analyze, cmd_list_models, cmd_verify_all,
                           config_from_mapping, main, parse_config_file)
 from compstat.errors import ConfigurationError
 
@@ -78,6 +81,54 @@ def test_sweep_produces_ordered_reports_with_passing_invariance(capsys):
     for rep in payload["reports"]:
         inv = [c for c in rep["checks"] if c["name"].startswith("invariance")]
         assert inv and all(c["verdict"] == "pass" for c in inv)
+
+
+def _serial_sweep(model, sweep, monkeypatch):
+    """The parsed reports of a sweep analyzed in this process, and its exit code."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    texts, code = cmd_analyze(config_from_mapping({"model": model, "sweep": sweep}))
+    return [json.loads(text) for text in texts], code
+
+
+@pytest.mark.parametrize("model, sweep, points", [
+    ("slutsky_hicks", "m=0.5:2:5", 5),  # demand is linear in m: the prediction is exact
+    ("profit_cd", "p=2:2:3", 3),        # a degenerate grid: the prediction is x_cf itself
+])
+def test_a_sweep_cross_check_never_starts_where_it_has_nothing_to_check(
+        model, sweep, points, monkeypatch):
+    entry, real, starts = get_benchmark(model), solver.newton_solve, []
+
+    def recorded(model, a, x0, config=solver.SolverConfig()):
+        sol = real(model, a, x0, config)
+        starts.append((np.array(x0), sol.iterations))
+        return sol
+
+    monkeypatch.setattr(solver, "newton_solve", recorded)   # solve_interior's calls only
+    reports, code = _serial_sweep(model, sweep, monkeypatch)
+    assert code == 0 and len(starts) == len(reports) == points
+    for x0, iterations in starts:
+        assert iterations >= 1 or np.array_equal(x0, entry.x0)
+    assert all(rep["solution"]["newton_discrepancy"] is not None for rep in reports)
+
+
+def test_a_wrong_closed_form_is_caught_at_every_sweep_point(monkeypatch):
+    # the prediction comes from the closed form under test; Newton must
+    # still land on the true solution, 1e-6 relative away from it
+    entry = get_benchmark("profit_cd")
+    closed_form = entry.model.analytic_solution
+
+    def wrong(a):
+        x, lam = closed_form(a)
+        return np.asarray(x) * (1 + 1e-6), lam
+
+    wrong_entry = dataclasses.replace(
+        entry, model=dataclasses.replace(entry.model, analytic_solution=wrong))
+    monkeypatch.setattr(cli, "_load_entry", lambda spec: wrong_entry)
+    reports, _ = _serial_sweep("profit_cd", "p=1.5:3:8", monkeypatch)
+    assert len(reports) == 8
+    for rep in reports:
+        solution = rep["solution"]
+        assert solution["newton_discrepancy"] >= 1e-7 * max(map(abs, solution["x"]))
 
 
 def test_malformed_config_key_exits_3_without_partial_report(tmp_path, capsys):

@@ -12,8 +12,8 @@ from compstat.errors import (ConstraintQualificationError, DegeneracyError, Doma
 from compstat.geometry import build_isovectors
 from compstat.model import ProblemModel
 from compstat.sensitivity import decision_jacobian_ift
-from compstat.solver import (SolverConfig, _dsytrf_lwork, factor_bordered, newton_solve,
-                             solve_interior)
+from compstat.solver import (SolverConfig, _continuation_start, _dsytrf_lwork,
+                             factor_bordered, newton_solve, solve_interior)
 
 from conftest import sqrt_profit_model
 
@@ -42,6 +42,51 @@ def test_analytic_solution_is_authoritative_with_newton_cross_check():
     assert sol.source == "analytic"
     assert sol.newton_discrepancy is not None
     assert sol.newton_discrepancy < 1e-9
+
+
+def _raises(*args):
+    raise DomainError("outside the closed form's domain")
+
+
+# (previous, the registered x_jac scaled by `jac` or None, closed form) at
+# slutsky_hicks, a = (4, 1, 1), x0 = (0.5, 0.5); the start taken, by name
+@pytest.mark.parametrize("previous, jac, closed_form, start", [
+    ([3.5, 1.0, 1.0], 1.0, None, "prediction"),
+    ([3.8, 1.0, 1.0], None, None, "prediction"),          # no Jacobian: x_cf(previous)
+    ([4.0, 1.0, 0.9], 1.0, None, "x0"),                   # exact along m: nothing to check
+    ([4.0, 1.0, 1.0], 1.0, None, "x0"),                   # a degenerate grid step
+    ([2.5, 1.0, 1.0], 1.0, None, "x0"),                   # a step beyond EULER_REACH
+    ([3.5, 1.0, 1.0], 1.0, _raises, "x0"),                # the prediction raises
+    ([3.5, 1.0, 1.0], -30.0, None, "x0"),                 # a worse start than x0
+])
+def test_the_cross_check_starts_from_a_prediction_only_where_that_is_the_better_start(
+        previous, jac, closed_form, start):
+    from compstat.benchmarks import get_benchmark
+    entry = get_benchmark("slutsky_hicks")
+    model = entry.model
+    if closed_form is not None:
+        model = dataclasses.replace(model, analytic_solution=closed_form)
+    x_jac = None if jac is None else lambda a: jac * entry.analytic_x_jac(a)
+    a, x0 = np.array([4.0, 1.0, 1.0]), np.array(entry.x0)
+    chosen = _continuation_start(model, a, x0, np.array(previous), x_jac, 1e-10)
+    assert (chosen is x0) == (start == "x0")
+
+
+def test_a_prediction_outside_the_objectives_domain_is_not_a_start():
+    # max a x - x^2/2 over x > 0: the gradient a - x is defined everywhere,
+    # so only the objective, NaN at x <= 0, sees the prediction leave
+    model = ProblemModel(
+        name="positive_quadratic", M=1, N=1,
+        objective=lambda x, a: a[0] * x[0] - x[0] ** 2 / 2 if x[0] > 0 else float("nan"),
+        grad_x_objective=lambda x, a: np.array([a[0] - x[0]]),
+        analytic_solution=lambda a: (np.array([a[0]]), np.zeros(0)))
+    a, x0, previous = np.array([0.1]), np.array([5.0]), np.array([0.15])
+
+    def start(slope):                            # predicts x = 0.15 - slope * 0.05
+        return _continuation_start(model, a, x0, previous, lambda b: np.array([[slope]]),
+                                   1e-10)
+    assert start(4.0) is x0
+    assert start(2.0) == pytest.approx([0.05])
 
 
 @pytest.mark.parametrize("field, block", [

@@ -53,19 +53,24 @@ def run(argv, capsys, tmp_path=None):
     return code, _TIMINGS.sub("", captured.out), captured.err, text and _TIMINGS.sub("", text)
 
 
+# Along m every slutsky_hicks cross-check starts from x0 (the prediction is
+# exact).  Along p, on 3 CPUs, the profit_cd chunks start at points 2 and 4,
+# whose cross-checks start from predictions made at points of another chunk.
 @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
 @pytest.mark.parametrize("to_file", [False, True])
 def test_forked_sweep_equals_one_worker(fmt, to_file, monkeypatch, capsys, tmp_path,
                                         forks):
-    argv = ["analyze", "--model", "slutsky_hicks", "--sweep", "m=0.5:2:5", "--format", fmt]
     where = tmp_path if to_file else None
-    cpus(monkeypatch, 1)
-    serial = run(argv, capsys, where)
-    assert forks == []
-    cpus(monkeypatch, 3)
-    assert run(argv, capsys, where) == serial
-    assert len(forks) == 2
-    assert serial[0] == 0 and (serial[3] if to_file else serial[1])
+    for model, sweep in (("slutsky_hicks", "m=0.5:2:5"), ("profit_cd", "p=1.5:3:7")):
+        argv = ["analyze", "--model", model, "--sweep", sweep, "--format", fmt]
+        forks.clear()
+        cpus(monkeypatch, 1)
+        serial = run(argv, capsys, where)
+        assert forks == []
+        cpus(monkeypatch, 3)
+        assert run(argv, capsys, where) == serial
+        assert len(forks) == 2
+        assert serial[0] == 0 and (serial[3] if to_file else serial[1])
 
 
 @pytest.mark.parametrize("model, sweep, code", [
@@ -110,11 +115,11 @@ def failing_points(monkeypatch, raising):
     real = cli.run_point
     points = {}
 
-    def run_point(entry, a, cfg):
+    def run_point(entry, a, cfg, previous=None):
         index = points.setdefault(tuple(a), len(points))
         if index in raising:
             raise raising[index]
-        return real(entry, a, cfg)
+        return real(entry, a, cfg, previous)
 
     cfg = cli.config_from_mapping({"model": "profit_cd", "sweep": "p=1:3:6"})
     for index, a in enumerate(cli.resolve_points(cli._load_entry("profit_cd"), cfg)):
@@ -173,9 +178,9 @@ def test_chunks_whose_child_cannot_start_run_here(monkeypatch, capsys, forks):
 def test_child_warnings_are_shown_once_in_point_order(monkeypatch, capsys, forks):
     real = cli.run_point
 
-    def run_point(entry, a, cfg):
+    def run_point(entry, a, cfg, previous=None):
         warnings.warn("no interior optimum at a negative price", RuntimeWarning)
-        return real(entry, a, cfg)
+        return real(entry, a, cfg, previous)
 
     monkeypatch.setattr(cli, "run_point", run_point)
     argv = ["analyze", "--model", "profit_cd", "--sweep", "p=-1:-3:4", "--format", "table"]

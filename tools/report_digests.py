@@ -58,6 +58,8 @@ SUMMARY line; it exits 1 on any exact mismatch or float over its bound.
 The invocations cover every catalog model with each sensitivity method in
 each format, on stdout and with `--out`; all seven recipes; the null-space
 basis; `--tol`; 3-point sweeps, sweeps into failing parameter ranges,
+sweeps whose closed-form cross-checks start from the catalog start, from
+the preceding point's closed form and from its Euler prediction,
 points without an interior optimum, points with nearly dependent or only
 badly scaled constraint gradients, and points outside a closed form's or
 a derivative's domain; points and a sweep whose reports hold NaN and
@@ -172,6 +174,15 @@ def invocations(benchmark_names, get_benchmark) -> list:
                ["slutsky_hicks", "--at", "p=1e308,1", "--method", "fd"],
                ["slutsky_hicks", "--sweep", "p1=1e307:1e308:3", "--method", "fd"]):
         runs.append((["analyze", "--model"] + at, False))
+    # sweeps whose cross-checks take each start: x0 where the prediction is
+    # exact (demand is linear in m), a prediction without a registered
+    # Jacobian (the portfolio's), and one along it (the 64-point sweep below)
+    portfolio = get_benchmark("efficient_portfolio")
+    first = float(portfolio.default_point[0])
+    runs += [(["analyze", "--model", "slutsky_hicks", "--sweep", "m=0.5:2:5"], False),
+             (["analyze", "--model", "efficient_portfolio", "--sweep",
+               f"{portfolio.model.parameter_names[0]}={0.9 * first!r}:{1.1 * first!r}:8"],
+              False)]
     for fmt in ("json", "csv", "table"):
         runs.append((["analyze", "--model", "profit_cd", "--sweep", "p=1.5:3:64",
                       "--format", fmt], fmt == "json"))
