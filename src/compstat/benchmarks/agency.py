@@ -13,13 +13,13 @@ only extend the target stack for the compensation rows.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from ..csm import estimate_rank
 from ..diagnostics import IDENTITY_TOL, matrix_mismatch, report
 from ..errors import DomainError
 from ..geometry import prescribe_isovectors
 from ..model import InvarianceGenerator, ProblemModel
+from ..numeric import spd_solve
 from .base import BenchRun, BenchmarkEntry, constraint_fields
 
 
@@ -142,7 +142,7 @@ def contract_oracle(a, m_dim: int):
     if np.linalg.cond(gram) > 1e12:
         raise ValueError("the two requirement constraints are linearly "
                          "dependent; the effort levels are indistinguishable")
-    nu = 2.0 * scipy.linalg.solve(gram, levels, assume_a="pos")
+    nu = 2.0 * spd_solve(gram, levels)
     u = 0.5 * d_inv * (probs.T @ nu)
     if np.any(u <= 0):
         raise ValueError("oracle instance has no interior payment schedule")

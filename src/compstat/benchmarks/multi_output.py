@@ -16,6 +16,7 @@ from ..diagnostics import (IDENTITY_TOL, ROUNDING_TOL, check_invariance, matrix_
 from ..errors import DomainError
 from ..geometry import prescribe_isovectors
 from ..model import InvarianceGenerator, ProblemModel
+from ..numeric import spd_solve
 from .base import BenchRun, BenchmarkEntry, LinearBudget, constraint_fields
 
 NEGATIVE = "negative_semidefinite_expected"
@@ -56,7 +57,7 @@ def multi_output_model(c_list=None, a_list=None, name="multi_output_profit") -> 
         w, p = a[:m_dim], a[m_dim:]
         rhs = sum(p[r] * c_list[r] for r in range(g_dim)) - w
         try:
-            return scipy.linalg.solve(curvature(p), rhs, assume_a="pos"), np.zeros(0)
+            return spd_solve(curvature(p), rhs), np.zeros(0)
         except np.linalg.LinAlgError as exc:
             raise DomainError("the technology curvature sum_r p_r A_r is not positive "
                               f"definite at p = {p.tolist()}") from exc

@@ -18,6 +18,7 @@ from ..diagnostics import IDENTITY_TOL, matrix_mismatch, min_eig_violation, repo
 from ..errors import DomainError
 from ..geometry import prescribe_isovectors
 from ..model import InvarianceGenerator, ProblemModel
+from ..numeric import spd_solve
 from ..sensitivity import decision_jacobian_ift
 from ..solver import newton_solve
 from .base import BenchRun, BenchmarkEntry, LinearBudget, constraint_fields
@@ -174,8 +175,8 @@ def original_model(sigma: np.ndarray, name="portfolio_original") -> ProblemModel
 
     def solution(a):
         gram = np.empty((2, 2))
-        s_inv_w = scipy.linalg.solve(sigma, wvec(a), assume_a="pos")
-        s_inv_r = scipy.linalg.solve(sigma, rvec(a), assume_a="pos")
+        s_inv_w = spd_solve(sigma, wvec(a))
+        s_inv_r = spd_solve(sigma, rvec(a))
         gram[0, 0] = wvec(a) @ s_inv_w
         gram[0, 1] = gram[1, 0] = wvec(a) @ s_inv_r
         gram[1, 1] = rvec(a) @ s_inv_r

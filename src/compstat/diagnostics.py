@@ -76,11 +76,12 @@ def check_envelope(model: ProblemModel, sol: SolutionPoint, iso: IsovectorSet,
     h = STEP_FIRST max(1, max|a|) / max|t|.  With a closed form, a row costs
     two closed-form values: `analytic_solution` and then the objective at
     each point; `sens` is not read.  Without one, it costs two Newton
-    re-solves, each started at the tangent prediction x +/- h (dx/da) t of
-    `sens` (the Euler predictor of continuation), not at x: it is already
-    within O(h^2) of the root and usually needs one step or none.  The start
-    moves only where Newton begins; the re-solve still converges to the
-    stencil tolerance of `solver_config.stencil()`.  A point that cannot be
+    re-solves, each started at the tangent prediction of `sens` (the Euler
+    predictor of continuation), x +/- h (dx/da) t and lam +/- h (dlam/da) t,
+    not at x and least-squares multipliers: it is already within O(h^2) of
+    the root and usually needs one step or none.  The start moves only where
+    Newton begins; the re-solve still converges to the stencil tolerance of
+    `solver_config.stencil()`.  A point that cannot be
     evaluated, or a re-solve that does not converge, skips the check.
     """
     a, vectors = sol.a, iso.vectors
@@ -91,8 +92,8 @@ def check_envelope(model: ProblemModel, sol: SolutionPoint, iso: IsovectorSet,
         x, _ = closed_form(b)
         return _block(model, "value", None, _decisions(model, x), b)
 
-    def resolved_value(b, x_start):
-        point = newton_solve(model, b, x_start, stencil_config)
+    def resolved_value(b, x_start, lam_start):
+        point = newton_solve(model, b, x_start, stencil_config, lam_start)
         if not point.converged:
             raise CompstatError("stencil solve did not converge")
         return point.blocks.f
@@ -113,8 +114,9 @@ def check_envelope(model: ProblemModel, sol: SolutionPoint, iso: IsovectorSet,
                 v_minus[alpha] = closed_form_value(a - shift)
             else:
                 dx = steps[alpha] * (sens.x_jac @ t)
-                v_plus[alpha] = resolved_value(a + shift, sol.x + dx)
-                v_minus[alpha] = resolved_value(a - shift, sol.x - dx)
+                dlam = steps[alpha] * (sens.lam_jac @ t)
+                v_plus[alpha] = resolved_value(a + shift, sol.x + dx, sol.lam + dlam)
+                v_minus[alpha] = resolved_value(a - shift, sol.x - dx, sol.lam - dlam)
         except CompstatError as exc:
             failure = ("point could not be evaluated" if closed_form is not None
                        else "did not converge")

@@ -90,16 +90,20 @@ class SolutionPoint:
         return factor
 
 
-def _multipliers(blocks: Blocks) -> np.ndarray:
-    """Minimum-norm least-squares multipliers from grad_x f = -sum_k lam_k
-    grad_x g_k, at any start point; a solution's gate decides whether the
-    constraint gradients are independent (`SolutionPoint.constraint_svd`)."""
+def _multipliers(blocks: Blocks, lam0=None) -> np.ndarray:
+    """The start multipliers `lam0`, or without them the minimum-norm
+    least-squares multipliers from grad_x f = -sum_k lam_k grad_x g_k, at
+    any start point; a solution's gate decides whether the constraint
+    gradients are independent (`SolutionPoint.constraint_svd`).  Either way
+    a non-finite x-gradient raises an EvaluationError."""
     if blocks.model.K == 0:
         return np.zeros(0)
     fx, Gx = blocks.fx, blocks.Gx  # M, K x M
     if not (np.isfinite(fx).all() and np.isfinite(Gx).all()):
         raise EvaluationError(
             f"non-finite objective or constraint x-gradient of {blocks.model.name!r}")
+    if lam0 is not None:
+        return np.asarray(lam0, dtype=float)
     return np.linalg.lstsq(Gx.T, -fx, rcond=None)[0]
 
 
@@ -167,16 +171,19 @@ def factor_bordered(mat: np.ndarray, label) -> BorderedFactor:
     return BorderedFactor(factor, pivots, rcond)
 
 
-def newton_solve(model: ProblemModel, a, x0, config: SolverConfig = SolverConfig()):
-    """Damped Newton on the stacked first-order system; backtracks on the
-    residual norm.  A trial point whose evaluation raises a CompstatError or
-    an ArithmeticError counts as an infinite residual; any other exception
+def newton_solve(model: ProblemModel, a, x0, config: SolverConfig = SolverConfig(),
+                 lam0=None):
+    """Damped Newton on the stacked first-order system, started at x0 and at
+    the multipliers `lam0` (finite, shape (K,)), or without them at the
+    least-squares multipliers of x0; backtracks on the residual norm.  A
+    trial point whose evaluation raises a CompstatError or an
+    ArithmeticError counts as an infinite residual; any other exception
     propagates.  Returns a SolutionPoint flagged non-converged instead of
     silently returning a bad answer when the iteration cap is reached."""
     a = np.asarray(a, dtype=float)
     x = np.asarray(x0, dtype=float).copy()
     blocks = Blocks(model, x, a)
-    lam = _multipliers(blocks)
+    lam = _multipliers(blocks, lam0)
     res = _kkt_residual(blocks, lam)
     res_norm = max_abs(res)
 

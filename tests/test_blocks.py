@@ -56,10 +56,10 @@ def _counted(entry, calls: list):
 def test_run_point_evaluates_each_block_once_per_point(method, most_calls, monkeypatch):
     calls, solve_of = [], {}          # call index -> call index its Newton solve began at
 
-    def spy(model, a, x0, config=SolverConfig()):
+    def spy(model, a, x0, config=SolverConfig(), lam0=None):
         start = len(calls)
         try:
-            return newton_solve(model, a, x0, config)
+            return newton_solve(model, a, x0, config, lam0)
         finally:
             solve_of.update(dict.fromkeys(range(start, len(calls)), start))
 

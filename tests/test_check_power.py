@@ -69,8 +69,8 @@ def _on_runs(monkeypatch, change):
 
 
 def _newton_tol(monkeypatch):
-    def loose(model, a, x0, config=SolverConfig()):
-        return newton_solve(model, a, x0, dataclasses.replace(config, tol=1e-5))
+    def loose(model, a, x0, config=SolverConfig(), lam0=None):
+        return newton_solve(model, a, x0, dataclasses.replace(config, tol=1e-5), lam0)
     _replace_everywhere(monkeypatch, newton_solve, loose)
 
 

@@ -67,15 +67,15 @@ def test_envelope_skips_on_stencil_failure():
 def _envelope_rows_per_point(model, sol, iso, sens, solver_config=SolverConfig()):
     """Reference envelope rows: each step taken row by row, and each stencil
     value read from a `Blocks` built at the point (the closed form's) or from
-    a Newton re-solve started at the tangent prediction."""
+    a Newton re-solve started at the tangent prediction of x and lam."""
     a = sol.a
     stencil_config = solver_config.stencil()
 
-    def value_at(b, x_start):
+    def value_at(b, x_start, lam_start):
         if model.analytic_solution is not None:
             x, _ = model.analytic_solution(b)
             return Blocks(model, x, b).f
-        point = newton_solve(model, b, x_start, stencil_config)
+        point = newton_solve(model, b, x_start, stencil_config, lam_start)
         assert point.converged
         return point.blocks.f
 
@@ -85,9 +85,9 @@ def _envelope_rows_per_point(model, sol, iso, sens, solver_config=SolverConfig()
     for alpha in range(iso.count):
         t = iso.vectors[alpha]
         h = fd.STEP_FIRST * scale / max(float(np.max(np.abs(t))), 1e-12)
-        dx = h * (sens.x_jac @ t)
-        v_plus = value_at(a + h * t, sol.x + dx)
-        v_minus = value_at(a - h * t, sol.x - dx)
+        dx, dlam = h * (sens.x_jac @ t), h * (sens.lam_jac @ t)
+        v_plus = value_at(a + h * t, sol.x + dx, sol.lam + dlam)
+        v_minus = value_at(a - h * t, sol.x - dx, sol.lam - dlam)
         v_dir[alpha] = (v_plus - v_minus) / (2.0 * h)
         f_dir[alpha] = float(t @ fa)
     residual = float(np.max(np.abs(v_dir - f_dir))) if iso.count else 0.0
@@ -171,8 +171,8 @@ def test_envelope_resolves_start_at_the_tangent_prediction(name, most_iterations
     run = entry.prepare("analytic")
     iterations = []
 
-    def spy(model, a, x0, cfg):
-        point = newton_solve(model, a, x0, cfg)
+    def spy(model, a, x0, cfg, lam0=None):
+        point = newton_solve(model, a, x0, cfg, lam0)
         iterations.append(point.iterations)
         return point
 
@@ -304,9 +304,9 @@ def test_envelope_resolves_with_the_callers_solver_settings(monkeypatch):
     sol = solve_interior(model, a, x0=np.zeros(model.M), config=config)
     seen = []
 
-    def spy(model, a, x0, cfg):
+    def spy(model, a, x0, cfg, lam0=None):
         seen.append(cfg)
-        return newton_solve(model, a, x0, cfg)
+        return newton_solve(model, a, x0, cfg, lam0)
 
     monkeypatch.setattr("compstat.diagnostics.newton_solve", spy)
     iso = build_isovectors(Blocks(model, sol.x, sol.a).Ga)

@@ -5,7 +5,9 @@ Each entry point in COUNTED is wrapped in process (monkeypatch; nothing in
 `--method ift` and `--method fd`, and at one constrained default with
 `--basis nullspace`, where the directions and the Silberberg matrix's
 tangent check both take `geometry.null_basis`.  Only calls made through the module
-attribute are counted: numpy's and scipy's own internal calls are not.  A
+attribute are counted: numpy's and scipy's own internal calls are not, and
+`numeric.spd_solve` calls `scipy.linalg.lapack.dposv` through the module,
+so the dposv column counts the closed forms' positive definite solves.  A
 change that moves a count updates CALLS and says which count moved and why;
 
     PYTHONPATH=src python tests/test_linalg_counts.py
@@ -31,6 +33,7 @@ COUNTED = {
     "solve": (scipy.linalg, "solve"),
     "inv": (scipy.linalg, "inv"),
     "dsytrf": (scipy.linalg.lapack, "dsytrf"),
+    "dposv": (scipy.linalg.lapack, "dposv"),
 }
 
 
@@ -70,27 +73,27 @@ def test_analyze_makes_the_pinned_linear_algebra_calls(monkeypatch):
 
 
 # per benchmark and method, the calls of one `analyze` in COUNTED's order:
-# eigvalsh eigh svd null_space lstsq solve inv dsytrf
+# eigvalsh eigh svd null_space lstsq solve inv dsytrf dposv
 CALLS = """
-slutsky_hicks ift: 6 0 2 1 1 0 0 1
-slutsky_hicks fd: 6 0 2 1 1 0 0 1
-profit_cd ift: 7 0 0 0 0 0 0 5
-profit_cd fd: 7 0 0 0 0 0 0 5
-multi_output_profit ift: 6 0 1 0 0 11 0 2
-multi_output_profit fd: 6 0 1 0 0 21 0 2
-cost_constrained_profit ift: 8 0 3 1 1 0 11 2
-cost_constrained_profit fd: 8 0 3 1 1 0 25 2
-multi_constraint_utility ift: 6 0 2 1 17 0 0 19
-multi_constraint_utility fd: 6 0 2 1 38 0 0 59
-market_power ift: 6 0 2 1 7 0 0 5
-market_power fd: 6 0 2 1 16 0 0 15
-principal_agent ift: 6 0 2 1 1 13 0 4
-principal_agent fd: 6 0 2 1 1 33 0 4
-efficient_portfolio ift: 8 0 2 1 1 0 0 2
-efficient_portfolio fd: 8 0 2 1 1 0 0 2
-pareto_allocation ift: 5 0 2 1 5 0 0 9
-pareto_allocation fd: 5 0 2 1 16 0 0 29
-slutsky_hicks ift nullspace: 7 0 2 2 1 0 0 1
+slutsky_hicks ift: 6 0 2 1 1 0 0 1 0
+slutsky_hicks fd: 6 0 2 1 1 0 0 1 0
+profit_cd ift: 7 0 0 0 0 0 0 5 0
+profit_cd fd: 7 0 0 0 0 0 0 5 0
+multi_output_profit ift: 6 0 1 0 0 0 0 2 11
+multi_output_profit fd: 6 0 1 0 0 0 0 2 21
+cost_constrained_profit ift: 8 0 3 1 1 0 11 2 0
+cost_constrained_profit fd: 8 0 3 1 1 0 25 2 0
+multi_constraint_utility ift: 6 0 2 1 1 0 0 19 0
+multi_constraint_utility fd: 6 0 2 1 22 0 0 59 0
+market_power ift: 6 0 2 1 1 0 0 5 0
+market_power fd: 6 0 2 1 10 0 0 15 0
+principal_agent ift: 6 0 2 1 1 0 0 4 13
+principal_agent fd: 6 0 2 1 1 0 0 4 33
+efficient_portfolio ift: 8 0 2 1 1 0 0 2 0
+efficient_portfolio fd: 8 0 2 1 1 0 0 2 0
+pareto_allocation ift: 5 0 2 1 1 0 0 9 0
+pareto_allocation fd: 5 0 2 1 12 0 0 29 0
+slutsky_hicks ift nullspace: 7 0 2 2 1 0 0 1 0
 """
 
 

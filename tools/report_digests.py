@@ -61,8 +61,9 @@ basis; `--tol`; 3-point sweeps, sweeps into failing parameter ranges,
 sweeps whose closed-form cross-checks start from the catalog start, from
 the preceding point's closed form and from its Euler prediction,
 points without an interior optimum, points with nearly dependent or only
-badly scaled constraint gradients, and points outside a closed form's or
-a derivative's domain; points and a sweep whose reports hold NaN and
+badly scaled constraint gradients, points outside a closed form's or
+a derivative's domain, and points whose closed form solves a positive
+definite system that is not one or is nearly singular; points and a sweep whose reports hold NaN and
 infinities; a 64-point sweep; generated demand models with
 analytic derivatives (n = 40, 80; at n = 40 also with the null-space basis
 and in CSV and table formats) and finite differences only (n = 4, 8);
@@ -168,6 +169,12 @@ def invocations(benchmark_names, get_benchmark) -> list:
                ["principal_agent", "--at", "P1_2=0.15"],
                ["pareto_allocation", "--at", "b1=1e11"],
                ["multi_output_profit", "--at", "p2=-1"],
+               # the curvature p1 A1 + p2 A2 nearly singular: SciPy's positive
+               # definite solve warns at the first point, and at the second its
+               # rcond, 4.1e-16, lies between EPS and the 2 EPS below which
+               # `numeric.spd_solve` hands the solve to SciPy
+               ["multi_output_profit", "--at", "p2=-0.568627174171874"],
+               ["multi_output_profit", "--at", "p2=-0.5686271741718739"],
                ["slutsky_hicks", "--at", "m=0"],
                ["profit_cd", "--at", "w1=0"],
                ["efficient_portfolio", "--at", "s2_1=0"],
