@@ -12,6 +12,8 @@ only extend the target stack for the compensation rows.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..csm import estimate_rank
@@ -128,6 +130,20 @@ def contract_model(m_dim: int, name="principal_agent") -> ProblemModel:
     )
 
 
+def gram_condition_at_most(gram: np.ndarray, bound: float) -> bool:
+    """Whether the 2-norm condition number of the 2 x 2 Gram matrix, as
+    np.linalg.cond reads it, is at most `bound`, from its trace and
+    determinant: with the matrix scaled to unit trace, its eigenvalues are
+    (1 +/- sqrt(1 - 4 det)) / 2, so the condition number is l_max^2 / det.
+    False for a singular or non-finite matrix."""
+    (p, q), (q_t, r) = gram.tolist()
+    trace = p + r                       # Python floats: no floating-point warnings
+    p, q, q_t, r = p / trace, q / trace, q_t / trace, r / trace
+    det = p * r - q * q_t
+    l_max = 0.5 * (1.0 + math.sqrt(max(0.0, 1.0 - 4.0 * det)))
+    return bool(l_max * l_max <= bound * det)
+
+
 def contract_oracle(a, m_dim: int):
     """Closed form through the substitution u = sqrt(x): the problem becomes
     a two-constraint quadratic program with diagonal weight."""
@@ -139,7 +155,7 @@ def contract_oracle(a, m_dim: int):
                           f"P1_1..P1_{m_dim}; got {probs[0].tolist()}")
     d_inv = 1.0 / probs[0]
     gram = probs @ (d_inv[:, None] * probs.T)
-    if np.linalg.cond(gram) > 1e12:
+    if not gram_condition_at_most(gram, 1e12):
         raise ValueError("the two requirement constraints are linearly "
                          "dependent; the effort levels are indistinguishable")
     nu = 2.0 * spd_solve(gram, levels)

@@ -218,7 +218,7 @@ class BenchmarkEntry:
         if method is None:
             method = "analytic" if pipeline == "analytic" else "ift"
         if method == "fd":
-            sens = decision_jacobian_fd(self.model, a, config, x0=sol.x)
+            sens = decision_jacobian_fd(self.model, a, config, x0=sol.x, factor=sol.bordered)
         elif method == "analytic" and self.analytic_x_jac is not None:
             sens = decision_jacobian_analytic(
                 self.model, sol, self.analytic_x_jac, self.analytic_lam_jac)

@@ -106,7 +106,7 @@ def _compensated_blocks(model: ProblemModel, sol: SolutionPoint,
     T = iso.vectors
     x_semi = sens.x_jac @ T.T
     try:
-        lxa = sol.blocks.lagrangian_hess_xa(sol.lam)
+        lxa = sol.lxa
     except (CompstatError, ArithmeticError) as exc:
         raise AssemblyError(
             f"mixed derivative block unavailable for {model.name!r}: {exc}") from exc
@@ -132,7 +132,7 @@ def build_omega_quadratic(model: ProblemModel, sol: SolutionPoint,
     _require_directions(model, iso)
     x_semi = sens.x_jac @ iso.vectors.T
     try:
-        lxx = sol.blocks.lagrangian_hess_xx(sol.lam)
+        lxx = sol.lxx
     except (CompstatError, ArithmeticError) as exc:
         raise AssemblyError(
             f"decision Hessian unavailable for {model.name!r}: {exc}") from exc
@@ -199,7 +199,7 @@ def build_silberberg(model: ProblemModel, sol: SolutionPoint,
                      sens: SensitivityBundle) -> CsmResult:
     """Primal-dual style parameter-space matrix, semidefinite only subject to
     the constraints (`diagnostics.check_tangent_semidefinite`)."""
-    s_matrix = sol.blocks.lagrangian_hess_xa(sol.lam).T @ sens.x_jac
+    s_matrix = sol.lxa.T @ sens.x_jac
     if model.K:
         s_matrix = s_matrix + sol.blocks.Ga.T @ sens.lam_jac
     return _finalize(s_matrix, "silberberg_S", POSITIVE,
@@ -216,8 +216,7 @@ def build_universal(model: ProblemModel, sol: SolutionPoint,
     ConstraintQualificationError unless they are independent): the tangent
     projector is I - V V^T and G_x^T (G_x G_x^T)^-1 G_a = V S^-1 W^T D G_a.
     """
-    lxx = sol.blocks.lagrangian_hess_xx(sol.lam)
-    lxa = sol.blocks.lagrangian_hess_xa(sol.lam)
+    lxx, lxa = sol.lxx, sol.lxa
     if model.K == 0:
         u_matrix = sens.x_jac.T @ lxa
     else:

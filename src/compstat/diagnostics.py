@@ -79,8 +79,11 @@ def check_envelope(model: ProblemModel, sol: SolutionPoint, iso: IsovectorSet,
     re-solves, each started at the tangent prediction of `sens` (the Euler
     predictor of continuation), x +/- h (dx/da) t and lam +/- h (dlam/da) t,
     not at x and least-squares multipliers: it is already within O(h^2) of
-    the root and usually needs one step or none.  The start moves only where
-    Newton begins; the re-solve still converges to the stencil tolerance of
+    the root and usually needs one step or none.  Each step is a chord step
+    on the solution's gated factor `sol.bordered`, with no Hessian and no
+    factorization, while it halves the residual (see `newton_solve`).  The
+    start and the factor move only where Newton begins and how it steps;
+    the re-solve still converges to the stencil tolerance of
     `solver_config.stencil()`.  A point that cannot be
     evaluated, or a re-solve that does not converge, skips the check.
     """
@@ -93,7 +96,8 @@ def check_envelope(model: ProblemModel, sol: SolutionPoint, iso: IsovectorSet,
         return _block(model, "value", None, _decisions(model, x), b)
 
     def resolved_value(b, x_start, lam_start):
-        point = newton_solve(model, b, x_start, stencil_config, lam_start)
+        point = newton_solve(model, b, x_start, stencil_config, lam_start,
+                             factor=sol.bordered)
         if not point.converged:
             raise CompstatError("stencil solve did not converge")
         return point.blocks.f
@@ -270,7 +274,6 @@ def check_hatta_reduction(model: ProblemModel, sol: SolutionPoint,
         omega_ref = build_omega(model, sol, sens, prescribe_isovectors(rows, ga)).matrix
     # independent assembly: compensated decision columns and p-slot brackets
     x_comp = sens.x_jac[:, p_slots] + sens.x_jac[:, kappa] @ k_grads
-    lxa = sol.blocks.lagrangian_hess_xa(sol.lam)
-    display = lxa[:, p_slots].T @ x_comp
+    display = sol.lxa[:, p_slots].T @ x_comp
     return report("hatta_reduction", "separable-constraint-reduction",
                   matrix_mismatch(display, omega_ref), IDENTITY_TOL, rows=rows)

@@ -17,7 +17,7 @@ import numpy as np
 from . import fd
 from .errors import CompstatError, DegeneracyError, SensitivityError
 from .model import ProblemModel
-from .solver import SolutionPoint, SolverConfig, newton_solve
+from .solver import BorderedFactor, SolutionPoint, SolverConfig, newton_solve
 
 
 @dataclass(frozen=True)
@@ -29,14 +29,21 @@ class SensitivityBundle:
 
 
 def decision_jacobian_fd(model: ProblemModel, a, config: SolverConfig = SolverConfig(),
-                         x0=None) -> SensitivityBundle:
+                         x0=None, factor: Optional[BorderedFactor] = None) -> SensitivityBundle:
     """Central differences of re-solved solutions.  A closed form serves
     every stencil point; otherwise each is Newton warm-started from x(a),
-    solved here from x0."""
+    solved here from x0, at least-squares multipliers.  Given `factor`, the
+    gated factor of the solution at a (`SolutionPoint.bordered`), every
+    re-solve takes chord steps on it (see `newton_solve`): each stencil
+    point starts within O(h) of its root, where a chord step on a factor
+    O(h) away contracts the residual by O(h), so the re-solves take no
+    Hessian and no factorization unless a step fails to halve the
+    residual."""
     a = np.asarray(a, dtype=float)
     stencil_config = config.stencil()
     if model.analytic_solution is None:
-        base = newton_solve(model, a, np.asarray(x0, dtype=float), stencil_config)
+        base = newton_solve(model, a, np.asarray(x0, dtype=float), stencil_config,
+                            factor=factor)
         if not base.converged:
             raise SensitivityError(f"no converged solution at the base point of {model.name!r}")
         x_center = base.x
@@ -46,7 +53,7 @@ def decision_jacobian_fd(model: ProblemModel, a, config: SolverConfig = SolverCo
             x, lam = model.analytic_solution(b)
             return np.asarray(x, dtype=float), np.asarray(lam, dtype=float)
         try:
-            point = newton_solve(model, b, x_center, stencil_config)
+            point = newton_solve(model, b, x_center, stencil_config, factor=factor)
         except (CompstatError, ArithmeticError) as exc:
             raise SensitivityError(
                 f"stencil solve failed for parameter index {mu} of "
@@ -81,8 +88,8 @@ def decision_jacobian_ift(model: ProblemModel, sol: SolutionPoint) -> Sensitivit
         L_xx dx + G_x^T dlam = -L_xa[:, mu],   G_x dx = -G_a[:, mu],
     solved with the gated factor `sol.bordered`.
     """
-    blocks, M, factor = sol.blocks, model.M, sol.bordered
-    rhs = -np.vstack([blocks.lagrangian_hess_xa(sol.lam), blocks.Ga])
+    M, factor = model.M, sol.bordered
+    rhs = -np.vstack([sol.lxa, sol.blocks.Ga])
     solution = factor.solve(rhs, lambda: f"bordered system for {model.name!r}")
     if solution is None:
         raise DegeneracyError(f"non-finite solution of the bordered system for {model.name!r}")

@@ -16,7 +16,7 @@ import scipy.linalg
 
 from .errors import (CompstatError, ConstraintQualificationError, DegeneracyError,
                      EvaluationError, NonConvergenceError)
-from .model import Blocks, ProblemModel
+from .model import Blocks, ProblemModel, _read_only
 from .numeric import max_abs
 
 MAX_BACKTRACKS = 30     # step halvings per Newton iteration
@@ -70,15 +70,24 @@ class SolutionPoint:
         return lengths, w, svals, vt
 
     @functools.cached_property
+    def lxx(self) -> np.ndarray:
+        """L_xx at (x, lam), M x M, formed once (read-only)."""
+        return _read_only(self.blocks.lagrangian_hess_xx(self.lam))
+
+    @functools.cached_property
+    def lxa(self) -> np.ndarray:
+        """L_xa at (x, lam), M x N, formed once (read-only)."""
+        return _read_only(self.blocks.lagrangian_hess_xa(self.lam))
+
+    @functools.cached_property
     def bordered(self) -> BorderedFactor:
         """The factor of the bordered matrix [L_xx, G_x^T; G_x, 0] at (x, lam),
         factored once: the gate of a regular strict constrained maximum (Gould
         1985; Nocedal & Wright, Thm 16.3).  It reads `constraint_svd` (K > 0),
         then raises a DegeneracyError unless the inertia is (K, M, 0)."""
         model = self.blocks.model
-        factor = factor_bordered(
-            bordered_matrix(self.blocks.lagrangian_hess_xx(self.lam), self.blocks.Gx),
-            lambda: f"bordered matrix for {model.name!r}")
+        factor = factor_bordered(bordered_matrix(self.lxx, self.blocks.Gx),
+                                 lambda: f"bordered matrix for {model.name!r}")
         if model.K:
             self.constraint_svd
         found, expected = factor.inertia(), (model.K, model.M, 0)
@@ -172,14 +181,24 @@ def factor_bordered(mat: np.ndarray, label) -> BorderedFactor:
 
 
 def newton_solve(model: ProblemModel, a, x0, config: SolverConfig = SolverConfig(),
-                 lam0=None):
+                 lam0=None, factor: Optional[BorderedFactor] = None):
     """Damped Newton on the stacked first-order system, started at x0 and at
     the multipliers `lam0` (finite, shape (K,)), or without them at the
     least-squares multipliers of x0; backtracks on the residual norm.  A
     trial point whose evaluation raises a CompstatError or an
     ArithmeticError counts as an infinite residual; any other exception
     propagates.  Returns a SolutionPoint flagged non-converged instead of
-    silently returning a bad answer when the iteration cap is reached."""
+    silently returning a bad answer when the iteration cap is reached.
+
+    Given `factor`, the factor of the bordered matrix at a nearby point (a
+    solution's gate, `SolutionPoint.bordered`), it first takes chord steps
+    on it (simplified Newton; Kelley, *Iterative Methods for Linear and
+    Nonlinear Equations*, 1995, ch. 5): one residual evaluation and one
+    dsytrs each, no Hessian and no factorization.  Each full step must bring
+    the max-norm residual below half of what it was.  At the first that
+    does not, or whose point cannot be evaluated, the chord steps are
+    discarded and the solve starts again without `factor`, so it returns
+    what the solve without `factor` returns unless the chord converges."""
     a = np.asarray(a, dtype=float)
     x = np.asarray(x0, dtype=float).copy()
     blocks = Blocks(model, x, a)
@@ -189,18 +208,21 @@ def newton_solve(model: ProblemModel, a, x0, config: SolverConfig = SolverConfig
 
     def label():                    # built only for an error message
         return f"Newton system for {model.name!r} at iteration {iterations}"
-    iterations = 0
+    start, chord, iterations = (x, lam, res, res_norm, blocks), factor, 0
     while res_norm > config.tol and iterations < config.max_iter:
-        mat = bordered_matrix(blocks.lagrangian_hess_xx(lam), blocks.Gx)
-        factor = factor_bordered(mat, label)
+        if chord is None:
+            factor = factor_bordered(
+                bordered_matrix(blocks.lagrangian_hess_xx(lam), blocks.Gx), label)
         step = factor.solve(-res, label)
         if step is None:
             raise DegeneracyError(f"singular {label()}")
         if not factor.rcond >= EPS:     # no iteration number: a repeat is shown once
             warnings.warn(f"ill-conditioned Newton system for {model.name!r} "
                           f"(rcond = {factor.rcond!r})", scipy.linalg.LinAlgWarning)
+        # a chord step is taken whole and must halve the residual
+        bound, tries = (res_norm, MAX_BACKTRACKS + 1) if chord is None else (0.5 * res_norm, 1)
         scale = 1.0
-        for _ in range(MAX_BACKTRACKS + 1):
+        for _ in range(tries):
             x_try = x + scale * step[:model.M]
             lam_try = lam + scale * step[model.M:]
             trial = Blocks(model, x_try, a)
@@ -209,11 +231,14 @@ def newton_solve(model: ProblemModel, a, x0, config: SolverConfig = SolverConfig
                 norm_try = max_abs(res_try)     # a NaN never descends, like inf
             except (CompstatError, ArithmeticError):
                 norm_try = np.inf
-            if norm_try < res_norm:
+            if norm_try < bound:
                 break
             scale *= 0.5
         else:
-            break  # no descent direction left; stop and report
+            if chord is None:
+                break  # no descent direction left; stop and report
+            (x, lam, res, res_norm, blocks), chord, iterations = start, None, 0
+            continue
         x, lam, res, res_norm, blocks = x_try, lam_try, res_try, norm_try, trial
         iterations += 1
     return SolutionPoint(

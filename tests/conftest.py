@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
 
-from compstat.benchmarks import get_benchmark
-from compstat.model import ProblemModel
+from compstat.benchmarks import BenchmarkEntry, get_benchmark
+from compstat.model import BLOCK_FIELDS, ProblemModel
 
 
 @pytest.fixture(scope="session")
@@ -24,6 +26,16 @@ def slutsky_run(slutsky_entry):
 @pytest.fixture(scope="session")
 def profit_run(profit_entry):
     return profit_entry.prepare("analytic")
+
+
+def fd_only(entry: BenchmarkEntry) -> BenchmarkEntry:
+    """`entry` with no derivative callable, closed form or registered
+    Jacobian: its FD-only twin."""
+    unregistered = {field: None for kind, fields in BLOCK_FIELDS.items() if kind != "value"
+                    for field in fields}
+    model = dataclasses.replace(entry.model, analytic_solution=None, **unregistered)
+    return dataclasses.replace(entry, model=model, analytic_x_jac=None,
+                               analytic_lam_jac=None)
 
 
 def sqrt_profit_model():

@@ -164,6 +164,65 @@ def test_principal_agent_rejects_nonbinding_configuration():
         register_principal_agent(p_high=(0.4, 0.3, 0.3), p_low=(0.4, 0.3, 0.3))
 
 
+def _agency_gram(a):
+    probs = np.vstack([a[:3], a[3:6]])
+    return probs @ ((1.0 / probs[0])[:, None] * probs.T)
+
+
+def test_gram_condition_bound_agrees_with_the_svd():
+    # seeded 2 x 2 Gram matrices with condition numbers from 1 to 1e16: the
+    # closed form decides as np.linalg.cond does, except within 1e-3 of the
+    # bound, where the SVD's own rounding (eps * cond) decides
+    from compstat.benchmarks.agency import gram_condition_at_most
+    rng = np.random.default_rng(5)
+    decided = 0
+    for exponent in rng.uniform(0.0, 16.0, 2000):
+        turn, _ = np.linalg.qr(rng.normal(size=(2, 2)))
+        gram = (turn * [1.0, 10.0 ** -exponent]) @ turn.T * rng.uniform(1e-3, 1e3)
+        cond = np.linalg.cond(gram)
+        if abs(np.log10(cond) - 12.0) > 1e-3:
+            assert gram_condition_at_most(gram, 1e12) == (cond <= 1e12), cond
+            decided += 1
+    assert decided > 1900
+    assert not gram_condition_at_most(np.ones((2, 2)), 1e12)
+    assert not gram_condition_at_most(np.array([[np.inf, 1.0], [1.0, 1.0]]), 1e12)
+    assert not gram_condition_at_most(np.array([[np.nan, 1.0], [1.0, 1.0]]), 1e12)
+
+
+@pytest.mark.parametrize("cond_factor", [0.9, 1.1])
+def test_contract_oracle_refuses_gram_conditions_above_1e12(cond_factor):
+    # the effort-2 probabilities tilted from the effort-1 row until the Gram
+    # matrix's np.linalg.cond is cond_factor * 1e12, found by bisection; equal
+    # utility levels keep the payments interior
+    from compstat.benchmarks.agency import contract_oracle
+    from compstat.errors import DomainError
+    entry = get_benchmark("principal_agent")
+    base = np.asarray(entry.default_point, dtype=float)
+
+    def point(tilt):
+        a = base.copy()
+        a[3:6] = a[:3] + tilt * np.array([1.0, -2.0, 1.0])
+        a[7] = a[6]
+        return a
+
+    low, high = 1e-9, 1e-3          # condition numbers above and below the target
+    for _ in range(200):
+        mid = np.sqrt(low * high)
+        if np.linalg.cond(_agency_gram(point(mid))) > cond_factor * 1e12:
+            low = mid
+        else:
+            high = mid
+    a = point(high if cond_factor > 1.0 else low)
+    cond = np.linalg.cond(_agency_gram(a))
+    assert cond == pytest.approx(cond_factor * 1e12, rel=1e-2)
+    if cond_factor > 1.0:
+        with pytest.raises(DomainError, match="linearly dependent"):
+            entry.model.analytic_solution(a)
+    else:
+        x, lam = entry.model.analytic_solution(a)
+        assert np.isfinite(x).all() and np.isfinite(lam).all()
+
+
 def test_market_power_rows_match_supply_slopes():
     entry = get_benchmark("market_power")
     run = entry.prepare("numeric")

@@ -51,15 +51,16 @@ def _counted(entry, calls: list):
 # Before the per-point block object, run_point made 1,289 (ift) and 2,297
 # (fd) calls over the catalog, 460 and 684 of them repeats; with it, 833 and
 # 1,632.  Envelope re-solves started at the tangent prediction bring that to
-# 631 and 1,430.
-@pytest.mark.parametrize("method, most_calls", [("ift", 640), ("fd", 1440)])
+# 631 and 1,430, and re-solves that take chord steps on the solution's gated
+# factor, without second derivatives, to 567 and 1,146.
+@pytest.mark.parametrize("method, most_calls", [("ift", 570), ("fd", 1150)])
 def test_run_point_evaluates_each_block_once_per_point(method, most_calls, monkeypatch):
     calls, solve_of = [], {}          # call index -> call index its Newton solve began at
 
-    def spy(model, a, x0, config=SolverConfig(), lam0=None):
+    def spy(model, a, x0, config=SolverConfig(), lam0=None, factor=None):
         start = len(calls)
         try:
-            return newton_solve(model, a, x0, config, lam0)
+            return newton_solve(model, a, x0, config, lam0, factor)
         finally:
             solve_of.update(dict.fromkeys(range(start, len(calls)), start))
 
@@ -94,6 +95,16 @@ def test_lagrangian_blocks_add_terms_in_order(slutsky_run):
     assert np.array_equal(blocks.lagrangian_grad_x(lam), blocks.fx + lam[0] * blocks.Gx[0])
     assert np.array_equal(blocks.lagrangian_hess_xx(lam), blocks.fxx + lam[0] * blocks.gxx[0])
     assert np.array_equal(blocks.lagrangian_hess_xa(lam), blocks.fxa + lam[0] * blocks.gxa[0])
+
+
+def test_a_solution_forms_its_lagrangian_blocks_once(slutsky_run):
+    sol = slutsky_run.sol
+    for name, expected in (("lxx", sol.blocks.lagrangian_hess_xx(sol.lam)),
+                           ("lxa", sol.blocks.lagrangian_hess_xa(sol.lam))):
+        block = getattr(sol, name)
+        assert block is getattr(sol, name) and np.array_equal(block, expected)
+        with pytest.raises(ValueError, match="read-only"):
+            block[...] = 0.0
 
 
 def _assert_blocks_equal(blocks, expected: dict):

@@ -39,8 +39,9 @@ from compstat.csm import build_omega, from_matrix
 from compstat.diagnostics import CheckReport
 from compstat.errors import CompstatError
 from compstat.geometry import conformance_tolerance, null_property_residuals
-from compstat.model import BLOCK_FIELDS
 from compstat.solver import SolverConfig, newton_solve, solve_interior
+
+from conftest import fd_only
 
 
 def _replace_everywhere(monkeypatch, original, replacement):
@@ -69,8 +70,8 @@ def _on_runs(monkeypatch, change):
 
 
 def _newton_tol(monkeypatch):
-    def loose(model, a, x0, config=SolverConfig(), lam0=None):
-        return newton_solve(model, a, x0, dataclasses.replace(config, tol=1e-5), lam0)
+    def loose(model, a, x0, config=SolverConfig(), lam0=None, factor=None):
+        return newton_solve(model, a, x0, dataclasses.replace(config, tol=1e-5), lam0, factor)
     _replace_everywhere(monkeypatch, newton_solve, loose)
 
 
@@ -214,15 +215,6 @@ def _rotated_directions(monkeypatch):
             run.iso, vectors=vectors,
             null_residuals=null_property_residuals(vectors, run.sol.blocks.Ga)))
     _on_runs(monkeypatch, change)
-
-
-def fd_only(entry: BenchmarkEntry) -> BenchmarkEntry:
-    """`entry` with no derivative callable, closed form or registered Jacobian."""
-    unregistered = {field: None for kind, fields in BLOCK_FIELDS.items() if kind != "value"
-                    for field in fields}
-    model = dataclasses.replace(entry.model, analytic_solution=None, **unregistered)
-    return dataclasses.replace(entry, model=model, analytic_x_jac=None,
-                               analytic_lam_jac=None)
 
 
 def _not_run(*args, **kwargs):
@@ -455,7 +447,7 @@ analyze market_power fd
   envelope: f_a
   hatta_reduction: omega_sign f_xa
   rank_bound[omega_eq7]: f_xa jac_cols off_null
-  semidefinite[derived:price_impact_substitution]: jac_cols off_null
+  semidefinite[derived:price_impact_substitution]: lam_sign jac_cols off_null
   semidefinite[omega_eq7]: omega_sign lam_sign f_xa jac_cols
   semidefinite[silberberg_S|tangent]: lam_sign f_xa jac_cols
   semidefinite[universal_U]: lam_scale lam_sign f_xa jac_cols

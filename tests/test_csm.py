@@ -337,12 +337,14 @@ def test_rank_estimate_conventions():
 @pytest.mark.parametrize("error, typed", [(TypeError, False), (DomainError, True)])
 @pytest.mark.parametrize("builder", [csm.build_omega, csm.build_omega_quadratic])
 def test_only_typed_block_errors_become_assembly_errors(builder, error, typed):
-    def unavailable(lam):
-        raise error("user bug in a Hessian block")
+    class Unavailable:              # a solution whose Lagrangian blocks raise
+        @property
+        def lxx(self):
+            raise error("user bug in a Hessian block")
+        lxa = lxx
 
-    blocks = SimpleNamespace(lagrangian_hess_xa=unavailable, lagrangian_hess_xx=unavailable)
     model = SimpleNamespace(name="guarded", N=1)
-    sol = SimpleNamespace(blocks=blocks, lam=np.zeros(0))
+    sol = Unavailable()
     sens = SimpleNamespace(x_jac=np.eye(1))
     iso = SimpleNamespace(vectors=np.eye(1), n_parameters=1, count=1)
     if typed:

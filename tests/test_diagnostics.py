@@ -67,7 +67,8 @@ def test_envelope_skips_on_stencil_failure():
 def _envelope_rows_per_point(model, sol, iso, sens, solver_config=SolverConfig()):
     """Reference envelope rows: each step taken row by row, and each stencil
     value read from a `Blocks` built at the point (the closed form's) or from
-    a Newton re-solve started at the tangent prediction of x and lam."""
+    a Newton re-solve started at the tangent prediction of x and lam that
+    takes chord steps on the solution's gated factor."""
     a = sol.a
     stencil_config = solver_config.stencil()
 
@@ -75,7 +76,8 @@ def _envelope_rows_per_point(model, sol, iso, sens, solver_config=SolverConfig()
         if model.analytic_solution is not None:
             x, _ = model.analytic_solution(b)
             return Blocks(model, x, b).f
-        point = newton_solve(model, b, x_start, stencil_config, lam_start)
+        point = newton_solve(model, b, x_start, stencil_config, lam_start,
+                             factor=sol.bordered)
         assert point.converged
         return point.blocks.f
 
@@ -171,8 +173,8 @@ def test_envelope_resolves_start_at_the_tangent_prediction(name, most_iterations
     run = entry.prepare("analytic")
     iterations = []
 
-    def spy(model, a, x0, cfg, lam0=None):
-        point = newton_solve(model, a, x0, cfg, lam0)
+    def spy(model, a, x0, cfg, lam0=None, factor=None):
+        point = newton_solve(model, a, x0, cfg, lam0, factor)
         iterations.append(point.iterations)
         return point
 
@@ -304,9 +306,9 @@ def test_envelope_resolves_with_the_callers_solver_settings(monkeypatch):
     sol = solve_interior(model, a, x0=np.zeros(model.M), config=config)
     seen = []
 
-    def spy(model, a, x0, cfg, lam0=None):
+    def spy(model, a, x0, cfg, lam0=None, factor=None):
         seen.append(cfg)
-        return newton_solve(model, a, x0, cfg, lam0)
+        return newton_solve(model, a, x0, cfg, lam0, factor)
 
     monkeypatch.setattr("compstat.diagnostics.newton_solve", spy)
     iso = build_isovectors(Blocks(model, sol.x, sol.a).Ga)

@@ -5,8 +5,10 @@ Each callable of the catalog entry's model is wrapped with
 constraints count as `value`, their first derivatives as `grad`, their
 second derivatives as `hess` and the registered closed form as
 `closed_form`.  `run_point` runs at the nine catalog defaults with
-`--method ift` and `--method fd`.  A change that moves a count updates
-CALLS and says which count moved and why;
+`--method ift` and `--method fd`, and `cmd_verify_all` runs every suite
+once on the wrapped entries; models that a suite builds from callables of
+its own (the portfolio's companion) are not counted.  A change that moves
+a count updates CALLS and says which count moved and why;
 
     PYTHONPATH=src python tests/test_evaluator_counts.py
 
@@ -18,6 +20,7 @@ from collections import Counter
 
 import pytest
 
+from compstat import benchmarks, cli
 from compstat.benchmarks import benchmark_names, get_benchmark
 from compstat.cli import RunConfig, run_point
 
@@ -52,7 +55,8 @@ def _counted(entry, counts: Counter):
 
 
 def observe() -> dict:
-    """(benchmark, method) -> the calls of each kind, in COLUMNS' order."""
+    """(benchmark, method) or ("verify-all",) -> the calls of each kind, in
+    COLUMNS' order."""
     table = {}
     for name in benchmark_names():
         for method in ("ift", "fd"):
@@ -60,12 +64,18 @@ def observe() -> dict:
             entry = _counted(get_benchmark(name), counts)
             run_point(entry, entry.default_point, RunConfig(model=name, method=method))
             table[name, method] = tuple(counts[kind] for kind in COLUMNS)
+    counts = Counter()
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        for name in benchmark_names():
+            monkeypatch.setitem(benchmarks._CACHE, name, _counted(get_benchmark(name), counts))
+        cli.cmd_verify_all()
+    table[("verify-all",)] = tuple(counts[kind] for kind in COLUMNS)
     return table
 
 
 def _table_text(table: dict) -> str:
-    return "\n".join(f"{name} {method}: {' '.join(map(str, row))}"
-                     for (name, method), row in table.items())
+    return "\n".join(f"{' '.join(label)}: {' '.join(map(str, row))}"
+                     for label, row in table.items())
 
 
 def test_analyze_makes_the_pinned_model_evaluations():
@@ -83,16 +93,17 @@ multi_output_profit ift: 10 4 3 11
 multi_output_profit fd: 10 4 3 21
 cost_constrained_profit ift: 13 8 6 11
 cost_constrained_profit fd: 13 8 6 25
-multi_constraint_utility ift: 86 108 60 0
-multi_constraint_utility fd: 208 291 180 0
+multi_constraint_utility ift: 86 108 12 0
+multi_constraint_utility fd: 208 291 12 0
 market_power ift: 17 24 12 0
-market_power fd: 36 62 32 0
+market_power fd: 36 62 12 0
 principal_agent ift: 22 18 15 13
 principal_agent fd: 22 18 15 33
 efficient_portfolio ift: 30 12 9 25
 efficient_portfolio fd: 30 12 9 53
-pareto_allocation ift: 43 56 40 0
-pareto_allocation fd: 136 180 120 0
+pareto_allocation ift: 43 56 24 0
+pareto_allocation fd: 136 180 24 0
+verify-all: 74 155 144 8
 """
 
 

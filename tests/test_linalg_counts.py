@@ -83,16 +83,16 @@ multi_output_profit ift: 6 0 1 0 0 0 0 2 11
 multi_output_profit fd: 6 0 1 0 0 0 0 2 21
 cost_constrained_profit ift: 8 0 3 1 1 0 11 2 0
 cost_constrained_profit fd: 8 0 3 1 1 0 25 2 0
-multi_constraint_utility ift: 6 0 2 1 1 0 0 19 0
-multi_constraint_utility fd: 6 0 2 1 22 0 0 59 0
+multi_constraint_utility ift: 6 0 2 1 1 0 0 3 0
+multi_constraint_utility fd: 6 0 2 1 22 0 0 3 0
 market_power ift: 6 0 2 1 1 0 0 5 0
-market_power fd: 6 0 2 1 10 0 0 15 0
+market_power fd: 6 0 2 1 10 0 0 5 0
 principal_agent ift: 6 0 2 1 1 0 0 4 13
 principal_agent fd: 6 0 2 1 1 0 0 4 33
 efficient_portfolio ift: 8 0 2 1 1 0 0 2 0
 efficient_portfolio fd: 8 0 2 1 1 0 0 2 0
-pareto_allocation ift: 5 0 2 1 1 0 0 9 0
-pareto_allocation fd: 5 0 2 1 12 0 0 29 0
+pareto_allocation ift: 5 0 2 1 1 0 0 5 0
+pareto_allocation fd: 5 0 2 1 12 0 0 5 0
 slutsky_hicks ift nullspace: 7 0 2 2 1 0 0 1 0
 """
 

@@ -8,9 +8,10 @@ forms' cross-checks (`solver`, `benchmarks.base`), the finite-difference
 stencils' re-solves (`sensitivity`), the envelope's re-solves
 (`diagnostics`) and a catalog suite's own solves (`benchmarks.portfolio`,
 which `analyze` never makes).  `run_point` runs at the nine catalog
-defaults with `--method ift` and `--method fd`, and `cmd_analyze` runs an
+defaults with `--method ift` and `--method fd`, `cmd_analyze` runs an
 8-point `profit_cd` price sweep in this process, where each cross-check
-after the first may start from its predecessor's prediction.  A change
+after the first may start from its predecessor's prediction, and
+`cmd_verify_all` runs every suite once.  A change
 that moves a count updates SOLVES and says which count moved and why;
 
     PYTHONPATH=src python tests/test_newton_counts.py
@@ -65,6 +66,7 @@ def observe(monkeypatch) -> dict:
                 entry, entry.default_point, RunConfig(model=entry.name, method=method)))
     run(f"{SWEEP['model']} --sweep {SWEEP['sweep']}",
         lambda: cli.cmd_analyze(cli.config_from_mapping(SWEEP)))
+    run("verify-all", cli.cmd_verify_all)
     return table
 
 
@@ -100,6 +102,7 @@ efficient_portfolio fd: 1 1 | 0 0 | 0 0 | 0 0
 pareto_allocation ift: 1 4 | 0 0 | 4 4 | 0 0
 pareto_allocation fd: 1 4 | 11 20 | 4 4 | 0 0
 profit_cd --sweep p=1.5:3:8: 8 25 | 0 0 | 0 0 | 0 0
+verify-all: 24 42 | 0 0 | 0 0 | 4 4
 """
 
 

@@ -138,9 +138,9 @@ def test_fd_resolves_with_the_callers_solver_settings(monkeypatch):
     config = SolverConfig(tol=1e-9, max_iter=57)
     seen = []
 
-    def spy(model, a, x0, cfg, lam0=None):
+    def spy(model, a, x0, cfg, lam0=None, factor=None):
         seen.append(cfg)
-        return newton_solve(model, a, x0, cfg, lam0)
+        return newton_solve(model, a, x0, cfg, lam0, factor)
 
     monkeypatch.setattr("compstat.sensitivity.newton_solve", spy)
     bundle = decision_jacobian_fd(model, np.array([1.0, 2.0]), config, x0=np.array([0.5]))

@@ -68,7 +68,8 @@ infinities; a 64-point sweep; generated demand models with
 analytic derivatives (n = 40, 80; at n = 40 also with the null-space basis
 and in CSV and table formats) and finite differences only (n = 4, 8);
 catalog entries with some derivatives registered and the rest left to
-finite differences (the factories of `_VARIANTS`); `verify-all`;
+finite differences, or none registered (the factories of `_VARIANTS`);
+`verify-all`;
 `list-models`; and configuration errors, among them values that do not
 parse or are not finite and positive, from a config file and from flags.
 The config files and the `_VARIANTS` module are written into a scratch
@@ -98,7 +99,8 @@ _CONFIG_FILES = {"tol_abc.cfg": "solver.tol = abc\n",
                  "max_iter_-1.cfg": "solver.max_iter = -1\n",
                  "step_0.cfg": "sensitivity.step = 0\n"}
 # a module of `--model module:factory` factories: catalog entries whose
-# models keep some derivative callables and leave the rest to the stencils
+# models keep some derivative callables and leave the rest to the stencils,
+# or keep none (`*_fd_only`: re-solves whose Hessians are nested stencils)
 _VARIANTS = '''
 import dataclasses
 
@@ -106,6 +108,8 @@ from compstat.benchmarks import get_benchmark
 
 _HESSIANS = ("hess_xx_objective", "hess_xa_objective",
              "hess_xx_constraints", "hess_xa_constraints")
+_DERIVATIVES = _HESSIANS + ("grad_x_objective", "grad_a_objective",
+                            "grad_x_constraints", "grad_a_constraints")
 
 
 def _variant(name, **fields):
@@ -126,6 +130,14 @@ def portfolio_one_fd_constraint_gradient():
     return _variant("efficient_portfolio", grad_x_constraints=(bank[0], None))
 
 
+def pareto_fd_only():
+    return _variant("pareto_allocation", **dict.fromkeys(_DERIVATIVES))
+
+
+def utility_fd_only():
+    return _variant("multi_constraint_utility", **dict.fromkeys(_DERIVATIVES))
+
+
 def utility_mixed_banks():
     model = get_benchmark("multi_constraint_utility").model
     return _variant("multi_constraint_utility",
@@ -134,7 +146,8 @@ def utility_mixed_banks():
                     hess_xa_constraints=None)
 '''
 _VARIANT_FACTORIES = ("slutsky_no_hessians", "profit_grad_x_only",
-                      "portfolio_one_fd_constraint_gradient", "utility_mixed_banks")
+                      "portfolio_one_fd_constraint_gradient", "utility_mixed_banks",
+                      "pareto_fd_only", "utility_fd_only")
 
 
 def invocations(benchmark_names, get_benchmark) -> list:
