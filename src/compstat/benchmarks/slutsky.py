@@ -169,11 +169,13 @@ def register_slutsky_hicks(gamma=(0.5, 0.5), default_point=(1.0, 1.0, 1.0)) -> B
         ("reduced_form_equivalent", _check_reduced_form),
     )
     default_point = np.asarray(default_point, dtype=float)
+    shares = np.arange(gamma.size + 1.0, 2 * gamma.size + 1)
     return BenchmarkEntry(
         name="slutsky_hicks", model=model,
         default_point=default_point,
-        # equal expenditure m / n on every good: a start on the budget
-        x0=default_point[gamma.size] / (gamma.size * default_point[:gamma.size]),
+        # expenditure shares proportional to n + 1, ..., 2n: a start on the
+        # budget that is not the closed form at equal taste weights
+        x0=shares / shares.sum() * default_point[gamma.size] / default_point[:gamma.size],
         isovector_recipe=compensation_rows,
         property_suite=suite,
         analytic_x_jac=x_jac, analytic_lam_jac=lam_jac,

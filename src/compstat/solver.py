@@ -268,7 +268,10 @@ def _continuation_start(model: ProblemModel, a, x0, previous, x_jac, tol: float)
       prediction that leaves the objective's domain);
     - when that residual meets `tol`, or is not below x0's.
     The prediction is a probe: its floating-point warnings are not shown,
-    and x0's are shown as Newton's start would show them."""
+    and x0's are shown as Newton's start would show them.  Returns `x0`
+    itself, not a copy, so that a caller can tell which start it got: a
+    prediction lies near the closed form, where `solve_interior` takes chord
+    steps on the gate's factor."""
     previous = np.asarray(previous, dtype=float)
     if not (np.abs(a - previous) <= EULER_REACH * np.abs(previous)).all():
         return x0
@@ -301,7 +304,12 @@ def solve_interior(model: ProblemModel, a, x0=None,
     `x0` and `previous`, the preceding point of a sweep, it starts from the
     closed form's Euler prediction from `previous` along `x_jac`, the
     registered decision Jacobian (None: no step), where `_continuation_start`
-    finds that a better start than `x0`.
+    finds that a better start than `x0`.  Started there, at a closed form
+    that converged, the cross-check takes chord steps on the returned
+    point's gate `bordered` (see `newton_solve`), which caches the factor
+    for the caller's gate, so the point is still factored once; where the
+    gate refuses, the cross-check runs without it and the caller's gate
+    raises the same error.  A cross-check from `x0` is plain Newton.
     """
     a = np.asarray(a, dtype=float)
     if model.analytic_solution is not None:
@@ -310,20 +318,29 @@ def solve_interior(model: ProblemModel, a, x0=None,
         lam = np.asarray(lam, dtype=float)
         blocks = Blocks(model, x, a)
         residual = max_abs(_kkt_residual(blocks, lam))
-        start = x if x0 is None else np.asarray(x0, dtype=float)
-        if x0 is not None and previous is not None:
-            start = _continuation_start(model, a, start, previous, x_jac, config.tol)
-        newton = newton_solve(model, a, start, config)
-        discrepancy = max_abs(newton.x - x) if newton.converged else None
-        return SolutionPoint(
+        point = SolutionPoint(
             a=a, x=x, lam=lam,
             kkt_residual=residual,
             iterations=0,
             converged=bool(residual <= config.tol),
             source="analytic",
             blocks=blocks,
-            newton_discrepancy=discrepancy,
         )
+        start = x if x0 is None else np.asarray(x0, dtype=float)
+        factor = None
+        if x0 is not None and previous is not None:
+            predicted = _continuation_start(model, a, start, previous, x_jac, config.tol)
+            if predicted is not start and point.converged:
+                try:
+                    factor = point.bordered
+                except (CompstatError, ArithmeticError):
+                    pass    # the caller's gate raises it again
+            start = predicted
+        newton = newton_solve(model, a, start, config, factor=factor)
+        # set in place: a rebuilt point would drop the cached gate
+        object.__setattr__(point, "newton_discrepancy",
+                           max_abs(newton.x - x) if newton.converged else None)
+        return point
     if x0 is None:
         raise NonConvergenceError(
             f"model {model.name!r} has no analytic solution; an initial point is required")

@@ -52,8 +52,10 @@ def _counted(entry, calls: list):
 # (fd) calls over the catalog, 460 and 684 of them repeats; with it, 833 and
 # 1,632.  Envelope re-solves started at the tangent prediction bring that to
 # 631 and 1,430, and re-solves that take chord steps on the solution's gated
-# factor, without second derivatives, to 567 and 1,146.
-@pytest.mark.parametrize("method, most_calls", [("ift", 570), ("fd", 1150)])
+# factor, without second derivatives, to 567 and 1,146.  A slutsky_hicks
+# start that is not its closed form, whose cross-check takes 3 Newton
+# iterations, brings them to 587 and 1,166.
+@pytest.mark.parametrize("method, most_calls", [("ift", 590), ("fd", 1170)])
 def test_run_point_evaluates_each_block_once_per_point(method, most_calls, monkeypatch):
     calls, solve_of = [], {}          # call index -> call index its Newton solve began at
 

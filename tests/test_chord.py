@@ -8,16 +8,25 @@ where its chord steps fail, it must return exactly what the solve without
 the factor returns.  The points are those of the nine catalog defaults'
 FD-only twins, and of the seeded realization of `test_realization.py` at
 constraint row scales (1, 1) and (1, 1e3).
+
+`solve_interior` hands a sweep's closed-form cross-check the same factor
+when it starts from its predecessor's prediction.  At each such point of
+the sweeps of the closed-form catalog models, it must likewise converge
+wherever plain Newton from that start converges, and where a chord step
+does not halve the residual, return plain Newton's result exactly.
 """
 
 import numpy as np
 import pytest
 
-from compstat import fd
+from compstat import fd, solver
 from compstat.benchmarks import benchmark_names, get_benchmark
+from compstat.cli import config_from_mapping, resolve_points
 from compstat.geometry import build_isovectors
+from compstat.numeric import max_abs
 from compstat.sensitivity import decision_jacobian_ift
-from compstat.solver import SolverConfig, newton_solve
+from compstat.solver import (SolverConfig, _continuation_start, bordered_matrix, newton_solve,
+                             solve_interior)
 
 from conftest import fd_only
 from test_realization import M_DIM, realization
@@ -93,3 +102,60 @@ def test_a_resolve_on_the_gates_factor_converges_wherever_one_without_it_does(
             assert chord.iterations == plain.iterations
     if exact:
         assert converged == 2 * (model.N + iso.count)
+
+
+def _closed_form_sweeps():
+    """(model, sweep, cross-checks on the factor that converge by chord
+    steps alone, those that fall back to plain Newton): the 3-point sweeps
+    of `tools/report_digests.py` over each closed-form model's first
+    parameter, the 64-point price sweep of the benchmark, and a
+    principal_agent sweep whose first predicted start is too far for a
+    chord step to halve the residual."""
+    sweeps = []
+    for name in benchmark_names():
+        entry = get_benchmark(name)
+        if entry.has_analytic:
+            first = float(entry.default_point[0])
+            sweeps.append((name, f"{entry.model.parameter_names[0]}="
+                                 f"{0.9 * first!r}:{1.1 * first!r}:3"))
+    chords = {"multi_output_profit": 0}      # quadratic: its predictions are exact
+    return ([(name, sweep, chords.get(name, 2), 0) for name, sweep in sweeps]
+            + [("profit_cd", "p=1.5:3:64", 63, 0), ("principal_agent", "P2_1=0.5:0.9:3", 1, 1)])
+
+
+SWEEPS = _closed_form_sweeps()
+
+
+@pytest.mark.parametrize("name, sweep, chords, fallbacks", SWEEPS,
+                         ids=[f"{case[0]}:{case[1]}" for case in SWEEPS])
+def test_a_sweep_cross_check_on_the_gates_factor_converges_wherever_plain_newton_does(
+        name, sweep, chords, fallbacks, monkeypatch):
+    entry, config = get_benchmark(name), SolverConfig()
+    points = resolve_points(entry, config_from_mapping({"model": name, "sweep": sweep}))
+    factored, factor_bordered = [], solver.factor_bordered
+    monkeypatch.setattr(solver, "factor_bordered",
+                        lambda *args: factored.append(args) or factor_bordered(*args))
+    seen = {"chord": 0, "fallback": 0}
+    for previous, a in zip(points, points[1:]):
+        sol = solve_interior(entry.model, a, entry.x0, config, previous, entry.analytic_x_jac)
+        start = _continuation_start(entry.model, a, entry.x0, previous,
+                                    entry.analytic_x_jac, config.tol)
+        if start is entry.x0:
+            continue
+        plain = newton_solve(entry.model, a, start, config)
+        factor, factored[:] = sol.bordered, []
+        chord = newton_solve(entry.model, a, start, config, factor=factor)
+        assert sol.newton_discrepancy == (max_abs(chord.x - sol.x) if chord.converged else None)
+        if factored:        # a chord step did not halve the residual
+            seen["fallback"] += 1
+            assert np.array_equal(chord.x, plain.x) and np.array_equal(chord.lam, plain.lam)
+            assert (chord.iterations, chord.converged) == (plain.iterations, plain.converged)
+        else:
+            seen["chord"] += 1
+            assert chord.converged and plain.converged
+            # each stops within config.tol of zero residual, on either side
+            # of the root: up to config.tol / sigma_min away from it
+            sigma_min = np.linalg.svd(bordered_matrix(sol.lxx, sol.blocks.Gx),
+                                      compute_uv=False)[-1]
+            assert max_abs(chord.x - plain.x) <= 2 * config.tol / sigma_min
+    assert seen == {"chord": chords, "fallback": fallbacks}

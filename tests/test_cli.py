@@ -98,8 +98,8 @@ def test_a_sweep_cross_check_never_starts_where_it_has_nothing_to_check(
         model, sweep, points, monkeypatch):
     entry, real, starts = get_benchmark(model), solver.newton_solve, []
 
-    def recorded(model, a, x0, config=solver.SolverConfig()):
-        sol = real(model, a, x0, config)
+    def recorded(model, a, x0, config=solver.SolverConfig(), factor=None):
+        sol = real(model, a, x0, config, factor=factor)
         starts.append((np.array(x0), sol.iterations))
         return sol
 

@@ -105,8 +105,9 @@ def _demand_40():
 
 
 def test_demand_40_newton_cross_check_converges_from_the_registered_start():
-    # the registered start spends m / n on every good, so it is on the budget
-    # whatever the prices, and the Newton cross-check converges
+    # the registered start spends shares of m proportional to n + 1, ..., 2n,
+    # so it is on the budget whatever the prices, and the Newton cross-check
+    # converges
     entry = _demand_40()
     assert entry.x0 @ entry.default_point[:40] == pytest.approx(40.0)
     assert entry.prepare("analytic").sol.newton_discrepancy is not None

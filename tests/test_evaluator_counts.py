@@ -5,10 +5,12 @@ Each callable of the catalog entry's model is wrapped with
 constraints count as `value`, their first derivatives as `grad`, their
 second derivatives as `hess` and the registered closed form as
 `closed_form`.  `run_point` runs at the nine catalog defaults with
-`--method ift` and `--method fd`, and `cmd_verify_all` runs every suite
-once on the wrapped entries; models that a suite builds from callables of
-its own (the portfolio's companion) are not counted.  A change that moves
-a count updates CALLS and says which count moved and why;
+`--method ift` and `--method fd`, `cmd_analyze` runs the 8-point
+`profit_cd` price sweep of `test_newton_counts.py` in this process, and
+`cmd_verify_all` runs every suite once on the wrapped entries; models that
+a suite builds from callables of its own (the portfolio's companion) are
+not counted.  A change that moves a count updates CALLS and says which
+count moved and why;
 
     PYTHONPATH=src python tests/test_evaluator_counts.py
 
@@ -16,6 +18,7 @@ prints the table as observed.
 """
 
 import dataclasses
+import os
 from collections import Counter
 
 import pytest
@@ -23,6 +26,8 @@ import pytest
 from compstat import benchmarks, cli
 from compstat.benchmarks import benchmark_names, get_benchmark
 from compstat.cli import RunConfig, run_point
+
+from test_newton_counts import SWEEP
 
 # model field -> counted kind
 KINDS = {
@@ -55,8 +60,8 @@ def _counted(entry, counts: Counter):
 
 
 def observe() -> dict:
-    """(benchmark, method) or ("verify-all",) -> the calls of each kind, in
-    COLUMNS' order."""
+    """(benchmark, method), (benchmark, "--sweep " + grid) or ("verify-all",)
+    -> the calls of each kind, in COLUMNS' order."""
     table = {}
     for name in benchmark_names():
         for method in ("ift", "fd"):
@@ -64,6 +69,13 @@ def observe() -> dict:
             entry = _counted(get_benchmark(name), counts)
             run_point(entry, entry.default_point, RunConfig(model=name, method=method))
             table[name, method] = tuple(counts[kind] for kind in COLUMNS)
+    counts = Counter()
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setitem(benchmarks._CACHE, SWEEP["model"],
+                            _counted(get_benchmark(SWEEP["model"]), counts))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})   # no forked chunk
+        cli.cmd_analyze(cli.config_from_mapping(SWEEP))
+    table[SWEEP["model"], f"--sweep {SWEEP['sweep']}"] = tuple(counts[kind] for kind in COLUMNS)
     counts = Counter()
     with pytest.MonkeyPatch.context() as monkeypatch:
         for name in benchmark_names():
@@ -85,8 +97,8 @@ def test_analyze_makes_the_pinned_model_evaluations():
 # per benchmark and method, the calls of one `analyze` in COLUMNS' order:
 # value grad hess closed_form
 CALLS = """
-slutsky_hicks ift: 6 6 4 5
-slutsky_hicks fd: 6 6 4 11
+slutsky_hicks ift: 9 12 10 5
+slutsky_hicks fd: 9 12 10 11
 profit_cd ift: 6 7 6 7
 profit_cd fd: 6 7 6 13
 multi_output_profit ift: 10 4 3 11
@@ -103,7 +115,8 @@ efficient_portfolio ift: 30 12 9 25
 efficient_portfolio fd: 30 12 9 53
 pareto_allocation ift: 43 56 24 0
 pareto_allocation fd: 136 180 24 0
-verify-all: 74 155 144 8
+profit_cd --sweep p=1.5:3:8: 55 64 23 63
+verify-all: 80 167 156 8
 """
 
 

@@ -4,7 +4,10 @@ Each entry point in COUNTED is wrapped in process (monkeypatch; nothing in
 `src/` counts), and `run_point` runs at the nine catalog defaults with
 `--method ift` and `--method fd`, and at one constrained default with
 `--basis nullspace`, where the directions and the Silberberg matrix's
-tangent check both take `geometry.null_basis`.  Only calls made through the module
+tangent check both take `geometry.null_basis`; then `cmd_analyze` runs the
+8-point `profit_cd` price sweep of `test_newton_counts.py` in this process,
+where each cross-check after the first takes chord steps on its point's
+gated factor.  Only calls made through the module
 attribute are counted: numpy's and scipy's own internal calls are not, and
 `numeric.spd_solve` calls `scipy.linalg.lapack.dposv` through the module,
 so the dposv column counts the closed forms' positive definite solves.  A
@@ -15,13 +18,18 @@ change that moves a count updates CALLS and says which count moved and why;
 prints the table as observed.
 """
 
+import os
+
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.linalg.lapack
 
+from compstat import cli
 from compstat.benchmarks import benchmark_names, get_benchmark
 from compstat.cli import RunConfig, run_point
+
+from test_newton_counts import SWEEP
 
 # column -> (module, attribute) of the counted entry point
 COUNTED = {
@@ -38,8 +46,8 @@ COUNTED = {
 
 
 def observe(monkeypatch) -> dict:
-    """(benchmark, method[ + " " + basis]) -> the count of each COUNTED
-    call, in its order."""
+    """(benchmark, method[ + " " + basis] or the sweep) -> the count of
+    each COUNTED call, in its order."""
     entries = [get_benchmark(name) for name in benchmark_names()]   # not counted
     counts = {}
 
@@ -51,6 +59,7 @@ def observe(monkeypatch) -> dict:
 
     for column, (module, attr) in COUNTED.items():
         monkeypatch.setattr(module, attr, counting(column, getattr(module, attr)))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})   # no forked chunk
     runs = [(entry, method, "prescribed") for entry in entries for method in ("ift", "fd")]
     runs.append((entries[0], "ift", "nullspace"))
     table = {}
@@ -60,6 +69,9 @@ def observe(monkeypatch) -> dict:
                   RunConfig(model=entry.name, method=method, basis=basis))
         label = method if basis == "prescribed" else f"{method} {basis}"
         table[entry.name, label] = tuple(counts.values())
+    counts.update(dict.fromkeys(COUNTED, 0))
+    cli.cmd_analyze(cli.config_from_mapping(SWEEP))
+    table[SWEEP["model"], f"--sweep {SWEEP['sweep']}"] = tuple(counts.values())
     return table
 
 
@@ -75,8 +87,8 @@ def test_analyze_makes_the_pinned_linear_algebra_calls(monkeypatch):
 # per benchmark and method, the calls of one `analyze` in COUNTED's order:
 # eigvalsh eigh svd null_space lstsq solve inv dsytrf dposv
 CALLS = """
-slutsky_hicks ift: 6 0 2 1 1 0 0 1 0
-slutsky_hicks fd: 6 0 2 1 1 0 0 1 0
+slutsky_hicks ift: 6 0 2 1 1 0 0 4 0
+slutsky_hicks fd: 6 0 2 1 1 0 0 4 0
 profit_cd ift: 7 0 0 0 0 0 0 5 0
 profit_cd fd: 7 0 0 0 0 0 0 5 0
 multi_output_profit ift: 6 0 1 0 0 0 0 2 11
@@ -93,7 +105,8 @@ efficient_portfolio ift: 8 0 2 1 1 0 0 2 0
 efficient_portfolio fd: 8 0 2 1 1 0 0 2 0
 pareto_allocation ift: 5 0 2 1 1 0 0 5 0
 pareto_allocation fd: 5 0 2 1 12 0 0 5 0
-slutsky_hicks ift nullspace: 7 0 2 2 1 0 0 1 0
+slutsky_hicks ift nullspace: 7 0 2 2 1 0 0 4 0
+profit_cd --sweep p=1.5:3:8: 56 0 0 0 0 0 0 15 0
 """
 
 

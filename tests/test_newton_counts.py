@@ -83,8 +83,8 @@ def test_analyze_makes_the_pinned_newton_solves(monkeypatch):
 # per run and CALLERS column (main | stencil | envelope | suite): Newton
 # solves, then their iterations in total
 SOLVES = """
-slutsky_hicks ift: 1 0 | 0 0 | 0 0 | 0 0
-slutsky_hicks fd: 1 0 | 0 0 | 0 0 | 0 0
+slutsky_hicks ift: 1 3 | 0 0 | 0 0 | 0 0
+slutsky_hicks fd: 1 3 | 0 0 | 0 0 | 0 0
 profit_cd ift: 1 4 | 0 0 | 0 0 | 0 0
 profit_cd fd: 1 4 | 0 0 | 0 0 | 0 0
 multi_output_profit ift: 1 1 | 0 0 | 0 0 | 0 0
@@ -102,7 +102,7 @@ efficient_portfolio fd: 1 1 | 0 0 | 0 0 | 0 0
 pareto_allocation ift: 1 4 | 0 0 | 4 4 | 0 0
 pareto_allocation fd: 1 4 | 11 20 | 4 4 | 0 0
 profit_cd --sweep p=1.5:3:8: 8 25 | 0 0 | 0 0 | 0 0
-verify-all: 24 42 | 0 0 | 0 0 | 4 4
+verify-all: 24 48 | 0 0 | 0 0 | 4 4
 """
 
 

@@ -49,7 +49,7 @@ def _raises(*args):
 
 
 # (previous, the registered x_jac scaled by `jac` or None, closed form) at
-# slutsky_hicks, a = (4, 1, 1), x0 = (0.5, 0.5); the start taken, by name
+# slutsky_hicks, a = (4, 1, 1), x0 = (3/7, 4/7); the start taken, by name
 @pytest.mark.parametrize("previous, jac, closed_form, start", [
     ([3.5, 1.0, 1.0], 1.0, None, "prediction"),
     ([3.8, 1.0, 1.0], None, None, "prediction"),          # no Jacobian: x_cf(previous)

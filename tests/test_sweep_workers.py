@@ -53,8 +53,8 @@ def run(argv, capsys, tmp_path=None):
     return code, _TIMINGS.sub("", captured.out), captured.err, text and _TIMINGS.sub("", text)
 
 
-# Along m every slutsky_hicks cross-check starts from x0 (the prediction is
-# exact).  Along p, on 3 CPUs, the profit_cd chunks start at points 2 and 4,
+# Along m every slutsky_hicks cross-check starts from x0, which is not the
+# closed form at any of its points (the prediction is exact, so unused).  Along p, on 3 CPUs, the profit_cd chunks start at points 2 and 4,
 # whose cross-checks start from predictions made at points of another chunk.
 @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
 @pytest.mark.parametrize("to_file", [False, True])

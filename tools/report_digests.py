@@ -59,7 +59,8 @@ The invocations cover every catalog model with each sensitivity method in
 each format, on stdout and with `--out`; all seven recipes; the null-space
 basis; `--tol`; 3-point sweeps, sweeps into failing parameter ranges,
 sweeps whose closed-form cross-checks start from the catalog start, from
-the preceding point's closed form and from its Euler prediction,
+the preceding point's closed form and from its Euler prediction, and one
+whose chord steps on the gate's factor fall back to Newton,
 points without an interior optimum, points with nearly dependent or only
 badly scaled constraint gradients, points outside a closed form's or
 a derivative's domain, and points whose closed form solves a positive
@@ -196,13 +197,16 @@ def invocations(benchmark_names, get_benchmark) -> list:
         runs.append((["analyze", "--model"] + at, False))
     # sweeps whose cross-checks take each start: x0 where the prediction is
     # exact (demand is linear in m), a prediction without a registered
-    # Jacobian (the portfolio's), and one along it (the 64-point sweep below)
+    # Jacobian (the portfolio's), and one along it (the 64-point sweep
+    # below); and one whose chord steps from its second point's prediction
+    # do not halve the residual, so that cross-check falls back to Newton
     portfolio = get_benchmark("efficient_portfolio")
     first = float(portfolio.default_point[0])
     runs += [(["analyze", "--model", "slutsky_hicks", "--sweep", "m=0.5:2:5"], False),
              (["analyze", "--model", "efficient_portfolio", "--sweep",
                f"{portfolio.model.parameter_names[0]}={0.9 * first!r}:{1.1 * first!r}:8"],
-              False)]
+              False),
+             (["analyze", "--model", "principal_agent", "--sweep", "P2_1=0.5:0.9:3"], False)]
     for fmt in ("json", "csv", "table"):
         runs.append((["analyze", "--model", "profit_cd", "--sweep", "p=1.5:3:64",
                       "--format", fmt], fmt == "json"))
