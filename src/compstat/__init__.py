@@ -15,8 +15,7 @@ from .csm import (CsmResult, build_omega, build_omega_a1, build_omega_a2,
                   transform_csm)
 from .diagnostics import (CheckReport, check_envelope, check_hatta_reduction,
                           check_invariance, check_rank_bound, check_semidefinite)
-from .geometry import (IsovectorSet, build_isovectors, gcd_apply,
-                       prescribe_isovectors, verify_conformance)
+from .geometry import IsovectorSet, build_isovectors, prescribe_isovectors
 from .model import Blocks, InvarianceGenerator, ProblemModel, augment_with_scale
 from .sensitivity import (SensitivityBundle, decision_jacobian_fd,
                           decision_jacobian_ift)
@@ -29,7 +28,6 @@ __all__ = [
     "SolutionPoint", "SolverConfig", "solve_interior", "newton_solve",
     "SensitivityBundle", "decision_jacobian_fd", "decision_jacobian_ift",
     "IsovectorSet", "build_isovectors", "prescribe_isovectors",
-    "gcd_apply", "verify_conformance",
     "CsmResult", "build_omega", "build_omega_quadratic",
     "build_omega_a1", "build_omega_a2", "build_omega_b", "build_silberberg",
     "build_universal", "transform_csm", "spectral_relation", "from_matrix",

@@ -2,8 +2,9 @@
 levels for all but the first.
 
 The entry has no property suite of its own: its directions are held to the
-null property when they are prescribed, and decision-space conformance is
-one of the generic checks.  (Pinning down a unique point of the efficient
+null property when they are prescribed, and the differentiated
+first-order system, whose constraint rows are decision-space conformance,
+is one of the generic checks.  (Pinning down a unique point of the efficient
 set needs side conditions this catalog does not invent, so no curvature
 claims are asserted.)
 """

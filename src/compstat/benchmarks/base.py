@@ -10,10 +10,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from ..csm import CsmResult, build_omega, from_matrix
-from ..diagnostics import (IDENTITY_TOL, SEMIDEFINITE_TOL, STENCIL_TOL,
-                           check_conformance, check_hatta_reduction, check_invariance,
-                           check_rank_bound, check_semidefinite, check_tangent_semidefinite,
-                           matrix_mismatch, report)
+from ..diagnostics import (IDENTITY_TOL, SEMIDEFINITE_TOL, STENCIL_TOL, check_coherence,
+                           check_first_order_system, check_hatta_reduction, check_invariance,
+                           check_rank_bound, check_semidefinite, check_tangent_semidefinite)
 from ..errors import NonConvergenceError
 from ..geometry import IsovectorSet, build_isovectors
 from ..model import BLOCK_FIELDS, ProblemModel
@@ -106,29 +105,32 @@ class BenchRun:
 
 def generic_checks(run: BenchRun, recipes: dict) -> list:
     """The checks every model must pass, on a prepared run and the recipes
-    built on it (name -> CsmResult), in report order: invariance per
-    generator, then per recipe its semidefiniteness and rank bound (the
-    Silberberg matrix: its semidefiniteness on the null space of G_a), the
-    expected sign of each derived matrix, conformance when there are
-    constraints, coherence of "omega_quadratic" and "universal_U" with
-    "omega_eq7", and the separable-constraint reduction when the model
-    declares its slots.
+    built on it (name -> CsmResult), in report order: the differentiated
+    first-order system, invariance per generator, then per recipe its
+    semidefiniteness and rank bound (the Silberberg matrix: its
+    semidefiniteness on the null space of G_a), the expected sign of each
+    derived matrix, coherence of "universal_U" with "omega_eq7", and the
+    separable-constraint reduction when the model declares its slots.
 
     A row whose verdict a recipe's construction decides is left out.
-    "omega_quadratic" is -X^T L_xx X for the compensated responses X: the
-    second-order gate makes L_xx negative definite on null(G_x), so its sign
-    and its rank bound hold wherever conformance does, up to terms second
-    order in the conformance residual.  "universal_U" passes through a
-    tangent projector of rank M - K.  For the Silberberg matrix S and the
-    direction rows T, T S T^T - "omega_eq7" = (T G_a^T)(lam_jac T^T), and
-    the directions are built with T G_a^T = 0.
+    "omega_quadratic" is -X^T L_xx X for the compensated responses
+    X = x_jac T^T of the direction rows T.  The first-order row's second
+    block gives G_x X = -G_a T^T = 0: X lies in null(G_x), on which the
+    second-order gate makes L_xx negative definite, so its sign and its
+    rank bound hold wherever the first-order row does.  Its first block
+    gives "omega_eq7" = "omega_quadratic" - (lam_jac T^T)^T G_x X.
+    "universal_U" passes through a tangent projector of rank M - K.  For
+    the Silberberg matrix S, T S T^T - "omega_eq7" = (T G_a^T)(lam_jac T^T),
+    and the directions are built with T G_a^T = 0.
 
-    Invariance is held to IDENTITY_TOL, or to STENCIL_TOL when the decision
-    Jacobian comes from central differences."""
+    The first-order system and invariance are held to IDENTITY_TOL, or to
+    STENCIL_TOL when the decision Jacobian comes from central
+    differences."""
     model, sol, sens, iso = run.model, run.sol, run.sens, run.iso
-    invariance_tol = STENCIL_TOL if sens.method == "fd" else IDENTITY_TOL
-    checks = [check_invariance(model, gen, sol, sens, tol=invariance_tol)
-              for gen in model.invariance_generators]
+    tol = STENCIL_TOL if sens.method == "fd" else IDENTITY_TOL
+    checks = [check_first_order_system(sol, sens, tol)]
+    checks += [check_invariance(model, gen, sol, sens, tol=tol)
+               for gen in model.invariance_generators]
     for recipe, result in recipes.items():
         if recipe == "silberberg_S":
             checks.append(check_tangent_semidefinite(result, sol.blocks.Ga,
@@ -144,17 +146,9 @@ def generic_checks(run: BenchRun, recipes: dict) -> list:
         checks.append(check_semidefinite(result, sign, tol=SEMIDEFINITE_TOL,
                                          symmetry_tol=SEMIDEFINITE_TOL,
                                          name=f"semidefinite[derived:{name}]"))
-    if model.K:
-        checks.append(check_conformance(sol, sens, iso))
     omega = recipes.get("omega_eq7")
-    if omega is not None:
-        for other in ("omega_quadratic", "universal_U"):
-            if other in recipes:
-                mat = recipes[other].matrix
-                if other == "universal_U":
-                    mat = iso.vectors @ mat @ iso.vectors.T
-                checks.append(report(f"coherence[{other}]", "recipe-cross-identity",
-                                     matrix_mismatch(mat, omega.matrix), IDENTITY_TOL))
+    if omega is not None and "universal_U" in recipes:
+        checks.append(check_coherence(recipes["universal_U"], omega, iso))
     if model.separable_kappa is not None:
         checks.append(check_hatta_reduction(model, sol, sens, iso, omega))
     return checks

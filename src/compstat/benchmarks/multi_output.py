@@ -16,7 +16,7 @@ from ..diagnostics import (IDENTITY_TOL, ROUNDING_TOL, check_invariance, matrix_
 from ..errors import DomainError
 from ..geometry import prescribe_isovectors
 from ..model import InvarianceGenerator, ProblemModel
-from ..numeric import spd_solve
+from ..numeric import max_abs, spd_solve
 from .base import BenchRun, BenchmarkEntry, LinearBudget, constraint_fields
 
 NEGATIVE = "negative_semidefinite_expected"
@@ -315,7 +315,7 @@ def _make_cost_suite(output_grads):
             isovector_recipe=cost_rows)
         sub = entry.prepare(run.pipeline)
         m_dim = model1.M
-        res = float(np.max(np.abs(sub.sens.x_jac[:, m_dim])))
+        res = max_abs(sub.sens.x_jac[:, m_dim])
         rep = check_invariance(model1, model1.invariance_generators[0],
                                sub.sol, sub.sens, tol=1e-6)
         return report("single_output_price_independence", "output-price-neutrality",

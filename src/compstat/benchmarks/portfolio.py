@@ -18,7 +18,7 @@ from ..diagnostics import IDENTITY_TOL, matrix_mismatch, min_eig_violation, repo
 from ..errors import DomainError
 from ..geometry import prescribe_isovectors
 from ..model import InvarianceGenerator, ProblemModel
-from ..numeric import spd_solve
+from ..numeric import max_abs, spd_solve
 from ..sensitivity import decision_jacobian_ift
 from ..solver import newton_solve
 from .base import BenchRun, BenchmarkEntry, LinearBudget, constraint_fields
@@ -219,8 +219,8 @@ def _pf_check_closed_form(run):
                                        a[2 * m_dim:3 * m_dim],
                                        a[3 * m_dim], a[3 * m_dim + 1])
     newton = newton_solve(run.model, a, x_formula * 0.85)
-    res = float(np.max(np.abs(newton.x - x_formula)))
-    res = max(res, float(np.max(np.abs(-newton.lam - nu))))
+    res = max_abs(newton.x - x_formula)
+    res = max(res, max_abs(-newton.lam - nu))
     return report("closed_form_solution", "allocation-closed-form", res, 1e-8,
                   multipliers=nu.tolist())
 
@@ -257,7 +257,7 @@ def _pf_check_null_vectors(run):
     worst = 0.0
     for mat in (sub_w, sub_r, 2.0 * scaled):
         for vec in (w, r):
-            worst = max(worst, float(np.max(np.abs(mat @ vec))))
+            worst = max(worst, max_abs(mat @ vec))
     return report("null_vectors", "constraint-null-vectors", worst, IDENTITY_TOL)
 
 
@@ -276,7 +276,7 @@ def _make_original_check(sigma, w, r):
         sol = newton_solve(companion, a_orig, np.asarray(x_orig) * 0.9)
         sens = decision_jacobian_ift(companion, sol)
         back = vectors @ run.sol.x
-        res = float(np.max(np.abs(back - sol.x)))
+        res = max_abs(back - sol.x)
         sub_w, sub_r = (b.substitution(sens.x_jac, sol.x) for b in _original_budgets(m_dim))
         nu = -sol.lam
         res = max(res, min_eig_violation(nu[0] * sub_w, "positive"))
@@ -284,7 +284,7 @@ def _make_original_check(sigma, w, r):
         res = max(res, matrix_mismatch(nu[1] * sub_w, nu[0] * sub_r))
         for mat in (sub_w, sub_r):
             for vec in (w, r):
-                res = max(res, float(np.max(np.abs(mat @ vec))))
+                res = max(res, max_abs(mat @ vec))
         rank_ok = (estimate_rank(sub_w) <= m_dim - 2
                    and estimate_rank(sub_r) <= m_dim - 2)
         return report("original_coordinates", "asset-coordinate-consistency",

@@ -13,6 +13,7 @@ from ..diagnostics import (ROUNDING_TOL, matrix_mismatch, min_eig_violation, rep
 from ..errors import DomainError
 from ..geometry import prescribe_isovectors
 from ..model import InvarianceGenerator, ProblemModel
+from ..numeric import max_abs
 from .base import BenchRun, BenchmarkEntry, LinearBudget, constraint_fields
 
 
@@ -115,7 +116,7 @@ def _check_price_null_vector(run: BenchRun):
     sigma = substitution_matrix(run)
     p = run.sol.a[:run.model.M]
     return report("sigma_price_null", "budget-null-vector",
-                  float(np.max(np.abs(sigma @ p))), ROUNDING_TOL)
+                  max_abs(sigma @ p), ROUNDING_TOL)
 
 
 def _check_omega_relation(run: BenchRun):
@@ -147,7 +148,7 @@ def _check_reduced_form(run: BenchRun):
     expected = m * substitution_matrix(run)
     res = matrix_mismatch(sigma_tilde, expected)
     p_tilde = run.sol.a[:run.model.M] / m
-    res = max(res, float(np.max(np.abs(sigma_tilde @ p_tilde))))
+    res = max(res, max_abs(sigma_tilde @ p_tilde))
     res = max(res, min_eig_violation(sigma_tilde, "negative"))
     return report("reduced_form_equivalent", "income-scaled-reduction", res, ROUNDING_TOL)
 

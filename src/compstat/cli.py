@@ -55,7 +55,7 @@ class RunConfig:
     sweep: Optional[tuple] = None                     # (group, start, stop, count)
     basis: str = "prescribed"
     method: str = "ift"
-    recipes: tuple = ("omega_eq7", "omega_quadratic", "silberberg_S", "universal_U")
+    recipes: tuple = ("omega_eq7", "silberberg_S", "universal_U")
     solver_tol: float = 1e-10
     solver_max_iter: int = 100
     out: Optional[str] = None

@@ -1,6 +1,6 @@
-"""Structural checks at a solution point: envelope, invariance,
-semidefiniteness, rank bounds, conformance, and the separable-constraint
-reduction.
+"""Structural checks at a solution point: the differentiated first-order
+system, envelope, invariance, semidefiniteness, rank bounds, recipe
+coherence, and the separable-constraint reduction.
 
 Each check returns a CheckReport rather than raising; a failed check
 carries its residual and tolerance, a skipped check carries a reason.
@@ -16,12 +16,11 @@ import numpy as np
 from . import fd
 from .csm import CsmResult, build_omega, from_matrix
 from .errors import CompstatError
-from .geometry import (IsovectorSet, conformance_tolerance, gcd_apply, null_basis,
-                       prescribe_isovectors, require_null_property, verify_conformance)
+from .geometry import IsovectorSet, null_basis, prescribe_isovectors, require_null_property
 from .model import InvarianceGenerator, ProblemModel, _block, _decisions
 from .numeric import max_abs
 from .sensitivity import SensitivityBundle
-from .solver import SolutionPoint, SolverConfig, newton_solve
+from .solver import SolutionPoint, SolverConfig, bordered_matrix, newton_solve
 
 # Check tolerances.  A check states one of these, or a literal with a reason
 # of its own, and keeps it whichever derivative pipeline produced its inputs.
@@ -149,16 +148,24 @@ def check_invariance(model: ProblemModel, gen: InvarianceGenerator,
                   residual_vector=residual_vec)
 
 
-def check_conformance(sol: SolutionPoint, sens: SensitivityBundle,
-                      iso: IsovectorSet) -> CheckReport:
-    """The compensated decision columns must be orthogonal to every
-    decision-space constraint gradient, to the bound of
-    `geometry.conformance_tolerance`, which scales with both."""
-    x_semi = gcd_apply(iso, sens.x_jac)
-    grads = sol.blocks.Gx
-    table, _ = verify_conformance(x_semi, grads)
-    return report("conformance", "constraint-conformance",
-                  max_abs(table) if table.size else 0.0, conformance_tolerance(x_semi, grads))
+def check_first_order_system(sol: SolutionPoint, sens: SensitivityBundle,
+                             tol: float) -> CheckReport:
+    """The differentiated first-order conditions B [X; Lam] = -[L_xa; G_a],
+    with B = [L_xx, G_x^T; G_x, 0] at the solution, X = dx/da and
+    Lam = dlam/da: one product with B.  The residual is
+    max|B [X; Lam] + [L_xa; G_a]| / max(1, max|[L_xa; G_a]|); the details
+    give each block row's share on that scale, the stationarity rows
+    (L_xx X + G_x^T Lam + L_xa) and the constraint rows (G_x X + G_a)."""
+    M = sol.x.size
+    rhs = np.vstack([sol.lxa, sol.blocks.Ga])
+    bordered = bordered_matrix(sol.lxx, sol.blocks.Gx)
+    residual = bordered @ np.vstack([sens.x_jac, sens.lam_jac]) + rhs
+    scale = max(1.0, max_abs(rhs))
+    stationarity = max_abs(residual[:M]) / scale
+    constraint = max_abs(residual[M:]) / scale if sol.lam.size else 0.0
+    return report("first_order_system", "differentiated-first-order-conditions",
+                  max(stationarity, constraint), tol,
+                  stationarity_residual=stationarity, constraint_residual=constraint)
 
 
 def spectrum_violation(eig: np.ndarray, sign: str) -> float:
@@ -191,6 +198,15 @@ def matrix_mismatch(actual: np.ndarray, expected: np.ndarray) -> float:
     if not expected.size:
         return 0.0
     return max_abs(np.asarray(actual, dtype=float) - expected) / max(1.0, max_abs(expected))
+
+
+def check_coherence(universal: CsmResult, omega: CsmResult,
+                    iso: IsovectorSet) -> CheckReport:
+    """The universal matrix U seen through the direction rows T, T U T^T,
+    must reproduce the main matrix Omega."""
+    seen = iso.vectors @ universal.matrix @ iso.vectors.T
+    return report(f"coherence[{universal.recipe}]", "recipe-cross-identity",
+                  matrix_mismatch(seen, omega.matrix), IDENTITY_TOL)
 
 
 def check_semidefinite(matrix: Union[np.ndarray, CsmResult], expected_sign: str,

@@ -1,11 +1,10 @@
-"""Tangent-hyperplane directions in parameter space and the compensated
-derivatives built from them.
+"""Tangent-hyperplane directions in parameter space.
 
 A direction t is accepted when it annihilates the parameter-space gradient
-of every target function (the null property).  Applying the resulting
-directional derivatives to the decision functions produces columns that
-conform to the constraints in decision space; `verify_conformance` checks
-that orthogonality numerically.
+of every target function (the null property).  The compensated responses
+x_jac t^T along such directions then conform to the constraints in
+decision space, G_x x_jac t^T = -G_a t^T = 0, wherever the differentiated
+first-order system holds (`diagnostics.check_first_order_system`).
 """
 
 from __future__ import annotations
@@ -17,11 +16,9 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DimensionError, EmptyTangentError, NullPropertyError
-from .numeric import max_abs
 
 RANK_RTOL = 1e-10
 NULL_TOL = 1e-8           # a prescribed row's null-property residual, per unit row norm
-CONFORMANCE_TOL = 1e-6    # the compensated columns against the decision gradients
 
 
 @dataclass(frozen=True)
@@ -127,40 +124,3 @@ def prescribe_isovectors(rows: np.ndarray, grad_stack: np.ndarray,
         basis_kind="prescribed",
         redundant=redundant,
     )
-
-
-def gcd_apply(iso: IsovectorSet, jac: np.ndarray) -> np.ndarray:
-    """Compensated derivatives of a Jacobian: column alpha is jac @ t_alpha."""
-    jac = np.asarray(jac, dtype=float)
-    if jac.shape[1] != iso.n_parameters:
-        raise DimensionError(
-            f"jacobian has {jac.shape[1]} parameter columns, directions have "
-            f"{iso.n_parameters}")
-    return jac @ iso.vectors.T
-
-
-def verify_conformance(x_semicolon: np.ndarray, decision_grads: np.ndarray):
-    """Residual table r[k, alpha] = sum_i g_k,i x_i;alpha and a pass verdict.
-
-    The columns of a compensated decision Jacobian must be orthogonal to
-    every decision-space constraint gradient.
-    """
-    x_semicolon = np.asarray(x_semicolon, dtype=float)
-    decision_grads = np.atleast_2d(np.asarray(decision_grads, dtype=float))
-    if decision_grads.size == 0:
-        return np.zeros((0, x_semicolon.shape[1])), True
-    if decision_grads.shape[1] != x_semicolon.shape[0]:
-        raise DimensionError(
-            f"decision gradients have {decision_grads.shape[1]} components, "
-            f"jacobian has {x_semicolon.shape[0]} rows")
-    table = decision_grads @ x_semicolon
-    bound = conformance_tolerance(x_semicolon, decision_grads)
-    passed = max_abs(table) <= bound if table.size else True
-    return table, passed
-
-
-def conformance_tolerance(x_semicolon: np.ndarray, decision_grads: np.ndarray) -> float:
-    """The bound `verify_conformance` holds its residual table to:
-    CONFORMANCE_TOL scaled by the size of the gradients and the compensated
-    responses."""
-    return CONFORMANCE_TOL * max(1.0, max_abs(decision_grads) * max(1.0, max_abs(x_semicolon)))

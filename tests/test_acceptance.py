@@ -17,7 +17,7 @@ from compstat.benchmarks.profit import (augmented_run, elasticity_triple,
                                         zero_profit_instance)
 from compstat.benchmarks.slutsky import substitution_matrix
 from compstat.diagnostics import check_envelope, check_invariance
-from compstat.geometry import build_isovectors, gcd_apply, verify_conformance
+from compstat.geometry import build_isovectors
 from compstat.model import Blocks
 from compstat.sensitivity import decision_jacobian_fd, decision_jacobian_ift
 from compstat.solver import newton_solve, solve_interior
@@ -92,9 +92,8 @@ def test_criterion_05_conformance_on_constrained_benchmarks():
     for name in CONSTRAINED:
         entry = get_benchmark(name)
         run = entry.prepare("numeric")
-        x_semi = gcd_apply(run.iso, run.sens.x_jac)
-        table, _ = verify_conformance(
-            x_semi, Blocks(entry.model, run.sol.x, run.sol.a).Gx)
+        x_semi = run.sens.x_jac @ run.iso.vectors.T
+        table = Blocks(entry.model, run.sol.x, run.sol.a).Gx @ x_semi
         res = float(np.max(np.abs(table)))
         worst = max(worst, res)
         assert res < 1e-6, name

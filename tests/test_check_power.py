@@ -12,7 +12,9 @@ Only rows that pass unmutated are pinned.  STOPS pins the runs that a
 mutation stops with a typed error instead, which no row has to catch.
 
 A check stays in the catalog only while some mutation flips it: a check
-that none flips has shown no defect it can catch.  A row that flips when
+that none flips has shown no defect it can catch.  Nor does a check stay
+whose flips lie, on every run, within those of `first_order_system`, the
+differentiated first-order conditions: that row already catches them.  A row that flips when
 the direction rows are merely rotated within their span is wrong, unless
 it states entries on the entry's own prescribed rows.  When a change to the
 engine or the catalog moves this table, update the literals and say which
@@ -38,7 +40,7 @@ from compstat.cli import RunConfig, run_point
 from compstat.csm import build_omega, from_matrix
 from compstat.diagnostics import CheckReport
 from compstat.errors import CompstatError
-from compstat.geometry import conformance_tolerance, null_property_residuals
+from compstat.geometry import null_property_residuals
 from compstat.solver import SolverConfig, newton_solve, solve_interior
 
 from conftest import fd_only
@@ -164,13 +166,13 @@ def _x_jac_columns(monkeypatch):
 
 def _off_tangent(monkeypatch):
     # the compensated columns dx/da T^T moved along the constraint normals
-    # until G_x dx/da T^T reaches 0.9 of the conformance bound
+    # until G_x dx/da T^T reaches 0.9 of 1e-6 max(1, max|G_x| max(1, max|dx/da T^T|))
     def change(run):
         gx, vectors = run.sol.blocks.Gx, run.iso.vectors
         if not gx.shape[0]:
             return run
         x_jac = run.sens.x_jac
-        bound = conformance_tolerance(x_jac @ vectors.T, gx)
+        bound = 1e-6 * max(1.0, np.max(np.abs(gx)) * max(1.0, np.max(np.abs(x_jac @ vectors.T))))
         push = np.linalg.pinv(gx) @ np.ones((gx.shape[0], 1)) @ vectors.sum(axis=0)[None, :]
         table = gx @ push @ vectors.T
         push *= 0.9 * bound / np.max(np.abs(table))
@@ -200,7 +202,7 @@ MUTATIONS = {
     "f_a": _registered_block(
         "grad_a", lambda block, x, a: block + 1e-3 * np.arange(1, a.size + 1)),
     "jac_cols": _x_jac_columns,                 # dx/da column mu scaled by 1 + 1e-3 (mu + 1)
-    "off_null": _off_tangent,                   # compensated columns just inside conformance
+    "off_null": _off_tangent,                   # compensated columns just off the tangent space
 }
 
 
@@ -331,6 +333,21 @@ def test_every_check_in_the_catalog_catches_something():
     assert [key for key, flipped in caught.items() if not flipped] == []
 
 
+def test_no_row_restates_the_first_order_system():
+    # a row whose flips lie, on every run where it appears, within those of
+    # first_order_system on that run has shown nothing that row does not
+    # catch; a generic check by its name, over every model; an oracle per model
+    flips, _, _ = power_table()
+    within = {}
+    for (command, name, route, check), names in flips.items():
+        if check == "first_order_system":
+            continue
+        first_order = flips[command, name, route, "first_order_system"]
+        key = (name, check) if check in get_benchmark(name).suite_names() else check
+        within[key] = within.get(key, True) and set(names) <= set(first_order)
+    assert [key for key, restated in within.items() if restated] == []
+
+
 def test_rotated_directions_move_only_the_oracles_stated_on_prescribed_rows():
     # each of these compares entries of Omega with a block formula in the
     # entry's own prescribed rows; no generic row and no analyze row moves
@@ -354,10 +371,9 @@ def test_rotated_directions_move_only_the_oracles_stated_on_prescribed_rows():
 # a mutation stops with a typed error.
 FLIPS = """
 analyze cost_constrained_profit fd
-  coherence[omega_quadratic]: omega_sign lam_scale lam_sign f_xx f_xa jac_cols
   coherence[universal_U]: omega_sign lam_scale lam_sign f_xa jac_cols
-  conformance: jac_cols
   envelope:
+  first_order_system: lam_scale lam_sign f_xx f_xa jac_cols
   hatta_reduction: omega_sign f_xa
   invariance[input_price_cost_scale]: jac_cols
   invariance[output_price_scale]: jac_cols
@@ -368,10 +384,9 @@ analyze cost_constrained_profit fd
   semidefinite[silberberg_S|tangent]: lam_scale lam_sign f_xa jac_cols off_null
   semidefinite[universal_U]: lam_scale lam_sign f_xa jac_cols
 analyze cost_constrained_profit ift
-  coherence[omega_quadratic]: omega_sign jac_cols
   coherence[universal_U]: omega_sign jac_cols
-  conformance: jac_cols
   envelope:
+  first_order_system: jac_cols off_null
   hatta_reduction: omega_sign f_xa
   invariance[input_price_cost_scale]: f_xa jac_cols
   invariance[output_price_scale]: f_xa jac_cols
@@ -382,9 +397,8 @@ analyze cost_constrained_profit ift
   semidefinite[silberberg_S|tangent]: jac_cols off_null
   semidefinite[universal_U]: jac_cols
 analyze cost_constrained_profit twin
-  coherence[omega_quadratic]: omega_sign jac_cols
   coherence[universal_U]: omega_sign jac_cols
-  conformance: jac_cols
+  first_order_system: jac_cols off_null
   hatta_reduction: omega_sign
   invariance[input_price_cost_scale]: jac_cols
   invariance[output_price_scale]: jac_cols
@@ -394,10 +408,9 @@ analyze cost_constrained_profit twin
   semidefinite[silberberg_S|tangent]: jac_cols off_null
   semidefinite[universal_U]: jac_cols
 analyze efficient_portfolio fd
-  coherence[omega_quadratic]: swap_steps omega_sign lam_scale lam_sign f_xx f_xa jac_cols off_null
   coherence[universal_U]: swap_steps omega_sign lam_scale lam_sign f_xa jac_cols off_null
-  conformance: jac_cols
   envelope: swap_steps f_a
+  first_order_system: lam_scale lam_sign f_xx f_xa jac_cols off_null
   hatta_reduction: omega_sign f_xa
   invariance[scale_budget]: jac_cols off_null
   invariance[scale_returns]: jac_cols off_null
@@ -410,10 +423,9 @@ analyze efficient_portfolio fd
   semidefinite[silberberg_S|tangent]: lam_sign jac_cols off_null
   semidefinite[universal_U]: swap_steps lam_scale lam_sign f_xa jac_cols
 analyze efficient_portfolio ift
-  coherence[omega_quadratic]: omega_sign jac_cols off_null
   coherence[universal_U]: omega_sign jac_cols off_null
-  conformance: jac_cols
   envelope: swap_steps f_a
+  first_order_system: jac_cols off_null
   hatta_reduction: omega_sign f_xa
   invariance[scale_budget]: f_xa jac_cols off_null
   invariance[scale_returns]: f_xa jac_cols off_null
@@ -426,9 +438,8 @@ analyze efficient_portfolio ift
   semidefinite[silberberg_S|tangent]: jac_cols off_null
   semidefinite[universal_U]: jac_cols
 analyze efficient_portfolio twin
-  coherence[omega_quadratic]: omega_sign jac_cols off_null
   coherence[universal_U]: omega_sign jac_cols off_null
-  conformance: jac_cols
+  first_order_system: jac_cols off_null
   hatta_reduction: omega_sign
   invariance[scale_budget]: jac_cols off_null
   invariance[scale_returns]: jac_cols off_null
@@ -441,10 +452,9 @@ analyze efficient_portfolio twin
   semidefinite[silberberg_S|tangent]: jac_cols off_null
   semidefinite[universal_U]: jac_cols
 analyze market_power fd
-  coherence[omega_quadratic]: omega_sign lam_scale lam_sign f_xa jac_cols
   coherence[universal_U]: omega_sign f_xa jac_cols
-  conformance: jac_cols
   envelope: f_a
+  first_order_system: newton_tol lam_scale lam_sign f_xx f_xa jac_cols
   hatta_reduction: omega_sign f_xa
   rank_bound[omega_eq7]: f_xa jac_cols off_null
   semidefinite[derived:price_impact_substitution]: lam_sign jac_cols off_null
@@ -452,10 +462,9 @@ analyze market_power fd
   semidefinite[silberberg_S|tangent]: lam_sign f_xa jac_cols
   semidefinite[universal_U]: lam_scale lam_sign f_xa jac_cols
 analyze market_power ift
-  coherence[omega_quadratic]: omega_sign jac_cols
   coherence[universal_U]: omega_sign jac_cols
-  conformance: jac_cols
   envelope: f_a
+  first_order_system: jac_cols off_null
   hatta_reduction: omega_sign f_xa
   rank_bound[omega_eq7]: jac_cols off_null
   semidefinite[derived:price_impact_substitution]: lam_sign f_xa jac_cols off_null
@@ -463,9 +472,8 @@ analyze market_power ift
   semidefinite[silberberg_S|tangent]: jac_cols
   semidefinite[universal_U]: jac_cols
 analyze market_power twin
-  coherence[omega_quadratic]: omega_sign jac_cols
   coherence[universal_U]: omega_sign jac_cols
-  conformance: jac_cols
+  first_order_system: jac_cols off_null
   hatta_reduction: omega_sign
   rank_bound[omega_eq7]: jac_cols off_null
   semidefinite[derived:price_impact_substitution]: swap_steps lam_sign jac_cols off_null
@@ -473,38 +481,35 @@ analyze market_power twin
   semidefinite[silberberg_S|tangent]: jac_cols
   semidefinite[universal_U]: jac_cols
 analyze multi_constraint_utility fd
-  coherence[omega_quadratic]: omega_sign lam_scale lam_sign f_xx f_xa jac_cols
   coherence[universal_U]: omega_sign f_xa jac_cols
-  conformance: jac_cols
   envelope: f_a
+  first_order_system: newton_tol lam_scale lam_sign f_xx f_xa jac_cols
   rank_bound[omega_eq7]: swap_steps f_xa jac_cols off_null
   semidefinite[derived:substitution_block_1]: swap_steps jac_cols off_null
   semidefinite[omega_eq7]: swap_steps omega_sign lam_sign f_xa jac_cols off_null
   semidefinite[silberberg_S|tangent]: newton_tol swap_steps lam_sign f_xa jac_cols
   semidefinite[universal_U]: lam_scale lam_sign f_xa jac_cols
 analyze multi_constraint_utility ift
-  coherence[omega_quadratic]: omega_sign jac_cols
   coherence[universal_U]: omega_sign jac_cols
-  conformance: jac_cols
   envelope: f_a
+  first_order_system: jac_cols off_null
   rank_bound[omega_eq7]: jac_cols off_null
   semidefinite[derived:substitution_block_1]: lam_sign f_xa jac_cols off_null
   semidefinite[omega_eq7]: omega_sign jac_cols off_null
   semidefinite[silberberg_S|tangent]: jac_cols
   semidefinite[universal_U]: jac_cols
 analyze multi_constraint_utility twin
-  coherence[omega_quadratic]: omega_sign jac_cols
   coherence[universal_U]: omega_sign jac_cols
-  conformance: jac_cols
+  first_order_system: jac_cols off_null
   rank_bound[omega_eq7]: jac_cols off_null
   semidefinite[derived:substitution_block_1]: lam_sign jac_cols off_null
   semidefinite[omega_eq7]: omega_sign jac_cols off_null
   semidefinite[silberberg_S|tangent]: jac_cols
   semidefinite[universal_U]: jac_cols
 analyze multi_output_profit fd
-  coherence[omega_quadratic]: omega_sign f_xx f_xa jac_cols
   coherence[universal_U]: omega_sign f_xa jac_cols
   envelope: f_a
+  first_order_system: f_xx f_xa jac_cols
   invariance[price_scale]: jac_cols
   rank_bound[omega_eq7]: f_xa jac_cols
   semidefinite[derived:io_response_block]: jac_cols
@@ -512,9 +517,9 @@ analyze multi_output_profit fd
   semidefinite[silberberg_S|tangent]: f_xa jac_cols
   semidefinite[universal_U]: f_xa jac_cols
 analyze multi_output_profit ift
-  coherence[omega_quadratic]: omega_sign jac_cols
   coherence[universal_U]: omega_sign jac_cols
   envelope: f_a
+  first_order_system: jac_cols
   invariance[price_scale]: f_xa jac_cols
   rank_bound[omega_eq7]: jac_cols
   semidefinite[derived:io_response_block]: f_xa jac_cols
@@ -522,8 +527,8 @@ analyze multi_output_profit ift
   semidefinite[silberberg_S|tangent]: jac_cols
   semidefinite[universal_U]: jac_cols
 analyze multi_output_profit twin
-  coherence[omega_quadratic]: omega_sign jac_cols
   coherence[universal_U]: omega_sign jac_cols
+  first_order_system: jac_cols
   invariance[price_scale]: jac_cols
   rank_bound[omega_eq7]: jac_cols
   semidefinite[derived:io_response_block]: unscaled_step swap_steps jac_cols
@@ -531,36 +536,32 @@ analyze multi_output_profit twin
   semidefinite[silberberg_S|tangent]: jac_cols
   semidefinite[universal_U]: jac_cols
 analyze pareto_allocation fd
-  coherence[omega_quadratic]: omega_sign lam_scale f_xx f_xa jac_cols
   coherence[universal_U]: omega_sign lam_scale f_xa jac_cols off_null
-  conformance: jac_cols
   envelope: f_a
+  first_order_system: newton_tol lam_scale f_xx f_xa jac_cols
   rank_bound[omega_eq7]: lam_scale jac_cols
   semidefinite[omega_eq7]: omega_sign lam_scale f_xa jac_cols
   semidefinite[silberberg_S|tangent]: lam_scale jac_cols
   semidefinite[universal_U]: newton_tol lam_scale f_xa jac_cols
 analyze pareto_allocation ift
-  coherence[omega_quadratic]: omega_sign jac_cols
   coherence[universal_U]: omega_sign jac_cols off_null
-  conformance: jac_cols
   envelope: f_a
+  first_order_system: jac_cols
   rank_bound[omega_eq7]: jac_cols
   semidefinite[omega_eq7]: omega_sign jac_cols
   semidefinite[silberberg_S|tangent]: jac_cols
   semidefinite[universal_U]: jac_cols
 analyze pareto_allocation twin
-  coherence[omega_quadratic]: omega_sign jac_cols
   coherence[universal_U]: omega_sign jac_cols off_null
-  conformance: jac_cols
+  first_order_system: jac_cols
   rank_bound[omega_eq7]: jac_cols
   semidefinite[omega_eq7]: omega_sign jac_cols
   semidefinite[silberberg_S|tangent]: jac_cols
   semidefinite[universal_U]: jac_cols
 analyze principal_agent fd
-  coherence[omega_quadratic]: swap_steps omega_sign lam_scale f_xx f_xa jac_cols off_null
   coherence[universal_U]: swap_steps omega_sign lam_scale f_xa jac_cols off_null
-  conformance: jac_cols
   envelope: f_a
+  first_order_system: lam_scale f_xx f_xa jac_cols
   invariance[effort_1_block_scale]: jac_cols
   invariance[effort_2_block_scale]: jac_cols
   rank_bound[omega_eq7]: swap_steps lam_scale f_xa jac_cols off_null
@@ -569,10 +570,9 @@ analyze principal_agent fd
   semidefinite[silberberg_S|tangent]: lam_scale jac_cols off_null
   semidefinite[universal_U]: swap_steps lam_scale f_xa jac_cols
 analyze principal_agent ift
-  coherence[omega_quadratic]: omega_sign jac_cols off_null
   coherence[universal_U]: omega_sign jac_cols off_null
-  conformance: jac_cols
   envelope: f_a
+  first_order_system: jac_cols
   invariance[effort_1_block_scale]: f_xa jac_cols off_null
   invariance[effort_2_block_scale]: f_xa jac_cols off_null
   rank_bound[omega_eq7]: jac_cols off_null
@@ -581,9 +581,8 @@ analyze principal_agent ift
   semidefinite[silberberg_S|tangent]: jac_cols off_null
   semidefinite[universal_U]: jac_cols
 analyze principal_agent twin
-  coherence[omega_quadratic]: omega_sign jac_cols off_null
   coherence[universal_U]: omega_sign jac_cols off_null
-  conformance: jac_cols
+  first_order_system: jac_cols
   invariance[effort_1_block_scale]: newton_tol unscaled_step jac_cols off_null
   invariance[effort_2_block_scale]: jac_cols off_null
   rank_bound[omega_eq7]: jac_cols off_null
@@ -592,9 +591,9 @@ analyze principal_agent twin
   semidefinite[silberberg_S|tangent]: jac_cols off_null
   semidefinite[universal_U]: jac_cols
 analyze profit_cd fd
-  coherence[omega_quadratic]: omega_sign f_xx f_xa jac_cols
   coherence[universal_U]: omega_sign f_xa jac_cols
   envelope: f_a
+  first_order_system: f_xx f_xa jac_cols
   invariance[price_scale]: jac_cols
   rank_bound[omega_eq7]: f_xa jac_cols
   semidefinite[derived:input_price_block]: jac_cols
@@ -603,9 +602,9 @@ analyze profit_cd fd
   semidefinite[silberberg_S|tangent]: f_xa jac_cols
   semidefinite[universal_U]: f_xa jac_cols
 analyze profit_cd ift
-  coherence[omega_quadratic]: omega_sign jac_cols
   coherence[universal_U]: omega_sign jac_cols
   envelope: f_a
+  first_order_system: jac_cols
   invariance[price_scale]: f_xa jac_cols
   rank_bound[omega_eq7]: jac_cols
   semidefinite[derived:input_price_block]: f_xa jac_cols
@@ -614,8 +613,8 @@ analyze profit_cd ift
   semidefinite[silberberg_S|tangent]: jac_cols
   semidefinite[universal_U]: jac_cols
 analyze profit_cd twin
-  coherence[omega_quadratic]: omega_sign jac_cols
   coherence[universal_U]: omega_sign jac_cols
+  first_order_system: jac_cols
   invariance[price_scale]: jac_cols
   rank_bound[omega_eq7]: jac_cols
   semidefinite[derived:input_price_block]: jac_cols
@@ -624,10 +623,9 @@ analyze profit_cd twin
   semidefinite[silberberg_S|tangent]: jac_cols
   semidefinite[universal_U]: jac_cols
 analyze slutsky_hicks fd
-  coherence[omega_quadratic]: omega_sign lam_scale lam_sign f_xx f_xa jac_cols
   coherence[universal_U]: omega_sign f_xa jac_cols
-  conformance: jac_cols
   envelope: f_a
+  first_order_system: lam_scale lam_sign f_xx f_xa jac_cols
   hatta_reduction: omega_sign f_xa
   invariance[price_income_scale]: jac_cols
   rank_bound[omega_eq7]: f_xa jac_cols off_null
@@ -636,10 +634,9 @@ analyze slutsky_hicks fd
   semidefinite[silberberg_S|tangent]: lam_sign f_xa jac_cols
   semidefinite[universal_U]: lam_sign f_xa jac_cols
 analyze slutsky_hicks ift
-  coherence[omega_quadratic]: omega_sign jac_cols
   coherence[universal_U]: omega_sign jac_cols
-  conformance: jac_cols
   envelope: f_a
+  first_order_system: jac_cols
   hatta_reduction: omega_sign f_xa
   invariance[price_income_scale]: f_xa jac_cols
   rank_bound[omega_eq7]: jac_cols off_null
@@ -648,9 +645,8 @@ analyze slutsky_hicks ift
   semidefinite[silberberg_S|tangent]: jac_cols
   semidefinite[universal_U]: jac_cols
 analyze slutsky_hicks twin
-  coherence[omega_quadratic]: omega_sign jac_cols
   coherence[universal_U]: omega_sign jac_cols
-  conformance: jac_cols
+  first_order_system: jac_cols
   hatta_reduction: omega_sign
   invariance[price_income_scale]: jac_cols
   rank_bound[omega_eq7]: jac_cols off_null
@@ -659,9 +655,9 @@ analyze slutsky_hicks twin
   semidefinite[silberberg_S|tangent]: jac_cols
   semidefinite[universal_U]: jac_cols
 verify-all cost_constrained_profit analytic
-  conformance: jac_cols
   cross_equality: f_xa jac_cols
   expenditure_block_csm: omega_sign f_xa jac_cols
+  first_order_system: jac_cols off_null
   hatta_reduction: omega_sign f_xa
   invariance[input_price_cost_scale]: f_xa jac_cols
   invariance[output_price_scale]: f_xa jac_cols
@@ -672,9 +668,9 @@ verify-all cost_constrained_profit analytic
   semidefinite[omega_eq7]: omega_sign jac_cols off_null
   single_output_price_independence: f_xa
 verify-all cost_constrained_profit numeric
-  conformance: jac_cols
   cross_equality: f_xa jac_cols
   expenditure_block_csm: omega_sign f_xa jac_cols
+  first_order_system: jac_cols off_null
   hatta_reduction: omega_sign f_xa
   invariance[input_price_cost_scale]: f_xa jac_cols
   invariance[output_price_scale]: f_xa jac_cols
@@ -686,8 +682,8 @@ verify-all cost_constrained_profit numeric
   single_output_price_independence: f_xa
 verify-all efficient_portfolio analytic
   closed_form_solution: lam_scale lam_sign
-  conformance: jac_cols
   csm_block_structure: omega_sign f_xa
+  first_order_system: jac_cols off_null
   hatta_reduction: omega_sign f_xa
   invariance[scale_budget]: f_xa jac_cols off_null
   invariance[scale_returns]: f_xa jac_cols off_null
@@ -702,8 +698,8 @@ verify-all efficient_portfolio analytic
   symmetry_relations: f_xa jac_cols off_null
 verify-all efficient_portfolio numeric
   closed_form_solution: lam_scale lam_sign
-  conformance: jac_cols
   csm_block_structure: omega_sign f_xa
+  first_order_system: jac_cols off_null
   hatta_reduction: omega_sign f_xa
   invariance[scale_budget]: f_xa jac_cols off_null
   invariance[scale_returns]: f_xa jac_cols off_null
@@ -718,7 +714,7 @@ verify-all efficient_portfolio numeric
   symmetry_relations: f_xa jac_cols off_null
 verify-all market_power numeric
   competitive_limit: f_xa
-  conformance: jac_cols
+  first_order_system: jac_cols off_null
   g_matrix_from_recipe: omega_sign f_xa
   hatta_reduction: omega_sign f_xa
   modified_euler: f_xa jac_cols off_null
@@ -728,18 +724,18 @@ verify-all market_power numeric
   semidefinite[omega_eq7]: omega_sign jac_cols
 verify-all multi_constraint_utility numeric
   block_rank: f_xa jac_cols off_null
-  conformance: jac_cols
   double_block_structure: omega_sign f_xa jac_cols
+  first_order_system: jac_cols off_null
   k1_reduction: newton_tol lam_scale lam_sign f_xx f_xa jac_cols
   multiplier_signs: lam_sign
   offdiag_transpose: f_xa jac_cols
-  price_annihilation: jac_cols off_null
   rank_bound[omega_eq7]: jac_cols off_null
   semidefinite[derived:substitution_block_1]: lam_sign f_xa jac_cols off_null
   semidefinite[omega_eq7]: omega_sign jac_cols off_null
 verify-all multi_output_profit analytic
   block_matrix_a2: f_xa
   block_symmetry: analytic_jac jac_cols
+  first_order_system: analytic_jac f_xx f_xa jac_cols
   invariance[price_scale]: analytic_jac jac_cols
   rank_bound[omega_eq7]: analytic_jac f_xa jac_cols
   semidefinite[derived:io_response_block]: analytic_jac jac_cols
@@ -748,19 +744,20 @@ verify-all multi_output_profit analytic
 verify-all multi_output_profit numeric
   block_matrix_a2: f_xa
   block_symmetry: f_xa jac_cols
+  first_order_system: jac_cols
   invariance[price_scale]: f_xa jac_cols
   rank_bound[omega_eq7]: jac_cols
   semidefinite[derived:io_response_block]: f_xa jac_cols
   semidefinite[omega_eq7]: omega_sign jac_cols
   sharpened_pair: f_xa jac_cols
 verify-all pareto_allocation numeric
-  conformance: jac_cols
+  first_order_system: jac_cols
   rank_bound[omega_eq7]: jac_cols
   semidefinite[omega_eq7]: omega_sign jac_cols
 verify-all principal_agent analytic
   block_identities: lam_scale f_xa jac_cols off_null
-  conformance: jac_cols
   contract_csm_blocks: omega_sign f_xa
+  first_order_system: jac_cols
   invariance[effort_1_block_scale]: f_xa jac_cols off_null
   invariance[effort_2_block_scale]: f_xa jac_cols off_null
   low_effort_matrix: f_xa jac_cols off_null
@@ -770,8 +767,8 @@ verify-all principal_agent analytic
   semidefinite[omega_eq7]: omega_sign jac_cols off_null
 verify-all principal_agent numeric
   block_identities: newton_tol lam_scale f_xa jac_cols off_null
-  conformance: jac_cols
   contract_csm_blocks: omega_sign f_xa
+  first_order_system: jac_cols
   invariance[effort_1_block_scale]: newton_tol f_xa jac_cols off_null
   invariance[effort_2_block_scale]: f_xa jac_cols off_null
   low_effort_matrix: newton_tol f_xa jac_cols off_null
@@ -782,9 +779,9 @@ verify-all principal_agent numeric
 verify-all profit_cd analytic
   closed_form_jacobian: analytic_jac jac_cols
   cross_derivative_identity: analytic_jac jac_cols
+  first_order_system: analytic_jac f_xx f_xa jac_cols
   input_price_block_a2: f_xa
   invariance[price_scale]: analytic_jac jac_cols
-  log_variant_agreement: analytic_jac f_xa
   rank_bound[omega_eq7]: analytic_jac f_xa jac_cols
   ratio_matrix_family: analytic_jac jac_cols
   scale_rows_csm: omega_sign f_xa
@@ -797,9 +794,9 @@ verify-all profit_cd analytic
 verify-all profit_cd numeric
   closed_form_jacobian: f_xx f_xa jac_cols
   cross_derivative_identity: f_xa jac_cols
+  first_order_system: jac_cols
   input_price_block_a2: f_xa
   invariance[price_scale]: f_xa jac_cols
-  log_variant_agreement:
   rank_bound[omega_eq7]: jac_cols
   ratio_matrix_family: f_xa jac_cols
   scale_rows_csm: omega_sign closed_form f_xa
@@ -810,7 +807,7 @@ verify-all profit_cd numeric
   supply_bound: f_xa jac_cols
   supply_response_nonneg: f_xa
 verify-all slutsky_hicks analytic
-  conformance: analytic_jac jac_cols
+  first_order_system: lam_scale lam_sign analytic_jac f_xx f_xa jac_cols
   hatta_reduction: omega_sign f_xa
   invariance[price_income_scale]: analytic_jac jac_cols
   omega_is_scaled_sigma: omega_sign f_xa
@@ -823,7 +820,7 @@ verify-all slutsky_hicks analytic
   sigma_price_null: analytic_jac jac_cols off_null
   sigma_symmetric: analytic_jac
 verify-all slutsky_hicks numeric
-  conformance: jac_cols
+  first_order_system: jac_cols
   hatta_reduction: omega_sign f_xa
   invariance[price_income_scale]: f_xa jac_cols
   omega_is_scaled_sigma: omega_sign f_xa

@@ -398,7 +398,7 @@ def test_verify_all_clean_checkout(capsys):
 
 # claim tags of generic rows, which no model's own oracle may carry
 GENERIC_CLAIMS = ("decision-invariance", "separate-degree-zero", "per-effort-degree-zero",
-                  "constraint-conformance")
+                  "differentiated-first-order-conditions")
 
 
 @pytest.mark.parametrize("name", benchmark_names())
@@ -406,10 +406,10 @@ def test_verify_all_runs_the_generic_rows_then_the_oracles(name):
     entry = get_benchmark(name)
     model = entry.model
     derived = entry.derived_matrices(entry.prepare("numeric")) if entry.derived_matrices else {}
-    generic = ([f"invariance[{gen.name}]" for gen in model.invariance_generators]
+    generic = (["first_order_system"]
+               + [f"invariance[{gen.name}]" for gen in model.invariance_generators]
                + ["semidefinite[omega_eq7]", "rank_bound[omega_eq7]"]
                + [f"semidefinite[derived:{d}]" for d in derived]
-               + (["conformance"] if model.K else [])
                + (["hatta_reduction"] if model.separable_kappa is not None else []))
     rows, code = cmd_verify_all(only=(name,))
     assert code == 0
@@ -551,31 +551,28 @@ def test_check_detail_bools_serialize_as_json_bools(capsys):
     assert payload["isovectors"]["annihilates_objective"] is False
 
 
-def test_conformance_reports_the_tolerance_its_verdict_used(capsys):
-    # 1e-6 scaled by max|G_x| * max(1, max|compensated dx/da|), about 10.7 here
-    code, out, _ = run_main(["analyze", "--model", "efficient_portfolio"], capsys)
+@pytest.mark.parametrize("method, tolerance", [("ift", 1e-6), ("fd", 1e-5)])
+def test_first_order_system_reports_the_tolerance_its_route_used(method, tolerance, capsys):
+    # IDENTITY_TOL on solved Jacobians, STENCIL_TOL on central differences;
+    # each block row's share of the residual is in the details
+    code, out, _ = run_main(["analyze", "--model", "efficient_portfolio",
+                             "--method", method], capsys)
     assert code == 0
-    conformance = next(c for c in json.loads(out)["checks"]
-                       if c["name"] == "conformance")
-    assert conformance["tolerance"] == pytest.approx(1.07017e-5, rel=1e-5)
+    row = next(c for c in json.loads(out)["checks"] if c["name"] == "first_order_system")
+    assert row["tolerance"] == tolerance
+    assert row["residual"] == max(row["details"]["stationarity_residual"],
+                                  row["details"]["constraint_residual"])
 
 
 @pytest.mark.parametrize("name", benchmark_names())
-def test_each_check_has_one_tolerance_whichever_pipeline_runs_it(name, capsys):
-    # the conformance bound scales with the compensated Jacobian, whose last
-    # bits differ between pipelines; the other tolerances are equal bit for bit
+def test_each_check_has_one_tolerance_whichever_pipeline_runs_it(name):
     rows, code = cmd_verify_all(only=(name,))
     assert code == 0
     tolerances = {}
     for row in rows:
         tolerances.setdefault(row["check"], []).append(row["tolerance"])
     for check, tols in tolerances.items():
-        assert tols == pytest.approx([tols[0]] * len(tols), rel=1e-12), check
-    if "conformance" in tolerances:
-        code, out, _ = run_main(["analyze", "--model", name], capsys)
-        analyzed = next(c for c in json.loads(out)["checks"] if c["name"] == "conformance")
-        assert tolerances["conformance"] == pytest.approx(
-            [analyzed["tolerance"]] * len(tolerances["conformance"]), rel=1e-12)
+        assert tols == [tols[0]] * len(tols), check
 
 
 def test_every_analyze_verdict_matches_its_residual_and_tolerance(capsys):

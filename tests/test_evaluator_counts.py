@@ -116,7 +116,7 @@ efficient_portfolio fd: 30 12 9 53
 pareto_allocation ift: 43 56 24 0
 pareto_allocation fd: 136 180 24 0
 profit_cd --sweep p=1.5:3:8: 55 64 23 63
-verify-all: 80 167 156 8
+verify-all: 78 167 156 8
 """
 
 

@@ -8,7 +8,8 @@ the same multipliers, and the solution Jacobian as D^-1 x_jac P.
 
 Limit: a defect inside `build_omega` itself, such as a sign flip of the
 matrix, shows in both runs and passes here.  The closed-form oracles of the
-property suites and the `coherence[*]` checks of `analyze` cover that case.
+property suites and the `semidefinite[omega_eq7]` and `coherence[universal_U]`
+rows of `analyze` cover that case.
 """
 
 from dataclasses import replace

@@ -7,13 +7,18 @@ P_t = I - C^T (C C^T)^-1 C the universal matrix is (P_t X)^T H (P_t X), and
 for direction rows T with T D^T = 0 the main matrix is T B^T P B T^T.
 Multiplying a constraint by a constant changes none of them, and the
 second-order gate lets such rows through; it refuses nearly parallel ones.
+Through `run_point`, every generic row holds on it at each row scale.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from compstat import csm
 from compstat.benchmarks.base import BenchmarkEntry
+from compstat.cli import RunConfig, run_point
+from compstat.diagnostics import IDENTITY_TOL, check_first_order_system
 from compstat.errors import ConstraintQualificationError
 from compstat.geometry import build_isovectors
 from compstat.model import ProblemModel
@@ -21,6 +26,9 @@ from compstat.sensitivity import decision_jacobian_ift
 from compstat.solver import newton_solve
 
 M_DIM, K_DIM, N_DIM = 5, 2, 6
+# scaled rows leave the constraint set as it is, but spread the singular
+# values of C C^T over 14 and 16 orders of magnitude
+ROW_SCALES = [(1.0, 1.0), (1.0, 1e7), (1e-4, 1e4)]
 
 
 def realization(row_scale, seed=17, angle=None):
@@ -70,9 +78,7 @@ def _relative(actual, expected):
     return np.max(np.abs(actual - expected)) / np.max(np.abs(expected))
 
 
-# scaled rows leave the constraint set as it is, but spread the singular
-# values of C C^T over 14 and 16 orders of magnitude
-@pytest.mark.parametrize("row_scale", [(1.0, 1.0), (1.0, 1e7), (1e-4, 1e4)])
+@pytest.mark.parametrize("row_scale", ROW_SCALES)
 def test_realization_matches_its_closed_forms(row_scale):
     model, a_point, (hess, b_mat, c_mat, d_mat) = realization(row_scale)
     sol = newton_solve(model, a_point, np.zeros(M_DIM))
@@ -110,3 +116,48 @@ def test_the_gate_refuses_nearly_parallel_constraint_rows_on_every_route(method)
     x_max = np.linalg.solve(blocks[0], blocks[1] @ a_point)
     with pytest.raises(ConstraintQualificationError, match="of the unit-length rows"):
         _entry(model, a_point, x_max, blocks).prepare("numeric", method=method)
+
+
+def _rows(row_scale, method):
+    """name -> check of one `analyze` of the realization at `row_scale`."""
+    model, a_point, blocks = realization(row_scale)
+    entry = _entry(model, a_point, np.zeros(M_DIM), blocks)
+    rep = run_point(entry, a_point, RunConfig(model=model.name, method=method))
+    assert rep["errors"] == []
+    return {chk["name"]: chk for chk in rep["checks"]}
+
+
+@pytest.mark.parametrize("method", ["ift", "analytic"])
+@pytest.mark.parametrize("row_scale", ROW_SCALES)
+def test_every_generic_row_holds_on_the_realization(row_scale, method):
+    rows = _rows(row_scale, method)
+    assert list(rows) == ["envelope", "first_order_system", "semidefinite[omega_eq7]",
+                          "rank_bound[omega_eq7]", "semidefinite[silberberg_S|tangent]",
+                          "semidefinite[universal_U]", "coherence[universal_U]"]
+    assert rows["first_order_system"]["residual"] <= 1e-14
+    envelope = rows.pop("envelope")
+    if row_scale == (1.0, 1e7):
+        # the stencil re-solves' absolute 1e-12 tolerance lies below the
+        # rounding of a constraint of size 1e7: a known gap, left standing
+        assert envelope["verdict"] == "skipped"
+        assert "stencil did not converge" in envelope["details"]["reason"]
+    else:
+        assert envelope["verdict"] == "pass"
+    assert [name for name, chk in rows.items() if chk["verdict"] != "pass"] == []
+
+
+def test_every_row_holds_on_central_differences_of_the_realization():
+    rows = _rows((1.0, 1.0), "fd")
+    assert [name for name, chk in rows.items() if chk["verdict"] != "pass"] == []
+
+
+@pytest.mark.parametrize("change", [0.0, 1.0 + 1e-5])
+@pytest.mark.parametrize("row_scale", ROW_SCALES)
+def test_a_wrong_decision_jacobian_fails_the_first_order_row(row_scale, change):
+    # a zero Jacobian, and one 1e-5 off: on scaled rows the constraint block
+    # G_x X = -G_a sets the scale, so a 1e-6 change would read exactly 1e-6
+    model, a_point, blocks = realization(row_scale)
+    run = _entry(model, a_point, np.zeros(M_DIM), blocks).prepare("numeric", method="ift")
+    assert check_first_order_system(run.sol, run.sens, IDENTITY_TOL).residual <= 1e-14
+    wrong = replace(run.sens, x_jac=change * run.sens.x_jac)
+    assert check_first_order_system(run.sol, wrong, IDENTITY_TOL).verdict == "fail"
